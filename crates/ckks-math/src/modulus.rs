@@ -30,8 +30,10 @@ impl Modulus {
     ///
     /// # Panics
     ///
-    /// Panics if `q < 2` or `q >= 2^62` (the headroom required by the lazy
-    /// reductions used in the NTT).
+    /// Panics if `q < 2` or `q >= 2^62`. The headroom is what the NTT's lazy
+    /// reductions need: forward butterflies carry values in `[0, 4q)`, which
+    /// must fit a `u64`, and basis conversion sums 15 products of two
+    /// residues in one `u128` before it reduces.
     pub fn new(q: u64) -> Self {
         assert!(q >= 2, "modulus must be at least 2");
         assert!(q < (1u64 << 62), "modulus must be below 2^62");
@@ -66,7 +68,7 @@ impl Modulus {
         a % self.q
     }
 
-    /// Reduces a full 128-bit product into `[0, q)` with Barrett reduction.
+    /// Reduces any `u128` into `[0, q)` with Barrett reduction.
     #[inline]
     pub fn reduce_u128(&self, a: u128) -> u64 {
         // Estimate quotient: qhat = floor(a * floor(2^128/q) / 2^128).
@@ -78,8 +80,10 @@ impl Modulus {
         let lo_hi = (a_lo as u128) * (self.barrett_hi as u128);
         let hi_lo = (a_hi as u128) * (self.barrett_lo as u128);
         let hi_hi = (a_hi as u128) * (self.barrett_hi as u128);
-        let mid = lo_hi + (lo_lo >> 64) + hi_lo; // no overflow: each < 2^128/2
-        let qhat = hi_hi + (mid >> 64);
+        // lo_hi < 2^127 (b_hi ≤ 2^63), but hi_lo nears 2^128
+        // when a does, so the middle sum can carry into bit 128.
+        let (mid, carry) = (lo_hi + (lo_lo >> 64)).overflowing_add(hi_lo);
+        let qhat = hi_hi + (mid >> 64) + ((carry as u128) << 64);
         let mut r = (a - qhat * self.q as u128) as u64;
         while r >= self.q {
             r -= self.q;
@@ -143,19 +147,26 @@ impl Modulus {
         (((b as u128) << 64) / self.q as u128) as u64
     }
 
-    /// Multiplication by a fixed operand with its Shoup precomputation.
+    /// Multiplication by a fixed operand with its Shoup precomputation,
+    /// reduced into `[0, q)`. Accepts any `a`, like [`Self::mul_shoup_lazy`].
     ///
     /// `b_shoup` must be `self.shoup(b)`.
     #[inline]
     pub fn mul_shoup(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
-        debug_assert!(a < self.q);
+        sub_if_ge(self.mul_shoup_lazy(a, b, b_shoup), self.q)
+    }
+
+    /// Lazy Shoup multiplication: `a·b mod q` as a value in `[0, 2q)`, for
+    /// any `a < 2^64` (Harvey 2014). With `β = 2^64` and
+    /// `b_shoup = ⌊bβ/q⌋`, the remainder `a·b − ⌊a·b_shoup/β⌋·q` lies in
+    /// `[0, q + a·q/β)`, so the wrapping arithmetic below is exact.
+    ///
+    /// `b_shoup` must be `self.shoup(b)`.
+    #[inline]
+    pub fn mul_shoup_lazy(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
+        debug_assert!(b < self.q);
         let quo = ((a as u128 * b_shoup as u128) >> 64) as u64;
-        let r = a.wrapping_mul(b).wrapping_sub(quo.wrapping_mul(self.q));
-        if r >= self.q {
-            r - self.q
-        } else {
-            r
-        }
+        a.wrapping_mul(b).wrapping_sub(quo.wrapping_mul(self.q))
     }
 
     /// Modular exponentiation `a^e mod q` by square-and-multiply.
@@ -200,6 +211,13 @@ impl Modulus {
             a as i64
         }
     }
+}
+
+/// `a − m` when `a ≥ m`, else `a`, written as a `min` so it compiles to a
+/// compare and a select instead of a branch on the data.
+#[inline(always)]
+pub(crate) fn sub_if_ge(a: u64, m: u64) -> u64 {
+    a.min(a.wrapping_sub(m))
 }
 
 impl std::fmt::Display for Modulus {
@@ -252,6 +270,40 @@ mod tests {
             let bs = m.shoup(b);
             for a in [0u64, 1, q - 1, q / 3, 42] {
                 assert_eq!(m.mul_shoup(a, b, bs), m.mul(a, b));
+            }
+        }
+    }
+
+    /// The largest modulus the lazy kernels accept: a 62-bit NTT prime for
+    /// 2n = 2^17.
+    fn q62() -> Modulus {
+        Modulus::new(crate::prime::generate_ntt_primes(62, 1, 1 << 17)[0])
+    }
+
+    #[test]
+    fn lazy_shoup_at_range_limits() {
+        for m in [q62(), q60(), Modulus::new(268369921)] {
+            let q = m.value();
+            for b in [0u64, 1, 2, q / 2, q - 2, q - 1] {
+                let bs = m.shoup(b);
+                for a in [0u64, 1, q - 1, q, 2 * q - 1, 4 * q - 1, u64::MAX] {
+                    let want = ((a as u128 * b as u128) % q as u128) as u64;
+                    let lazy = m.mul_shoup_lazy(a, b, bs);
+                    assert!(lazy < 2 * q, "lazy {lazy} out of [0, 2q) for a={a} b={b}");
+                    assert_eq!(lazy % q, want, "lazy a={a} b={b} q={q}");
+                    assert_eq!(m.mul_shoup(a, b, bs), want, "full a={a} b={b} q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn barrett_accepts_the_full_u128_range() {
+        for m in [q62(), q60(), Modulus::new(268369921), Modulus::new(3)] {
+            let q = m.value() as u128;
+            let top = (q - 1) * (q - 1);
+            for a in [0, q - 1, top, 15 * top + q - 1, u128::MAX - 1, u128::MAX] {
+                assert_eq!(m.reduce_u128(a) as u128, a % q, "a={a} q={q}");
             }
         }
     }

@@ -7,6 +7,29 @@
 //! Shoup's precomputed-quotient trick to avoid 128-bit division in the hot
 //! loop.
 //!
+//! # Lazy reduction
+//!
+//! Both transforms follow Harvey ("Faster arithmetic for number-theoretic
+//! transforms", 2014): a butterfly does not reduce its outputs into
+//! `[0, q)`, it only keeps them inside a fixed range, and the transform
+//! reduces once at the end. Inputs are in `[0, q)` and outputs are the same
+//! canonical `[0, q)` residues a fully reducing transform produces.
+//!
+//! - Forward (Cooley–Tukey): every stage takes values in `[0, 4q)` and
+//!   returns values in `[0, 4q)`. The butterfly folds `x` into `[0, 2q)`,
+//!   forms `v = w·y` lazily in `[0, 2q)` (for any `y`), and writes `x + v`
+//!   and `x − v + 2q`. The last stage also maps its outputs to `[0, q)`.
+//! - Inverse (Gentleman–Sande): every stage takes and returns `[0, 2q)`.
+//!   The butterfly writes `x + y` folded into `[0, 2q)` and the lazy product
+//!   `w·(x − y + 2q)`. The last stage multiplies by `n⁻¹` (and `w·n⁻¹`) with
+//!   lazy Shoup products and reduces once into `[0, q)`.
+//!
+//! Every intermediate value stays below `4q`, which must fit a `u64`, so
+//! [`Modulus::new`] rejects `q ≥ 2^62`. The stage loops walk
+//! `chunks_exact_mut(2t)` / `split_at_mut(t)` zipped with the stage's twiddle
+//! slice, so the butterflies have no bounds checks, and every conditional
+//! subtraction is a `min` that compiles to a select.
+//!
 //! Besides the transforms, the context exposes the *evaluation-domain Galois
 //! permutation* used by HROT: applying the automorphism `X ↦ X^g` in the
 //! evaluation domain is a pure slot permutation, which this module derives
@@ -16,7 +39,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::modulus::Modulus;
+use crate::modulus::{sub_if_ge, Modulus};
 
 /// Per-prime NTT context: twiddle tables and Galois permutation support for a
 /// fixed ring degree `n` (a power of two) and prime `q ≡ 1 (mod 2n)`.
@@ -50,6 +73,10 @@ pub struct NttContext {
     inv_root_powers_shoup: Vec<u64>,
     n_inv: u64,
     n_inv_shoup: u64,
+    /// `inv_root_powers[1] · n⁻¹`: the last inverse stage's twiddle with the
+    /// final scaling folded in.
+    inv_last_root: u64,
+    inv_last_root_shoup: u64,
     /// Lazily derived: exponent `e_j` such that output slot `j` of the
     /// forward transform holds `a(ψ^{e_j})`, plus the inverse map.
     galois: OnceLock<GaloisTables>,
@@ -114,6 +141,8 @@ impl NttContext {
         let inv_root_powers_shoup = inv_root_powers.iter().map(|&w| modulus.shoup(w)).collect();
         let n_inv = modulus.inv(n as u64);
         let n_inv_shoup = modulus.shoup(n_inv);
+        let inv_last_root = modulus.mul(inv_root_powers[1], n_inv);
+        let inv_last_root_shoup = modulus.shoup(inv_last_root);
         Self {
             n,
             log_n,
@@ -125,6 +154,8 @@ impl NttContext {
             inv_root_powers_shoup,
             n_inv,
             n_inv_shoup,
+            inv_last_root,
+            inv_last_root_shoup,
             galois: OnceLock::new(),
             galois_perms: RwLock::new(HashMap::new()),
         }
@@ -148,7 +179,8 @@ impl NttContext {
         self.psi
     }
 
-    /// In-place forward negacyclic NTT.
+    /// In-place forward negacyclic NTT. Inputs must be in `[0, q)`; outputs
+    /// are in `[0, q)`.
     ///
     /// # Panics
     ///
@@ -156,17 +188,104 @@ impl NttContext {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        // Cooley–Tukey butterfly on [0, 4q) → [0, 4q).
+        let butterfly = |x: u64, y: u64, w: u64, ws: u64| {
+            let u = sub_if_ge(x, two_q);
+            let v = m.mul_shoup_lazy(y, w, ws);
+            (u + v, u + two_q - v)
+        };
+        let mut t = self.n;
+        let mut stage = 1usize;
+        while stage < self.n / 2 {
+            t >>= 1;
+            let w = &self.root_powers[stage..2 * stage];
+            let ws = &self.root_powers_shoup[stage..2 * stage];
+            for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(ws) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    (*x, *y) = butterfly(*x, *y, w, ws);
+                }
+            }
+            stage <<= 1;
+        }
+        // Last stage (t = 1) with the final reduction into [0, q) fused in.
+        let w = &self.root_powers[stage..];
+        let ws = &self.root_powers_shoup[stage..];
+        for ((pair, &w), &ws) in a.chunks_exact_mut(2).zip(w).zip(ws) {
+            let (x, y) = butterfly(pair[0], pair[1], w, ws);
+            pair[0] = sub_if_ge(sub_if_ge(x, two_q), q);
+            pair[1] = sub_if_ge(sub_if_ge(y, two_q), q);
+        }
+    }
+
+    /// In-place inverse negacyclic NTT (exact inverse of [`Self::forward`]).
+    /// Inputs must be in `[0, q)`; outputs are in `[0, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != n`.
+    pub fn inverse(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "length mismatch");
+        let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        // Gentleman–Sande butterfly on [0, 2q) → [0, 2q).
+        let butterfly = |x: u64, y: u64, w: u64, ws: u64| {
+            (
+                sub_if_ge(x + y, two_q),
+                m.mul_shoup_lazy(x + two_q - y, w, ws),
+            )
+        };
+        // First stage (t = 1): adjacent pairs.
+        let mut stage = self.n >> 1;
+        let w = &self.inv_root_powers[stage..];
+        let ws = &self.inv_root_powers_shoup[stage..];
+        for ((pair, &w), &ws) in a.chunks_exact_mut(2).zip(w).zip(ws) {
+            (pair[0], pair[1]) = butterfly(pair[0], pair[1], w, ws);
+        }
+        let mut t = 2usize;
+        stage >>= 1;
+        while stage > 1 {
+            let w = &self.inv_root_powers[stage..2 * stage];
+            let ws = &self.inv_root_powers_shoup[stage..2 * stage];
+            for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(ws) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    (*x, *y) = butterfly(*x, *y, w, ws);
+                }
+            }
+            t <<= 1;
+            stage >>= 1;
+        }
+        // Last stage: a single block whose outputs also take the n⁻¹ factor.
+        let (lo, hi) = a.split_at_mut(t);
+        let (w, ws) = (self.inv_last_root, self.inv_last_root_shoup);
+        for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+            let (u, v) = (*x, *y);
+            *x = sub_if_ge(m.mul_shoup_lazy(u + v, self.n_inv, self.n_inv_shoup), q);
+            *y = sub_if_ge(m.mul_shoup_lazy(u + two_q - v, w, ws), q);
+        }
+    }
+
+    /// The fully reducing Cooley–Tukey transform the lazy kernel replaced:
+    /// every butterfly reduces into `[0, q)`, and twiddle products use the
+    /// Barrett [`Modulus::mul`], so it shares no reduction code with
+    /// [`Self::forward`]. Test oracle only.
+    #[cfg(test)]
+    pub(crate) fn forward_reference(&self, a: &mut [u64]) {
+        let m = &self.modulus;
         let mut t = self.n;
         let mut stage = 1usize;
         while stage < self.n {
             t >>= 1;
             for i in 0..stage {
                 let w = self.root_powers[stage + i];
-                let ws = self.root_powers_shoup[stage + i];
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
                     let u = a[j];
-                    let v = m.mul_shoup(a[j + t], w, ws);
+                    let v = m.mul(a[j + t], w);
                     a[j] = m.add(u, v);
                     a[j + t] = m.sub(u, v);
                 }
@@ -175,33 +294,29 @@ impl NttContext {
         }
     }
 
-    /// In-place inverse negacyclic NTT (exact inverse of [`Self::forward`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != n`.
-    pub fn inverse(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
+    /// The fully reducing Gentleman–Sande counterpart of
+    /// [`Self::forward_reference`]. Test oracle only.
+    #[cfg(test)]
+    pub(crate) fn inverse_reference(&self, a: &mut [u64]) {
         let m = &self.modulus;
         let mut t = 1usize;
         let mut stage = self.n >> 1;
         while stage >= 1 {
             for i in 0..stage {
                 let w = self.inv_root_powers[stage + i];
-                let ws = self.inv_root_powers_shoup[stage + i];
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
                     let u = a[j];
                     let v = a[j + t];
                     a[j] = m.add(u, v);
-                    a[j + t] = m.mul_shoup(m.sub(u, v), w, ws);
+                    a[j + t] = m.mul(m.sub(u, v), w);
                 }
             }
             t <<= 1;
             stage >>= 1;
         }
         for x in a.iter_mut() {
-            *x = m.mul_shoup(*x, self.n_inv, self.n_inv_shoup);
+            *x = m.mul(*x, self.n_inv);
         }
     }
 
@@ -379,6 +494,10 @@ fn find_primitive_2n_root(m: &Modulus, n: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::prime::generate_ntt_primes;
+    use proptest::prelude::*;
+
+    /// The 28-bit prime of the PIM functional model (`≡ 1 mod 2^16`).
+    const PIM_PRIME: u64 = 268369921;
 
     fn ctx(n: usize, bits: u32) -> NttContext {
         let q = generate_ntt_primes(bits, 1, 2 * n as u64)[0];
@@ -498,6 +617,73 @@ mod tests {
         let m = ctx.modulus();
         assert_eq!(m.pow(ctx.psi(), n as u64), m.value() - 1);
         assert_eq!(m.pow(ctx.psi(), 2 * n as u64), 1);
+    }
+
+    /// A context at the widest prime `generate_ntt_primes` accepts (62 bits,
+    /// where the `[0, 4q)` headroom is tightest) or at the PIM prime.
+    fn lazy_ctx(log_n: u32, wide: bool) -> NttContext {
+        let n = 1usize << log_n;
+        let q = if wide {
+            generate_ntt_primes(62, 1, 2 * n as u64)[0]
+        } else {
+            PIM_PRIME
+        };
+        NttContext::new(n, Modulus::new(q))
+    }
+
+    fn pseudo_random(seed: u64, n: usize, q: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state % q
+            })
+            .collect()
+    }
+
+    /// Checks both lazy kernels against the fully reducing references on
+    /// one input, and that the round trip restores it.
+    fn assert_matches_reference(ctx: &NttContext, input: &[u64]) {
+        let mut got = input.to_vec();
+        let mut want = input.to_vec();
+        ctx.forward(&mut got);
+        ctx.forward_reference(&mut want);
+        assert_eq!(got, want, "forward, n={} q={}", ctx.n(), ctx.modulus());
+        ctx.inverse(&mut got);
+        assert_eq!(got, input, "round trip, n={}", ctx.n());
+        let mut got = input.to_vec();
+        let mut want = input.to_vec();
+        ctx.inverse(&mut got);
+        ctx.inverse_reference(&mut want);
+        assert_eq!(got, want, "inverse, n={} q={}", ctx.n(), ctx.modulus());
+    }
+
+    #[test]
+    fn lazy_kernels_match_reference_on_saturated_inputs() {
+        for log_n in 2..=12 {
+            for wide in [true, false] {
+                let ctx = lazy_ctx(log_n, wide);
+                let q = ctx.modulus().value();
+                assert_matches_reference(&ctx, &vec![q - 1; ctx.n()]);
+                assert_matches_reference(&ctx, &pseudo_random(log_n as u64, ctx.n(), q));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lazy_kernels_match_reference(
+            log_n in 2u32..=12,
+            wide in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let ctx = lazy_ctx(log_n, wide);
+            assert_matches_reference(&ctx, &pseudo_random(seed, ctx.n(), ctx.modulus().value()));
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::modulus::Modulus;
 use crate::ntt::NttContext;
 use crate::poly::{for_each_tuned, map_tuned, Format, Limb, Poly};
 use crate::pool;
@@ -233,7 +234,7 @@ pub struct BasisConverter {
     to: Vec<Arc<NttContext>>,
     /// `(A/a_i)^{-1} mod a_i`.
     a_hat_inv: Vec<u64>,
-    /// `(A/a_i) mod b_j`, indexed `[i][j]`.
+    /// `(A/a_i) mod b_j`, indexed `[j][i]` (one row per target limb).
     a_hat_mod_b: Vec<Vec<u64>>,
     /// `A mod b_j` (for the exact-conversion correction term).
     a_mod_b: Vec<u64>,
@@ -268,7 +269,7 @@ impl BasisConverter {
             a = a.mul_small(c.modulus().value());
         }
         let mut a_hat_inv = Vec::with_capacity(from.len());
-        let mut a_hat_mod_b = Vec::with_capacity(from.len());
+        let mut a_hat_mod_b = vec![Vec::with_capacity(from.len()); to.len()];
         for (i, fi) in from.iter().enumerate() {
             let mut hat = UBig::from_u64(1);
             for (j, fj) in from.iter().enumerate() {
@@ -278,11 +279,9 @@ impl BasisConverter {
             }
             let mi = fi.modulus();
             a_hat_inv.push(mi.inv(hat.mod_small(mi.value())));
-            a_hat_mod_b.push(
-                to.iter()
-                    .map(|t| hat.mod_small(t.modulus().value()))
-                    .collect(),
-            );
+            for (row, t) in a_hat_mod_b.iter_mut().zip(to) {
+                row.push(hat.mod_small(t.modulus().value()));
+            }
         }
         let a_mod_b = to
             .iter()
@@ -344,13 +343,8 @@ impl BasisConverter {
         // Each target limb accumulates over all v_i — independent per target.
         let out = map_tuned(OpClass::BConv, limbs.len() * n, &self.to, |j, t| {
             let m = t.modulus();
-            let mut out = pool::take_zeroed(n);
-            for (i, vi) in v.iter().enumerate() {
-                let hj = self.a_hat_mod_b[i][j];
-                for (dst, &x) in out.iter_mut().zip(vi.iter()) {
-                    *dst = m.reduce_u128(*dst as u128 + x as u128 * hj as u128);
-                }
-            }
+            let mut out = pool::take(n);
+            accumulate(m, &v, &self.a_hat_mod_b[j], &mut out);
             if let Some(es) = &corrections {
                 let a_j = self.a_mod_b[j];
                 for (dst, &e) in out.iter_mut().zip(es.iter()) {
@@ -376,6 +370,48 @@ impl BasisConverter {
     /// `±A/2` (float-corrected HPS conversion).
     pub fn convert_exact(&self, limbs: &[&[u64]]) -> Vec<Limb> {
         self.convert_impl(limbs, true)
+    }
+}
+
+/// Source limbs one `u128` accumulator sums before it must reduce: every
+/// residue is below 2^62, so 15 products (each below 2^124) plus the
+/// carried residue stay below 2^128.
+const BCONV_BLOCK: usize = 15;
+
+/// `out[k] = Σ_i v[i][k] · hats[i] mod m`, with one Barrett reduction per
+/// block of [`BCONV_BLOCK`] source limbs instead of one per product. Each
+/// block after the first carries the previous block's residue in `out`.
+fn accumulate(m: &Modulus, v: &[Vec<u64>], hats: &[u64], out: &mut [u64]) {
+    let n = out.len();
+    let mut rows: [&[u64]; BCONV_BLOCK] = [&[]; BCONV_BLOCK];
+    let blocks = v.chunks(BCONV_BLOCK).zip(hats.chunks(BCONV_BLOCK));
+    for (b, (vs, hs)) in blocks.enumerate() {
+        // The block's rows as plain slices on the stack, cut to the
+        // output's length.
+        for (row, vi) in rows.iter_mut().zip(vs) {
+            *row = &vi[..n];
+        }
+        let rows = &rows[..vs.len()];
+        for (k, dst) in out.iter_mut().enumerate() {
+            let mut acc = if b == 0 { 0 } else { *dst as u128 };
+            for (row, &h) in rows.iter().zip(hs) {
+                acc += row[k] as u128 * h as u128;
+            }
+            *dst = m.reduce_u128(acc);
+        }
+    }
+}
+
+/// The per-product-reducing accumulation [`accumulate`] replaced, reducing
+/// with `%` so it shares no reduction code with it. Test oracle only.
+#[cfg(test)]
+fn accumulate_reference(m: &Modulus, v: &[Vec<u64>], hats: &[u64], out: &mut [u64]) {
+    let q = m.value() as u128;
+    out.fill(0);
+    for (vi, &h) in v.iter().zip(hats) {
+        for (dst, &x) in out.iter_mut().zip(vi.iter()) {
+            *dst = ((*dst as u128 + x as u128 * h as u128) % q) as u64;
+        }
     }
 }
 
@@ -623,8 +659,8 @@ impl CrtReconstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modulus::Modulus;
     use crate::prime::generate_ntt_primes;
+    use proptest::prelude::*;
 
     fn make_basis(n: usize, count: usize, bits: u32, skip: usize) -> Vec<Arc<NttContext>> {
         generate_ntt_primes(bits, count + skip, 2 * n as u64)
@@ -780,6 +816,94 @@ mod tests {
             assert_eq!(got, v as f64);
         }
         assert!(crt.modulus_product().bits() >= 118);
+    }
+
+    /// The conversion as it was before blocked accumulation: `v_i` by Barrett
+    /// multiplication, then [`accumulate_reference`] per target limb.
+    fn convert_reference(conv: &BasisConverter, limbs: &[&[u64]]) -> Vec<Vec<u64>> {
+        let v: Vec<Vec<u64>> = limbs
+            .iter()
+            .zip(&conv.from)
+            .zip(&conv.a_hat_inv)
+            .map(|((l, c), &h)| l.iter().map(|&x| c.modulus().mul(x, h)).collect())
+            .collect();
+        conv.to
+            .iter()
+            .zip(&conv.a_hat_mod_b)
+            .map(|(t, hats)| {
+                let mut out = vec![0; limbs[0].len()];
+                accumulate_reference(t.modulus(), &v, hats, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn blocked_bconv_matches_reference_across_block_boundaries() {
+        // 16, 17 and 31 source limbs cross one or two 15-limb block
+        // boundaries.
+        let n = 128;
+        for from_len in [1, 15, 16, 17, 31] {
+            // 62-bit primes: the widest residues, so products near 2^124.
+            let mut from = make_basis(n, from_len + 2, 62, 0);
+            let to = from.split_off(from_len);
+            let conv = BasisConverter::new(&from, &to);
+            let saturated: Vec<Vec<u64>> = from
+                .iter()
+                .map(|c| vec![c.modulus().value() - 1; n])
+                .collect();
+            let mixed: Vec<Vec<u64>> = from
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let q = c.modulus().value();
+                    (0..n as u64)
+                        .map(|k| (q - 1 - k * (i as u64 + 3)) % q)
+                        .collect()
+                })
+                .collect();
+            for src in [saturated, mixed] {
+                let refs: Vec<&[u64]> = src.iter().map(|l| l.as_slice()).collect();
+                let got = conv.convert_approx(&refs);
+                let want = convert_reference(&conv, &refs);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.data(), w.as_slice(), "from_len {from_len}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn blocked_accumulation_matches_reference(
+            sources in 1usize..=40,
+            log_n in 2u32..=7,
+            saturated in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let n = 1usize << log_n;
+            let m = Modulus::new(generate_ntt_primes(62, 1, 2 * n as u64)[0]);
+            let q = m.value();
+            let mut state = seed;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if saturated { bound - 1 } else { state % bound }
+            };
+            // Source residues up to 2^62 (any source prime), hats below q.
+            let v: Vec<Vec<u64>> = (0..sources)
+                .map(|_| (0..n).map(|_| next(1 << 62)).collect())
+                .collect();
+            let hats: Vec<u64> = (0..sources).map(|_| next(q)).collect();
+            let mut got = vec![0; n];
+            let mut want = vec![0; n];
+            accumulate(&m, &v, &hats, &mut got);
+            accumulate_reference(&m, &v, &hats, &mut want);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

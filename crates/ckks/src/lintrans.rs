@@ -458,8 +458,10 @@ impl LinearTransform {
                 let coeffs = enc.embed(&rot_by(r), delta);
                 let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
                 pt_pq.to_eval();
-                let mut pt_q = Poly::from_coeff_i64(&basis_q, &coeffs);
-                pt_q.to_eval();
+                // Q is a prefix of QP, so the Q plaintext is the first
+                // `level` limbs of the one just transformed.
+                let mut pt_q = pt_pq.duplicate();
+                pt_q.truncate_limbs(level);
 
                 let mut t0 = kb.clone();
                 t0.mul_assign(&pt_pq);

@@ -25,6 +25,11 @@ ANAHEIM_THREADS=1 cargo test -q --test parallel_equivalence
 echo "==> parallel equivalence (ANAHEIM_THREADS=8)"
 ANAHEIM_THREADS=8 cargo test -q --test parallel_equivalence
 
+# Pin the paper rings 2^14–2^16 bit-exact across thread counts and tuner
+# profiles as well (release: these rings are too slow in debug).
+echo "==> parallel equivalence, paper rings (release, --ignored)"
+cargo test -q --release --test parallel_equivalence -- --ignored
+
 echo "==> trace determinism (ANAHEIM_THREADS=1)"
 ANAHEIM_THREADS=1 cargo test -q --test trace_determinism
 
