@@ -456,13 +456,26 @@ impl Poly {
 
     /// Fused multiply-accumulate `self += a * b` (evaluation domain).
     ///
+    /// `b` may carry more limbs than `self` and `a`; only its leading
+    /// `self.num_limbs()` limbs are read. A plaintext over `Q‖P` thus also
+    /// serves a `Q` accumulator, because `Q` is a prefix of `Q‖P`.
+    ///
     /// # Panics
     ///
-    /// Panics if any operand is in the coefficient domain or bases differ.
+    /// Panics if any operand is in the coefficient domain, if `a` and
+    /// `self` differ in basis, or if `b`'s leading limbs do not match it.
     pub fn mac_assign(&mut self, a: &Poly, b: &Poly) {
         assert_eq!(self.format, Format::Eval, "MAC requires Eval");
         self.assert_compatible(a);
-        a.assert_compatible(b);
+        assert_eq!(b.format, Format::Eval, "domain mismatch");
+        assert!(b.num_limbs() >= self.num_limbs(), "limb count mismatch");
+        for (x, y) in self.limbs.iter().zip(&b.limbs) {
+            assert_eq!(
+                x.ctx.modulus().value(),
+                y.ctx.modulus().value(),
+                "modulus mismatch"
+            );
+        }
         let n = self.n();
         for_each_tuned(OpClass::Elementwise, n, &mut self.limbs, |i, dst| {
             let m = *dst.ctx.modulus();
@@ -740,6 +753,37 @@ mod tests {
         for (l, w) in acc.limbs().zip(want.limbs()) {
             assert_eq!(l.data(), w.data());
         }
+    }
+
+    #[test]
+    fn mac_reads_a_prefix_of_a_longer_operand() {
+        let n = 16;
+        let long = basis(n, 3);
+        let short = &long[..2];
+        let coeffs: Vec<i64> = (0..n as i64).map(|i| 7 * i - 40).collect();
+        let mut x = Poly::from_coeff_i64(short, &vec![3i64; n]);
+        let mut y_long = Poly::from_coeff_i64(&long, &coeffs);
+        let mut y_short = Poly::from_coeff_i64(short, &coeffs);
+        x.to_eval();
+        y_long.to_eval();
+        y_short.to_eval();
+        let mut got = Poly::zero(short, Format::Eval);
+        got.mac_assign(&x, &y_long);
+        let mut want = Poly::zero(short, Format::Eval);
+        want.mac_assign(&x, &y_short);
+        for (l, w) in got.limbs().zip(want.limbs()) {
+            assert_eq!(l.data(), w.data());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "limb count mismatch")]
+    fn mac_rejects_a_shorter_operand() {
+        let b = basis(8, 2);
+        let x = Poly::zero(&b, Format::Eval);
+        let y = Poly::zero(&b[..1], Format::Eval);
+        let mut acc = Poly::zero(&b, Format::Eval);
+        acc.mac_assign(&x, &y);
     }
 
     #[test]

@@ -7,14 +7,10 @@
 //!
 //! This implementation uses the direct `O(N·M)` transform with precomputed
 //! root powers. The Anaheim performance model never charges for encoding
-//! (plaintexts are prepared offline), but host time does: the bootstrap's
-//! BSGS linear transforms embed and encode every diagonal plaintext on the
-//! fly. With the lazy-reduction NTT and BConv kernels, that `embed` plus
-//! plaintext encoding is the largest part of a bootstrap that a per-kernel
-//! split does not explain: on a 2-vCPU Xeon, the 1536 `embed` calls of one
-//! N=2⁹ `sparse_default` bootstrap took 355 ms of its 1.4 s. An
-//! `O(N log N)` special FFT, or plaintexts cached per transform, is the
-//! next target.
+//! (plaintexts are prepared offline), and neither does a warm bootstrap:
+//! its BSGS linear transforms encode every diagonal once, into a
+//! [`crate::lintrans::PreparedTransform`] kept by the `Bootstrapper`, so
+//! `embed` runs only on the first bootstrap at each level.
 
 use crate::ciphertext::Plaintext;
 use crate::complex::Complex;
@@ -50,6 +46,11 @@ impl<'a> Encoder<'a> {
             zeta_pows,
             rot_group,
         }
+    }
+
+    /// The context this encoder is bound to.
+    pub fn context(&self) -> &'a CkksContext {
+        self.ctx
     }
 
     /// The Galois element implementing a cyclic slot rotation by `r`

@@ -14,6 +14,7 @@
 
 use std::fmt;
 
+use ckks_math::poly::Poly;
 use ckks_math::rns::rescale_in_place;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
@@ -225,6 +226,23 @@ impl<'a> Evaluator<'a> {
         let a = x.a().scaled_i64(v);
         opcount::count_ew(2 * x.level());
         Ciphertext::new(b, a, x.scale() * delta, x.level())
+    }
+
+    /// Multiplies every slot by the imaginary unit `i`, exactly.
+    ///
+    /// The slot image of the monomial `X^{N/2}` is `ζ^{5^j·N/2} = i^{5^j} = i`
+    /// in every slot, so this is a ring product by a monomial: no rounding,
+    /// no noise growth, and neither the level nor the scale changes.
+    pub fn mul_by_i(&self, x: &Ciphertext) -> Ciphertext {
+        let n = self.ctx.n();
+        let mut coeffs = vec![0i64; n];
+        coeffs[n / 2] = 1;
+        let mut monomial = Poly::from_coeff_i64(self.ctx.basis_q(x.level()), &coeffs);
+        monomial.to_eval();
+        let b = x.b().multiplied(&monomial);
+        let a = x.a().multiplied(&monomial);
+        opcount::count_ew(2 * x.level());
+        Ciphertext::new(b, a, x.scale(), x.level())
     }
 
     /// Multiplies by a small integer without changing the scale.
@@ -765,6 +783,35 @@ mod tests {
         let out2 = enc.decode(&ks.secret.decrypt(&sum));
         let want2: Vec<Complex> = za.iter().zip(&zp).map(|(&x, &y)| x + y).collect();
         assert!(max_error(&want2, &out2) < 1e-6);
+    }
+
+    #[test]
+    fn mul_by_i_is_exact_and_keeps_level_and_scale() {
+        let f = fixture();
+        let ks = keys(&f.ctx);
+        let enc = Encoder::new(&f.ctx);
+        let ev = Evaluator::new(&f.ctx);
+        let m = f.ctx.slots();
+        let z = msg(m, |i| {
+            Complex::new((i % 5) as f64 * 0.1 - 0.2, 0.3 - i as f64 * 1e-3)
+        });
+        let mut rng = StdRng::seed_from_u64(8);
+        let full = ks
+            .public
+            .encrypt(&enc.encode(&z, f.ctx.max_level()), &mut rng);
+        for ct in [full.clone(), ev.mod_switch_to(&full, 2)] {
+            let got = ev.mul_by_i(&ct);
+            assert_eq!(got.level(), ct.level());
+            assert_eq!(got.scale(), ct.scale());
+            // Exact: the decoded slots are i times the input's decoded slots,
+            // noise included.
+            let before = enc.decode(&ks.secret.decrypt(&ct));
+            let after = enc.decode(&ks.secret.decrypt(&got));
+            let want: Vec<Complex> = before.iter().map(|&x| Complex::I * x).collect();
+            assert!(max_error(&want, &after) < 1e-9);
+            let want: Vec<Complex> = z.iter().map(|&x| Complex::I * x).collect();
+            assert!(max_error(&want, &after) < 1e-6);
+        }
     }
 
     #[test]

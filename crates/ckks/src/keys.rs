@@ -41,9 +41,8 @@ impl SecretKey {
 
     /// Decrypts a ciphertext to a plaintext (`m ≈ b + a·s`).
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let s = self.q_prefix(ct.level());
         let mut m = ct.b().clone();
-        m.mac_assign(ct.a(), &s);
+        m.mac_assign(ct.a(), &self.s);
         Plaintext::new(m, ct.scale(), ct.level())
     }
 
@@ -69,10 +68,6 @@ impl PublicKey {
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
         let level = pt.level();
         let basis = pt.poly().basis();
-        let prefix = |p: &Poly| {
-            let limbs = (0..level).map(|i| p.limb(i).clone()).collect();
-            Poly::from_limbs(limbs, Format::Eval)
-        };
         let mut v = sampling::ternary(rng, &basis, self.hamming_weight);
         v.to_eval();
         let mut e0 = sampling::gaussian(rng, &basis, self.sigma);
@@ -81,10 +76,10 @@ impl PublicKey {
         e1.to_eval();
 
         let mut b = e0;
-        b.mac_assign(&prefix(&self.b), &v);
+        b.mac_assign(&v, &self.b);
         b.add_assign(pt.poly());
         let mut a = e1;
-        a.mac_assign(&prefix(&self.a), &v);
+        a.mac_assign(&v, &self.a);
         Ciphertext::new(b, a, pt.scale(), level)
     }
 }

@@ -5,23 +5,27 @@
 //! [Halevi–Shoup]. Three evaluation strategies are provided, matching the
 //! paper's discussion:
 //!
-//! - [`LinearTransform::eval_hoisted`] — **hoisting**: one shared
-//!   ModUp for all rotations, PMULT/accumulation in the extended modulus,
-//!   one hoisted ModDown; automorphisms are applied *after* PMULT by
-//!   pre-rotating the plaintext diagonals (the reordering of §V-B, Fig. 5).
+//! - [`LinearTransform::prepare`] + [`PreparedTransform::eval`] —
+//!   **double-hoisted baby-step giant-step** (the paper's Fig. 5 flow):
+//!   one shared ModUp, baby KeyMults kept in the extended modulus, PMACs on
+//!   plaintexts prepared once, one ModDown per giant group. The plaintexts
+//!   are encoded offline and already carry each baby's automorphism (the
+//!   §V-B reordering), so a call runs element-wise work and key switching
+//!   only. [`LinearTransform::eval_hoisted`] (plain **hoisting**, one giant
+//!   group) and [`LinearTransform::eval_bsgs_double_hoisted`] prepare and
+//!   evaluate in one call.
 //! - [`LinearTransform::eval_minks`] — **MinKS**: iterated rotations by 1
 //!   reusing a single evk (minimum key-switching keys, favoured by
 //!   large-cache ASICs, §III-C).
-//! - [`LinearTransform::eval_bsgs`] — **baby-step giant-step**: `O(√K)`
-//!   key switches, used inside bootstrapping.
+//! - [`LinearTransform::eval_bsgs`] — **baby-step giant-step** with a
+//!   ModDown per baby: `O(√K)` key switches.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ckks_math::poly::{Format, Poly};
 
 use crate::ciphertext::Ciphertext;
 use crate::complex::Complex;
-use crate::context::CkksContext;
 use crate::encoding::Encoder;
 use crate::eval::Evaluator;
 use crate::keys::{galois_for_rotation, KeySet};
@@ -150,8 +154,9 @@ impl LinearTransform {
         out
     }
 
-    /// Hoisted evaluation (the paper's Fig. 5 flow). Output scale is
-    /// `ct.scale · Δ`; rescale afterwards.
+    /// Hoisted evaluation (the paper's Fig. 5 flow): double-hoisted BSGS
+    /// with one giant group, so every diagonal is a baby step. Output scale
+    /// is `ct.scale · Δ`; rescale afterwards.
     ///
     /// # Panics
     ///
@@ -163,85 +168,7 @@ impl LinearTransform {
         ct: &Ciphertext,
         keys: &KeySet,
     ) -> Ciphertext {
-        let ctx: &CkksContext = ev.context();
-        let level = ct.level();
-        let m = self.slots;
-        assert_eq!(m, ctx.slots(), "transform/context slot mismatch");
-        let delta = ctx.params().scale();
-
-        // One shared ModUp (hoisting).
-        let hoisted = ev.key_switcher().decompose_mod_up(ct.a(), level);
-
-        let basis_qp = ctx.basis_qp(level);
-        let basis_q = ctx.basis_q(level).to_vec();
-        let mut acc0 = Poly::zero(&basis_qp, Format::Eval);
-        let mut acc1 = Poly::zero(&basis_qp, Format::Eval);
-        let mut acc_b = Poly::zero(&basis_q, Format::Eval);
-        let mut acc_a0 = Poly::zero(&basis_q, Format::Eval); // r = 0 a-channel
-        let mut any_pq = false;
-
-        for (&r, diag) in &self.diags {
-            // Pre-rotate the diagonal so PMULT can precede the automorphism:
-            // p̂_r[j] = p_r[(j − r) mod m]  (the §V-B identity).
-            let rotated: Vec<Complex> = (0..m).map(|j| diag[(j + m - r) % m]).collect();
-            let coeffs = enc.embed(&rotated, delta);
-            if r == 0 {
-                let mut pt = Poly::from_coeff_i64(&basis_q, &coeffs);
-                pt.to_eval();
-                opcount::count_ntt(level);
-                let mut tb = ct.b().clone();
-                tb.mul_assign(&pt);
-                acc_b.add_assign(&tb);
-                let mut ta = ct.a().clone();
-                ta.mul_assign(&pt);
-                acc_a0.add_assign(&ta);
-                // Counted as fused multiply-accumulates (one PMAC per limb
-                // per channel), matching the IR convention.
-                opcount::count_ew(2 * level);
-                continue;
-            }
-            any_pq = true;
-            let evk = keys
-                .rotation(r as isize, m)
-                .unwrap_or_else(|| panic!("missing rotation key for distance {r}"));
-            // KeyMult in the extended modulus.
-            let (kb, ka) = ev.key_switcher().key_mult(&hoisted, evk);
-            // Plaintext lifted to PQ (hoisting enlarges plaintexts, Fig. 1).
-            let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
-            pt_pq.to_eval();
-            opcount::count_ntt(basis_qp.len());
-            let mut pt_q = Poly::from_coeff_i64(&basis_q, &coeffs);
-            pt_q.to_eval();
-            opcount::count_ntt(level);
-
-            let g = galois_for_rotation(ctx.n(), r as isize);
-            // PMULT then automorphism then accumulate (AutAccum).
-            let mut t0 = kb;
-            t0.mul_assign(&pt_pq);
-            acc0.add_assign(&t0.automorphism(g));
-            let mut t1 = ka;
-            t1.mul_assign(&pt_pq);
-            acc1.add_assign(&t1.automorphism(g));
-            let mut tb = ct.b().clone();
-            tb.mul_assign(&pt_q);
-            acc_b.add_assign(&tb.automorphism(g));
-            opcount::count_ew(4 * basis_qp.len() + 2 * level);
-            opcount::count_automorphism(2 * basis_qp.len() + level);
-        }
-
-        let (mut b, mut a) = if any_pq {
-            opcount::count_keyswitch();
-            ev.key_switcher().mod_down_pair(&acc0, &acc1, level)
-        } else {
-            (
-                Poly::zero(&basis_q, Format::Eval),
-                Poly::zero(&basis_q, Format::Eval),
-            )
-        };
-        b.add_assign(&acc_b);
-        a.add_assign(&acc_a0);
-        opcount::count_ew(2 * level);
-        Ciphertext::new(b, a, ct.scale() * delta, level)
+        self.eval_bsgs_double_hoisted(ev, enc, ct, keys, self.slots)
     }
 
     /// MinKS evaluation: iterated rotation by 1 with a single evk (§III-B).
@@ -307,8 +234,7 @@ impl LinearTransform {
         // Baby rotations, hoisted from a single decomposition.
         let hoisted = ev.key_switcher().decompose_mod_up(ct.a(), level);
         let mut baby: BTreeMap<usize, Ciphertext> = BTreeMap::new();
-        let needed: std::collections::BTreeSet<usize> =
-            self.diags.keys().map(|&r| r % n1).collect();
+        let needed: BTreeSet<usize> = self.diags.keys().map(|&r| r % n1).collect();
         for b in needed {
             let c = if b == 0 {
                 ct.clone()
@@ -375,6 +301,10 @@ impl LinearTransform {
     /// that inflates the element-wise share on GPUs (§IV-B) and that
     /// Anaheim then offloads to PIM.
     ///
+    /// This is [`Self::prepare`] followed by [`PreparedTransform::eval`];
+    /// callers that apply the same transform more than once should keep
+    /// the prepared form instead.
+    ///
     /// Output scale is `ct.scale · Δ`; rescale afterwards.
     ///
     /// # Panics
@@ -388,124 +318,197 @@ impl LinearTransform {
         keys: &KeySet,
         n1: usize,
     ) -> Ciphertext {
+        self.prepare(enc, ct.level(), n1).eval(ev, ct, keys)
+    }
+
+    /// Encodes every diagonal once for double-hoisted BSGS at `level` with
+    /// `n1` baby steps.
+    ///
+    /// Diagonal `r = g + b` (giant step `g`, a multiple of `n1`, and baby
+    /// step `b < n1`) is stored as `σ_b(encode(diag_r ≫ r))`: pre-rotated by
+    /// `r` so the PMAC can precede both rotations (§V-B), then permuted by
+    /// the baby automorphism `σ_b` so that
+    /// `σ_b(x · pt) = σ_b(x) · σ_b(pt)` lets [`PreparedTransform::eval`]
+    /// permute each baby's operands once instead of every product. Both
+    /// steps are exact, so the result is bit-identical to permuting every
+    /// product. Plaintexts with `b ≠ 0` live over `Q‖P`, those with
+    /// `b = 0` over `Q` only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n1 == 0`, `level` is out of range, or the transform's slot
+    /// count differs from the context's.
+    pub fn prepare(&self, enc: &Encoder<'_>, level: usize, n1: usize) -> PreparedTransform {
         assert!(n1 >= 1, "need at least one baby step");
-        let ctx = ev.context();
-        let level = ct.level();
+        let ctx = enc.context();
         let m = self.slots;
-        let delta = ctx.params().scale();
-        let basis_q = ctx.basis_q(level).to_vec();
+        assert_eq!(m, ctx.slots(), "transform/context slot mismatch");
+        let scale = ctx.params().scale();
+        let basis_q = ctx.basis_q(level);
         let basis_qp = ctx.basis_qp(level);
-
-        // One shared ModUp; baby KeyMults stay in PQ (no ModDown yet).
-        let hoisted = ev.key_switcher().decompose_mod_up(ct.a(), level);
-        let needed: std::collections::BTreeSet<usize> =
-            self.diags.keys().map(|&r| r % n1).collect();
-        // For baby b: the PQ pair (kb, ka) plus the galois element that
-        // will be applied (inside the PMAC accumulation via pre-rotated
-        // plaintexts, aut-last form).
-        let mut baby_pq: BTreeMap<usize, (Poly, Poly)> = BTreeMap::new();
-        for &b in &needed {
-            if b == 0 {
-                continue;
+        let babies: Vec<usize> = self
+            .diags
+            .keys()
+            .map(|&r| r % n1)
+            .filter(|&b| b != 0)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let mut groups: Vec<PreparedGroup> = Vec::new();
+        // Diagonals iterate in ascending order, so each giant group is one
+        // contiguous run.
+        for (&r, diag) in &self.diags {
+            let giant = r / n1 * n1;
+            let b = r - giant;
+            if groups.last().is_none_or(|g| g.giant != giant) {
+                groups.push(PreparedGroup {
+                    giant,
+                    base: None,
+                    terms: Vec::new(),
+                });
             }
-            let evk = keys
-                .rotation(b as isize, m)
-                .unwrap_or_else(|| panic!("missing rotation key for distance {b}"));
-            baby_pq.insert(b, ev.key_switcher().key_mult(&hoisted, evk));
+            let group = groups.last_mut().expect("group pushed above");
+            let rotated: Vec<Complex> = (0..m).map(|j| diag[(j + m - r) % m]).collect();
+            let coeffs = enc.embed(&rotated, scale);
+            if b == 0 {
+                let mut pt = Poly::from_coeff_i64(basis_q, &coeffs);
+                pt.to_eval();
+                group.base = Some(pt);
+            } else {
+                let mut pt = Poly::from_coeff_i64(&basis_qp, &coeffs);
+                pt.to_eval();
+                let baby = babies.binary_search(&b).expect("baby collected above");
+                let g = galois_for_rotation(ctx.n(), b as isize);
+                group.terms.push((baby, pt.automorphism(g)));
+            }
         }
+        PreparedTransform {
+            level,
+            scale,
+            babies,
+            groups,
+        }
+    }
+}
 
-        // Group diagonals by giant step; accumulate per group in PQ.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &r in self.diags.keys() {
-            groups.entry(r / n1 * n1).or_default().push(r);
-        }
+/// A [`LinearTransform`] encoded for double-hoisted BSGS at one level and
+/// baby-step count (see [`LinearTransform::prepare`]).
+#[derive(Debug, Clone)]
+pub struct PreparedTransform {
+    level: usize,
+    /// The plaintext scale `Δ`.
+    scale: f64,
+    /// The distinct nonzero baby steps, ascending.
+    babies: Vec<usize>,
+    /// Giant groups, ascending by giant step.
+    groups: Vec<PreparedGroup>,
+}
+
+/// One giant group of a [`PreparedTransform`].
+#[derive(Debug, Clone)]
+struct PreparedGroup {
+    giant: usize,
+    /// The `b = 0` plaintext over `Q`, if the group has that diagonal.
+    base: Option<Poly>,
+    /// `(index into babies, σ_b-permuted plaintext over Q‖P)`.
+    terms: Vec<(usize, Poly)>,
+}
+
+impl PreparedTransform {
+    /// Bytes held by the prepared plaintexts (8-byte residues).
+    pub fn size_bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .flat_map(|g| g.base.iter().chain(g.terms.iter().map(|(_, pt)| pt)))
+            .map(|pt| pt.num_limbs() * pt.n() * 8)
+            .sum()
+    }
+
+    /// Double-hoisted BSGS evaluation: one shared ModUp; each baby's
+    /// KeyMult pair and `ct.b` permuted once by `σ_b`; three fused PMACs per
+    /// diagonal (`Q‖P` pair, `Q` channel reading the first `level` limbs of
+    /// the same plaintext); one ModDown and one giant rotation per group.
+    /// Output scale is `ct.scale · Δ`; rescale afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct` is not at the prepared level or a required rotation
+    /// key is missing.
+    pub fn eval(&self, ev: &Evaluator<'_>, ct: &Ciphertext, keys: &KeySet) -> Ciphertext {
+        let ctx = ev.context();
+        let level = self.level;
+        assert_eq!(ct.level(), level, "transform prepared for another level");
+        let m = ctx.slots();
+        let basis_q = ctx.basis_q(level);
+        let basis_qp = ctx.basis_qp(level);
+        let qp = basis_qp.len();
+        let zero_q = || Poly::zero(basis_q, Format::Eval);
+
+        // Baby KeyMults from one shared ModUp, kept in PQ, and `ct.b`, each
+        // permuted by σ_b once.
+        let babies: Vec<[Poly; 3]> = if self.babies.is_empty() {
+            Vec::new()
+        } else {
+            let hoisted = ev.key_switcher().decompose_mod_up(ct.a(), level);
+            self.babies
+                .iter()
+                .map(|&b| {
+                    let evk = keys
+                        .rotation(b as isize, m)
+                        .unwrap_or_else(|| panic!("missing rotation key for distance {b}"));
+                    let (kb, ka) = ev.key_switcher().key_mult(&hoisted, evk);
+                    let g = galois_for_rotation(ctx.n(), b as isize);
+                    opcount::count_automorphism(2 * qp + level);
+                    [
+                        kb.automorphism(g),
+                        ka.automorphism(g),
+                        ct.b().automorphism(g),
+                    ]
+                })
+                .collect()
+        };
 
         let mut out: Option<Ciphertext> = None;
-        for (&g_step, rs) in &groups {
-            let mut acc0 = Poly::zero(&basis_qp, Format::Eval);
-            let mut acc1 = Poly::zero(&basis_qp, Format::Eval);
-            let mut acc_b = Poly::zero(&basis_q, Format::Eval);
-            let mut acc_a0 = Poly::zero(&basis_q, Format::Eval);
-            let mut any_pq = false;
-            for &r in rs {
-                let b = r - g_step;
-                let diag = &self.diags[&r];
-                // Pre-rotate by the full r (baby aut-last + giant), §V-B.
-                let rot_by = |shift: usize| -> Vec<Complex> {
-                    (0..m).map(|j| diag[(j + m - shift) % m]).collect()
-                };
-                if b == 0 {
-                    // No baby rotation: PMAC directly on the input pair.
-                    let coeffs = enc.embed(&rot_by(g_step), delta);
-                    let mut pt = Poly::from_coeff_i64(&basis_q, &coeffs);
-                    pt.to_eval();
-                    let mut tb = ct.b().clone();
-                    tb.mul_assign(&pt);
-                    acc_b.add_assign(&tb);
-                    let mut ta = ct.a().clone();
-                    ta.mul_assign(&pt);
-                    acc_a0.add_assign(&ta);
-                    opcount::count_ew(2 * level);
-                    continue;
-                }
-                any_pq = true;
-                let (kb, ka) = &baby_pq[&b];
-                let g = galois_for_rotation(ctx.n(), b as isize);
-                // Plaintext pre-rotated by r and *pre-inverse-rotated* by b
-                // so the baby automorphism can land after the PMAC: we fold
-                // φ_b into the accumulation by rotating the plaintext right
-                // by g_step only and applying φ_b to the product.
-                let coeffs = enc.embed(&rot_by(r), delta);
-                let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
-                pt_pq.to_eval();
-                // Q is a prefix of QP, so the Q plaintext is the first
-                // `level` limbs of the one just transformed.
-                let mut pt_q = pt_pq.duplicate();
-                pt_q.truncate_limbs(level);
-
-                let mut t0 = kb.clone();
-                t0.mul_assign(&pt_pq);
-                acc0.add_assign(&t0.automorphism(g));
-                let mut t1 = ka.clone();
-                t1.mul_assign(&pt_pq);
-                acc1.add_assign(&t1.automorphism(g));
-                let mut tb = ct.b().clone();
-                tb.mul_assign(&pt_q);
-                acc_b.add_assign(&tb.automorphism(g));
-                opcount::count_ew(4 * basis_qp.len() + 2 * level);
-                opcount::count_automorphism(2 * basis_qp.len() + level);
-            }
-            // Single hoisted ModDown for the whole giant group.
-            let (mut ib, mut ia) = if any_pq {
-                opcount::count_keyswitch();
-                ev.key_switcher().mod_down_pair(&acc0, &acc1, level)
+        for group in &self.groups {
+            let (mut ib, mut ia) = if group.terms.is_empty() {
+                (zero_q(), zero_q())
             } else {
-                (
-                    Poly::zero(&basis_q, Format::Eval),
-                    Poly::zero(&basis_q, Format::Eval),
-                )
+                let mut acc0 = Poly::zero(&basis_qp, Format::Eval);
+                let mut acc1 = Poly::zero(&basis_qp, Format::Eval);
+                let mut acc_b = zero_q();
+                for (baby, pt) in &group.terms {
+                    let [kb, ka, b] = &babies[*baby];
+                    acc0.mac_assign(kb, pt);
+                    acc1.mac_assign(ka, pt);
+                    acc_b.mac_assign(b, pt);
+                }
+                // One fused PMAC per limb per channel.
+                opcount::count_ew(group.terms.len() * (2 * qp + level));
+                // Single hoisted ModDown for the whole giant group.
+                opcount::count_keyswitch();
+                let (mut ib, ia) = ev.key_switcher().mod_down_pair(&acc0, &acc1, level);
+                ib.add_assign(&acc_b);
+                opcount::count_ew(level);
+                (ib, ia)
             };
-            ib.add_assign(&acc_b);
-            ia.add_assign(&acc_a0);
-            let inner = Ciphertext::new(ib, ia, ct.scale() * delta, level);
-            let rotated = if g_step == 0 {
+            if let Some(pt) = &group.base {
+                // No baby rotation: PMAC directly on the input pair.
+                ib.mac_assign(ct.b(), pt);
+                ia.mac_assign(ct.a(), pt);
+                opcount::count_ew(2 * level);
+            }
+            let inner = Ciphertext::new(ib, ia, ct.scale() * self.scale, level);
+            let rotated = if group.giant == 0 {
                 inner
             } else {
-                ev.rotate(&inner, g_step as isize, keys)
+                ev.rotate(&inner, group.giant as isize, keys)
             };
             out = Some(match out {
                 None => rotated,
                 Some(acc) => ev.add(&acc, &rotated),
             });
         }
-        out.unwrap_or_else(|| {
-            Ciphertext::new(
-                Poly::zero(&basis_q, Format::Eval),
-                Poly::zero(&basis_q, Format::Eval),
-                ct.scale() * delta,
-                level,
-            )
-        })
+        out.unwrap_or_else(|| Ciphertext::new(zero_q(), zero_q(), ct.scale() * self.scale, level))
     }
 }
 
@@ -513,7 +516,8 @@ impl LinearTransform {
 mod tests {
     use super::*;
     use crate::complex::max_error;
-    use crate::keys::KeyGenerator;
+    use crate::context::CkksContext;
+    use crate::keys::{KeyGenerator, KeySet};
     use crate::params::CkksParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -529,7 +533,7 @@ mod tests {
         t
     }
 
-    fn setup() -> (CkksContext, crate::keys::KeySet) {
+    fn setup() -> (CkksContext, KeySet) {
         let ctx = CkksContext::new(CkksParams::test_small());
         let mut rng = StdRng::seed_from_u64(31);
         let keys = KeyGenerator::new(&ctx, &mut rng).generate(&[1, 2, 3, 4, 6, 8]);
@@ -538,7 +542,7 @@ mod tests {
 
     fn encrypted_input<'a>(
         ctx: &'a CkksContext,
-        keys: &crate::keys::KeySet,
+        keys: &KeySet,
     ) -> (Vec<Complex>, Ciphertext, Encoder<'a>) {
         let enc = Encoder::new(ctx);
         let m = ctx.slots();
@@ -678,6 +682,162 @@ mod tests {
             })
             .collect();
         assert!(max_error(&via_diag, &direct) < 1e-9);
+    }
+
+    /// The per-diagonal, aut-last double-hoisted BSGS loop the prepared
+    /// path replaced: every diagonal encoded on the spot, every product
+    /// permuted by its baby automorphism. Kept as the bit-exact oracle.
+    fn oracle_bsgs_double_hoisted(
+        t: &LinearTransform,
+        ev: &Evaluator<'_>,
+        enc: &Encoder<'_>,
+        ct: &Ciphertext,
+        keys: &KeySet,
+        n1: usize,
+    ) -> Ciphertext {
+        let ctx = ev.context();
+        let level = ct.level();
+        let m = t.slots;
+        let delta = ctx.params().scale();
+        let basis_q = ctx.basis_q(level);
+        let basis_qp = ctx.basis_qp(level);
+        let hoisted = ev.key_switcher().decompose_mod_up(ct.a(), level);
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &r in t.diags.keys() {
+            groups.entry(r / n1 * n1).or_default().push(r);
+        }
+        let mut out: Option<Ciphertext> = None;
+        for (&g_step, rs) in &groups {
+            let mut acc0 = Poly::zero(&basis_qp, Format::Eval);
+            let mut acc1 = Poly::zero(&basis_qp, Format::Eval);
+            let mut acc_b = Poly::zero(basis_q, Format::Eval);
+            let mut acc_a0 = Poly::zero(basis_q, Format::Eval);
+            let mut any_pq = false;
+            for &r in rs {
+                let b = r - g_step;
+                let diag = &t.diags[&r];
+                let rotated: Vec<Complex> = (0..m).map(|j| diag[(j + m - r) % m]).collect();
+                let coeffs = enc.embed(&rotated, delta);
+                if b == 0 {
+                    let mut pt = Poly::from_coeff_i64(basis_q, &coeffs);
+                    pt.to_eval();
+                    acc_b.add_assign(&ct.b().multiplied(&pt));
+                    acc_a0.add_assign(&ct.a().multiplied(&pt));
+                    continue;
+                }
+                any_pq = true;
+                let evk = keys.rotation(b as isize, m).expect("rotation key");
+                let (kb, ka) = ev.key_switcher().key_mult(&hoisted, evk);
+                let g = galois_for_rotation(ctx.n(), b as isize);
+                let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
+                pt_pq.to_eval();
+                let mut pt_q = pt_pq.duplicate();
+                pt_q.truncate_limbs(level);
+                acc0.add_assign(&kb.multiplied(&pt_pq).automorphism(g));
+                acc1.add_assign(&ka.multiplied(&pt_pq).automorphism(g));
+                acc_b.add_assign(&ct.b().multiplied(&pt_q).automorphism(g));
+            }
+            let (mut ib, mut ia) = if any_pq {
+                ev.key_switcher().mod_down_pair(&acc0, &acc1, level)
+            } else {
+                (
+                    Poly::zero(basis_q, Format::Eval),
+                    Poly::zero(basis_q, Format::Eval),
+                )
+            };
+            ib.add_assign(&acc_b);
+            ia.add_assign(&acc_a0);
+            let inner = Ciphertext::new(ib, ia, ct.scale() * delta, level);
+            let rotated = if g_step == 0 {
+                inner
+            } else {
+                ev.rotate(&inner, g_step as isize, keys)
+            };
+            out = Some(match out {
+                None => rotated,
+                Some(acc) => ev.add(&acc, &rotated),
+            });
+        }
+        out.expect("at least one diagonal")
+    }
+
+    fn limbs(ct: &Ciphertext) -> Vec<Vec<u64>> {
+        ct.b()
+            .limbs()
+            .chain(ct.a().limbs())
+            .map(|l| l.data().to_vec())
+            .collect()
+    }
+
+    /// A small ring with a rotation key for every distance, so any
+    /// diagonal set and baby-step count can be evaluated.
+    fn oracle_fixture() -> &'static (CkksContext, KeySet) {
+        static FIX: std::sync::OnceLock<(CkksContext, KeySet)> = std::sync::OnceLock::new();
+        FIX.get_or_init(|| {
+            let ctx = CkksContext::new(
+                CkksParams::builder()
+                    .log_n(8)
+                    .levels(4)
+                    .alpha(2)
+                    .scale_bits(40)
+                    .build(),
+            );
+            let mut rng = StdRng::seed_from_u64(42);
+            let rots: Vec<isize> = (1..ctx.slots() as isize).collect();
+            let keys = KeyGenerator::new(&ctx, &mut rng).generate(&rots);
+            (ctx, keys)
+        })
+    }
+
+    /// Prepared evaluation against the oracle, bit for bit.
+    fn assert_prepared_matches_oracle(idxs: &[usize], n1: usize, level: usize, seed: u64) {
+        let (ctx, keys) = oracle_fixture();
+        let enc = Encoder::new(ctx);
+        let ev = Evaluator::new(ctx);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = random_transform(ctx.slots(), idxs, &mut rng);
+        let x: Vec<Complex> = (0..ctx.slots())
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let ct = keys
+            .public
+            .encrypt(&enc.encode(&x, ctx.max_level()), &mut rng);
+        let ct = ev.mod_switch_to(&ct, level);
+        let got = t.prepare(&enc, level, n1).eval(&ev, &ct, keys);
+        let want = oracle_bsgs_double_hoisted(&t, &ev, &enc, &ct, keys, n1);
+        assert_eq!(got.level(), want.level());
+        assert_eq!(got.scale().to_bits(), want.scale().to_bits());
+        assert!(
+            limbs(&got) == limbs(&want),
+            "prepared BSGS differs from the oracle: diagonals {idxs:?}, n1 {n1}, level {level}"
+        );
+    }
+
+    #[test]
+    fn prepared_matches_oracle_on_groups_without_a_base_diagonal() {
+        // n1 = 8: group 0 holds babies 3 and 5 only, group 16 holds 17 only.
+        assert_prepared_matches_oracle(&[3, 5, 17], 8, 4, 1);
+        // One diagonal per giant group, each the group's base (b = 0).
+        assert_prepared_matches_oracle(&[0, 8, 40], 8, 2, 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prepared_eval_is_bit_identical_to_the_oracle(
+            raw in proptest::collection::vec(0usize..128, 1..7),
+            n1_pick in 0usize..4,
+            level in 1usize..5,
+            seed in 0u64..(1u64 << 32),
+        ) {
+            let slots = oracle_fixture().0.slots();
+            let mut idxs = raw;
+            idxs.sort_unstable();
+            idxs.dedup();
+            let n1 = [1, 2, 8, slots][n1_pick];
+            assert_prepared_matches_oracle(&idxs, n1, level, seed);
+        }
     }
 
     #[test]

@@ -286,3 +286,61 @@ fn bootstrap_shaped_circuit_is_thread_invariant() {
         ct_data(&t)
     });
 }
+
+#[test]
+#[ignore = "a full N=2^9 bootstrap; run with --ignored (release profile recommended)"]
+fn bootstrap_is_thread_invariant_whatever_width_prepared_it() {
+    // The bootstrap_demo ring. A Bootstrapper encodes its transforms' plaintexts
+    // on its first call, so each instance below prepares at one width and is
+    // then used at another.
+    let ctx = CkksContext::new(
+        CkksParams::builder()
+            .log_n(9)
+            .levels(16)
+            .alpha(4)
+            .scale_bits(42)
+            .q0_bits(50)
+            .p_bits(55)
+            .hamming_weight(16)
+            .build(),
+    );
+    let config = BootstrapConfig::sparse_default();
+    let mut rng = StdRng::seed_from_u64(9);
+    let rotations = Bootstrapper::new(&ctx, config.clone()).required_rotations();
+    let keys = KeyGenerator::new(&ctx, &mut rng).generate(&rotations);
+    let enc = Encoder::new(&ctx);
+    let eval = Evaluator::new(&ctx);
+    let msg: Vec<Complex> = (0..ctx.slots())
+        .map(|i| Complex::new((i as f64 * 0.37).sin() * 0.4, (i as f64 * 0.11).cos() * 0.3))
+        .collect();
+    let ct = keys.public.encrypt(&enc.encode(&msg, 1), &mut rng);
+
+    let _guard = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |bts: &Bootstrapper<'_>, threads: usize| {
+        parpool::set_threads(threads);
+        let before = opcount::snapshot();
+        let out = bts.bootstrap(&eval, &enc, &ct, &keys);
+        (
+            ct_data(&out),
+            out.level(),
+            out.scale().to_bits(),
+            opcount::snapshot().since(&before),
+        )
+    };
+    let narrow_first = Bootstrapper::new(&ctx, config.clone());
+    let want = run(&narrow_first, 1);
+    for threads in [2usize, 8] {
+        assert!(
+            run(&narrow_first, threads) == want,
+            "bootstrap prepared at 1 thread diverged at {threads} threads"
+        );
+    }
+    let wide_first = Bootstrapper::new(&ctx, config);
+    for threads in [8usize, 1] {
+        assert!(
+            run(&wide_first, threads) == want,
+            "bootstrap prepared at 8 threads diverged at {threads} threads"
+        );
+    }
+    parpool::set_threads(0);
+}
