@@ -45,6 +45,7 @@
 //! defaults.
 
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
+use anaheim_core::schedule::RunOptions;
 use anaheim_core::telemetry::Telemetry;
 use ckks::keys::KeyGenerator;
 use ckks::keyswitch::KeySwitcher;
@@ -59,7 +60,7 @@ use pim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use workloads::{run_workload_traced, Workload};
+use workloads::{run_workload_with, Workload};
 
 struct Record {
     op: &'static str,
@@ -447,7 +448,11 @@ fn emit_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
     let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
     let w = Workload::boot();
     let mut tel = Telemetry::new(42);
-    let report = run_workload_traced(&rt, &w, &mut tel)
+    let opts = RunOptions {
+        telemetry: Some(&mut tel),
+        ..RunOptions::default()
+    };
+    let report = run_workload_with(&rt, &w, opts)
         .unwrap_or_else(|e| panic!("traced Bootstrap run failed: {e}"));
     let nums = report.outcome.expect("Bootstrap fits the A100");
     println!(

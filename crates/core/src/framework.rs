@@ -12,12 +12,11 @@ use pim::fault::FaultPlan;
 use pim::layout::LayoutPolicy;
 
 use crate::error::RunError;
-use crate::health::{HealthRegistry, RetryPolicy};
+use crate::health::RetryPolicy;
 use crate::ir::OpSequence;
 use crate::passes::{fuse, offload_measured, FusionConfig};
 use crate::report::ExecutionReport;
-use crate::schedule::{footprint_bytes, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
-use crate::telemetry::Telemetry;
+use crate::schedule::{footprint_bytes, RunOptions, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
 
 /// Whether the PIM devices participate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +44,8 @@ pub struct AnaheimConfig {
     pub fusion: FusionConfig,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Fault-injection plan for the PIM path (`None` = fault-free).
+    /// Fault-injection plan (`None` = fault-free): PIM faults, GPU stream
+    /// stalls and GPU transfer flips, on GPU-only and PIM platforms alike.
     pub fault: Option<FaultPlan>,
     /// Retry discipline for transient PIM failures.
     pub retry: RetryPolicy,
@@ -88,7 +88,8 @@ impl AnaheimConfig {
     }
 
     /// Attaches a fault-injection plan: PIM kernels run under injected
-    /// faults and degrade to the GPU when integrity checks fail.
+    /// faults and degrade to the GPU when integrity checks fail; GPU
+    /// kernels draw stream stalls and transfer flips.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -210,8 +211,8 @@ impl Anaheim {
         }
     }
 
-    /// Runs a sequence: applies the configured fusion pipeline, offloads to
-    /// PIM when enabled, and schedules.
+    /// Runs a sequence with default [`RunOptions`]: [`prepare`s](Self::prepare)
+    /// it, then schedules it.
     ///
     /// Integrity-check failures under a configured fault plan are absorbed
     /// by retry/GPU-fallback and recorded in the report; only failures no
@@ -232,122 +233,16 @@ impl Anaheim {
     /// assert!(report.pim_dram_bytes > 0, "element-wise blocks ran on PIM");
     /// ```
     pub fn run(&self, mut seq: OpSequence) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run(&seq)
-            }
-            _ => Scheduler::gpu_only(&self.model).run(&seq),
-        }
+        self.prepare(&mut seq);
+        self.run_prepared(&seq)
     }
 
-    /// [`run`](Self::run) with telemetry: the schedule is additionally
-    /// recorded into `tel` as virtual-time spans and metrics.
-    ///
-    /// ```
-    /// use anaheim_core::build::{Builder, LinTransStyle};
-    /// use anaheim_core::framework::{Anaheim, AnaheimConfig};
-    /// use anaheim_core::params::ParamSet;
-    /// use anaheim_core::telemetry::Telemetry;
-    ///
-    /// let mut b = Builder::new(ParamSet::paper_default());
-    /// let seq = b.lintrans(54, 8, LinTransStyle::Hoisting, true);
-    /// let mut tel = Telemetry::new(42);
-    /// Anaheim::new(AnaheimConfig::a100_near_bank())
-    ///     .run_traced(seq, &mut tel)
-    ///     .expect("runs");
-    /// assert!(!tel.trace.is_empty());
-    /// assert!(tel.chrome_trace().contains("\"traceEvents\""));
-    /// ```
-    pub fn run_traced(
-        &self,
-        mut seq: OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run_traced(&seq, tel)
-            }
-            _ => Scheduler::gpu_only(&self.model).run_traced(&seq, tel),
-        }
-    }
-
-    /// Runs a sequence without applying any passes (for ablations that
-    /// prepare the sequence manually).
-    pub fn run_prepared(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self.pim_scheduler(dev).run(seq),
-            _ => Scheduler::gpu_only(&self.model).run(seq),
-        }
-    }
-
-    /// [`run_prepared`](Self::run_prepared) with telemetry.
-    pub fn run_prepared_traced(
-        &self,
-        seq: &OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self.pim_scheduler(dev).run_traced(seq, tel),
-            _ => Scheduler::gpu_only(&self.model).run_traced(seq, tel),
-        }
-    }
-
-    /// Like [`Anaheim::run_prepared`], but breaker-gated through the given
-    /// [`HealthRegistry`]. The sequence must already be fused/offloaded —
-    /// the serving layer prepares requests in parallel and then schedules
-    /// them serially through this entry point.
-    pub fn run_prepared_with_health(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                self.pim_scheduler(dev).run_with_health(seq, registry)
-            }
-            _ => Scheduler::gpu_only(&self.model).run(seq),
-        }
-    }
-
-    /// [`run_prepared_with_health`](Self::run_prepared_with_health) with
-    /// telemetry — the serving layer's traced dispatch path.
-    pub fn run_prepared_with_health_traced(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self
-                .pim_scheduler(dev)
-                .run_with_health_traced(seq, registry, tel),
-            _ => Scheduler::gpu_only(&self.model).run_traced(seq, tel),
-        }
-    }
-
-    /// Prepares a sequence for [`Anaheim::run_prepared_with_health`]:
-    /// applies the configured fusion pipeline and, in PIM mode, the
-    /// measured offload pass. Pure — safe to run in parallel across
-    /// requests.
+    /// Prepares a sequence for [`Anaheim::run_prepared_with`]: applies the
+    /// configured fusion pipeline and, in PIM mode, the measured offload
+    /// pass. Pure — safe to run in parallel across requests.
     pub fn prepare(&self, seq: &mut OpSequence) {
         fuse(seq, &self.config.fusion);
-        if let (ExecMode::GpuWithPim, Some(dev)) = (self.config.mode, &self.config.pim) {
+        if let Some(dev) = self.pim_device() {
             offload_measured(
                 seq,
                 &self.model,
@@ -358,63 +253,63 @@ impl Anaheim {
         }
     }
 
-    /// Like [`Anaheim::run`], but with per-bank circuit breaking driven by
-    /// (and feeding back into) the given [`HealthRegistry`]. The registry
-    /// persists across calls — this is the entry point the serving layer
-    /// uses so one request's faults inform the routing of the next.
-    pub fn run_with_health(
+    /// Schedules a sequence that is already prepared, with default
+    /// [`RunOptions`].
+    pub fn run_prepared(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
+        self.run_prepared_with(seq, RunOptions::default())
+    }
+
+    /// Schedules a sequence that is already prepared: the one scheduler
+    /// this configuration describes, GPU-only or with PIM, with its retry
+    /// policy, schedule mode and fault plan, runs under `opts`. A registry
+    /// in [`RunOptions::health`] persists across calls — the serving layer
+    /// prepares requests in parallel and then schedules them serially
+    /// through this entry point, so one request's faults inform the routing
+    /// of the next.
+    ///
+    /// ```
+    /// use anaheim_core::build::{Builder, LinTransStyle};
+    /// use anaheim_core::framework::{Anaheim, AnaheimConfig};
+    /// use anaheim_core::params::ParamSet;
+    /// use anaheim_core::schedule::RunOptions;
+    /// use anaheim_core::telemetry::Telemetry;
+    ///
+    /// let mut b = Builder::new(ParamSet::paper_default());
+    /// let mut seq = b.lintrans(54, 8, LinTransStyle::Hoisting, true);
+    /// let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
+    /// rt.prepare(&mut seq);
+    /// let mut tel = Telemetry::new(42);
+    /// let opts = RunOptions {
+    ///     telemetry: Some(&mut tel),
+    ///     ..RunOptions::default()
+    /// };
+    /// rt.run_prepared_with(&seq, opts).expect("runs");
+    /// assert!(!tel.trace.is_empty());
+    /// assert!(tel.chrome_trace().contains("\"traceEvents\""));
+    /// ```
+    pub fn run_prepared_with(
         &self,
-        mut seq: OpSequence,
-        registry: &mut HealthRegistry,
+        seq: &OpSequence,
+        opts: RunOptions<'_>,
     ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run_with_health(&seq, registry)
-            }
-            _ => Scheduler::gpu_only(&self.model).run(&seq),
+        let sched = match self.pim_device() {
+            Some(dev) => Scheduler::with_pim(&self.model, dev, self.config.layout),
+            None => Scheduler::gpu_only(&self.model),
+        }
+        .with_retry_policy(self.config.retry)
+        .with_mode(self.config.schedule);
+        match self.config.fault {
+            Some(plan) => sched.with_fault_plan(plan).run_with(seq, opts),
+            None => sched.run_with(seq, opts),
         }
     }
 
-    /// [`run_with_health`](Self::run_with_health) with telemetry.
-    pub fn run_with_health_traced(
-        &self,
-        mut seq: OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
+    /// The PIM device, when the configuration offloads to one.
+    fn pim_device(&self) -> Option<&PimDeviceConfig> {
         match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev)
-                    .run_with_health_traced(&seq, registry, tel)
-            }
-            _ => Scheduler::gpu_only(&self.model).run_traced(&seq, tel),
+            (ExecMode::GpuWithPim, Some(dev)) => Some(dev),
+            _ => None,
         }
-    }
-
-    fn pim_scheduler<'a>(&'a self, dev: &'a PimDeviceConfig) -> Scheduler<'a> {
-        let mut s = Scheduler::with_pim(&self.model, dev, self.config.layout)
-            .with_retry_policy(self.config.retry)
-            .with_mode(self.config.schedule);
-        if let Some(plan) = self.config.fault {
-            s = s.with_fault_plan(plan);
-        }
-        s
     }
 }
 

@@ -2,29 +2,35 @@
 //!
 //! Ops execute in issue order: GPU kernels run through the roofline model
 //! with the object-granularity L2 filtering DRAM traffic; consecutive PIM
-//! ops coalesce into one PIM kernel (large granularity, hundreds of µs);
-//! each GPU↔PIM transition pays the stream-queue handoff of ~2 µs, which
-//! §V-C shows is negligible at PIM-kernel granularity.
+//! ops form one PIM run (large granularity, hundreds of µs); each GPU↔PIM
+//! transition pays the stream-queue handoff of ~2 µs, which §V-C shows is
+//! negligible at PIM-kernel granularity.
+//!
+//! One loop visits the ops, and a [`ScheduleMode`] only decides where each
+//! op starts: [`ScheduleMode::Serial`] keeps one clock for both engines,
+//! [`ScheduleMode::Pipelined`] keeps a cursor per engine plus a data
+//! dependency horizon. Every PIM kernel goes through one routine and every
+//! kernel PIM cannot complete through one GPU fallback.
 //!
 //! With a [`FaultPlan`] attached, every PIM kernel runs under fault
 //! injection and its post-kernel integrity check can fail. The scheduler
 //! then degrades gracefully instead of propagating the failure: transient
 //! faults are retried under the configured [`RetryPolicy`] (default: the
-//! legacy [`MAX_PIM_RETRIES`] immediate retries), hard faults (a stuck
-//! MMAC lane) permanently disable the PIM path, and whatever still fails
+//! legacy [`MAX_PIM_RETRIES`] immediate retries), and whatever still fails
 //! re-executes on the GPU. Every wasted attempt, backoff, and GPU
 //! re-execution is charged to the timeline and recorded as a degraded
 //! segment.
 //!
-//! With a [`HealthRegistry`] attached ([`Scheduler::run_with_health`]), the
-//! degradation becomes *bank-scoped and stateful*: each PIM kernel is
-//! attributed to a bank health domain (die group), integrity failures feed
-//! that domain's circuit breaker, open breakers route their kernels
-//! straight to the GPU while healthy domains keep serving PIM traffic, and
-//! half-open probes bring recovered banks back. A hard fault opens only the
-//! owning domain's breaker — permanently — instead of disabling PIM
-//! wholesale. The registry persists across runs, which is how the serving
-//! layer makes per-bank decisions *over time*.
+//! What a hard fault (a stuck MMAC lane) does depends on the run's gate.
+//! Without a registry, it switches PIM off for the rest of the run. With a
+//! [`HealthRegistry`] in [`RunOptions::health`], degradation is
+//! *bank-scoped and stateful*: each PIM kernel is attributed to a bank
+//! health domain (die group), integrity failures feed that domain's
+//! circuit breaker, open breakers route their kernels straight to the GPU
+//! while healthy domains keep serving PIM traffic, and half-open probes
+//! bring recovered banks back. A hard fault opens only the owning domain's
+//! breaker — permanently. The registry persists across runs, which is how
+//! the serving layer makes per-bank decisions *over time*.
 
 use std::collections::HashMap;
 
@@ -33,12 +39,12 @@ use gpu::kernel::{KernelClass, KernelDesc};
 use gpu::model::GpuModel;
 use pim::device::PimDeviceConfig;
 use pim::error::PimError;
-use pim::exec::{PimExecutor, PimKernelSpec};
+use pim::exec::{PimExecutor, PimKernelResult, PimKernelSpec};
 use pim::fault::{BankDomain, FaultInjector, FaultPlan};
 use pim::layout::LayoutPolicy;
 
 use crate::error::RunError;
-use crate::health::{HealthRegistry, PathDecision, RetryPolicy};
+use crate::health::{BreakerTransition, HealthRegistry, PathDecision, RetryPolicy};
 use crate::ir::{Executor, ObjKind, Op, OpKind, OpSequence};
 use crate::report::{ExecutionReport, GanttSegment};
 use crate::telemetry::Telemetry;
@@ -68,6 +74,50 @@ pub enum ScheduleMode {
     Pipelined,
 }
 
+/// The inputs that may differ between two runs of the same configuration.
+/// `RunOptions::default()` is a plain run: no registry, no telemetry, no
+/// budget, and the configured fault plan.
+#[derive(Debug, Default)]
+pub struct RunOptions<'r> {
+    /// Per-bank circuit breaking: PIM kernels are attributed to the
+    /// registry's bank domains, failures feed the domain breakers, and
+    /// kernels whose breaker is open skip PIM and run on the GPU directly.
+    /// The registry persists state across runs, so repeated runs (e.g.
+    /// serving requests) accumulate health history; breaker transitions
+    /// land in the report. `None` gates PIM with a per-run kill switch
+    /// that the first hard fault trips.
+    pub health: Option<&'r mut HealthRegistry>,
+    /// Telemetry sink: every kernel, handoff, backoff, and limb batch is
+    /// recorded as virtual-time spans and metrics, and breaker transitions
+    /// land on the trace's `health` track. Recording happens only on the
+    /// serial scheduling loop, so the exported trace is bit-identical
+    /// across thread counts.
+    pub telemetry: Option<&'r mut Telemetry>,
+    /// Deadline budget in virtual ns: at every segment boundary the
+    /// scheduler checks the clock, and a run that is already past its
+    /// budget stops there with [`ExecutionReport::cancelled`] set instead
+    /// of burning the remaining cost. A run whose last segment finishes
+    /// late is *not* cancelled — the work is done, so it reports as an
+    /// ordinary late completion.
+    pub budget_ns: Option<f64>,
+    /// This run's fault plan (e.g. one serving request's derived stream);
+    /// replaces the configured plan when set.
+    pub fault: Option<FaultPlan>,
+}
+
+impl RunOptions<'_> {
+    /// The same options for one run of several: the registry and the
+    /// telemetry sink are reborrowed, budget and fault plan copied.
+    pub fn reborrow(&mut self) -> RunOptions<'_> {
+        RunOptions {
+            health: self.health.as_deref_mut(),
+            telemetry: self.telemetry.as_deref_mut(),
+            budget_ns: self.budget_ns,
+            fault: self.fault,
+        }
+    }
+}
+
 /// Scheduler binding the execution engines.
 #[derive(Debug)]
 pub struct Scheduler<'a> {
@@ -76,7 +126,6 @@ pub struct Scheduler<'a> {
     fault: Option<FaultPlan>,
     retry: RetryPolicy,
     mode: ScheduleMode,
-    budget_ns: Option<f64>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -88,19 +137,14 @@ impl<'a> Scheduler<'a> {
             fault: None,
             retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
             mode: ScheduleMode::Serial,
-            budget_ns: None,
         }
     }
 
     /// GPU + PIM co-execution.
     pub fn with_pim(gpu: &'a GpuModel, dev: &'a PimDeviceConfig, layout: LayoutPolicy) -> Self {
         Self {
-            gpu,
             pim: Some((dev, layout)),
-            fault: None,
-            retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
-            mode: ScheduleMode::Serial,
-            budget_ns: None,
+            ..Self::gpu_only(gpu)
         }
     }
 
@@ -115,7 +159,8 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Attaches a fault plan: PIM kernels run under fault injection and
-    /// degrade to the GPU when their integrity checks fail.
+    /// degrade to the GPU when their integrity checks fail; GPU kernels
+    /// draw stream stalls and transfer flips.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -129,40 +174,72 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Attaches a deadline budget in virtual ns: at every segment boundary
-    /// (each op in issue order, each queued PIM kernel) the scheduler checks
-    /// the clock, and a run that is already past its budget stops there with
-    /// [`ExecutionReport::cancelled`] set instead of burning the remaining
-    /// cost. A run whose last segment finishes late is *not* cancelled —
-    /// the work is done, so it reports as an ordinary late completion.
-    /// Without a budget (the default) the timeline is untouched.
-    pub fn with_deadline_budget(mut self, budget_ns: f64) -> Self {
-        self.budget_ns = Some(budget_ns);
-        self
+    /// Runs the sequence with default [`RunOptions`].
+    pub fn run(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
+        self.run_with(seq, RunOptions::default())
     }
 
-    fn over_budget(&self, now: f64) -> bool {
-        self.budget_ns.is_some_and(|b| now > b)
+    /// Runs the sequence breaker-gated through `registry`
+    /// ([`RunOptions::health`]).
+    pub fn run_with_health(
+        &self,
+        seq: &OpSequence,
+        registry: &mut HealthRegistry,
+    ) -> Result<ExecutionReport, RunError> {
+        self.run_with(
+            seq,
+            RunOptions {
+                health: Some(registry),
+                ..RunOptions::default()
+            },
+        )
     }
 
-    /// Samples the GPU-side fault domain at one GPU kernel launch: returns
-    /// the extra latency of an injected stream stall, and fails the
-    /// end-to-end integrity verdict on an injected transfer bit flip (the
-    /// GPU path has no per-kernel residue check to catch it earlier).
-    /// Zero-probability plans draw nothing from the fault stream.
-    fn apply_gpu_faults(injector: &mut Option<FaultInjector>, report: &mut ExecutionReport) -> f64 {
-        let mut extra = 0.0;
-        if let Some(inj) = injector.as_mut() {
-            if let Some(stall) = inj.sample_gpu_stall() {
-                extra += stall;
-                report.gpu_stalls += 1;
+    /// Runs the sequence and produces a report.
+    ///
+    /// Fails only on errors no fallback can absorb (e.g. a PIM instruction
+    /// unsupported at the configured buffer size), or with
+    /// [`RunError::HealthDomainMismatch`] if the registry was sized for a
+    /// different device; integrity-check failures under a fault plan are
+    /// handled by retry/degradation and recorded in the report instead.
+    pub fn run_with(
+        &self,
+        seq: &OpSequence,
+        opts: RunOptions<'_>,
+    ) -> Result<ExecutionReport, RunError> {
+        let gate = match opts.health {
+            Some(reg) => {
+                self.check_domains(reg)?;
+                Gate::Breakers(reg)
             }
-            if inj.sample_gpu_transfer_flip() {
-                report.gpu_faults += 1;
-                report.integrity_failed = true;
+            None => Gate::KillSwitch { tripped: false },
+        };
+        let pipelined = self.mode == ScheduleMode::Pipelined && self.pim.is_some();
+        Run {
+            sched: self,
+            n: seq.params.n() as u64,
+            report: ExecutionReport::default(),
+            cache: L2Cache::new(self.gpu.config().l2_bytes),
+            injector: opts.fault.or(self.fault).map(FaultInjector::new),
+            gate,
+            tel: opts.telemetry,
+            budget_ns: opts.budget_ns,
+            tl: Timeline::new(pipelined),
+        }
+        .schedule(seq)
+    }
+
+    fn check_domains(&self, registry: &HealthRegistry) -> Result<(), RunError> {
+        if let Some((dev, _)) = self.pim {
+            let device = dev.dram.geometry.die_groups;
+            if registry.domains() != device {
+                return Err(RunError::HealthDomainMismatch {
+                    registry: registry.domains(),
+                    device,
+                });
             }
         }
-        extra
+        Ok(())
     }
 
     /// Integer ops a GPU kernel of this kind executes (one modmul ≈ 8
@@ -192,1086 +269,6 @@ impl<'a> Scheduler<'a> {
             OpKind::Aut { .. } => ("automorphism", KernelClass::Automorphism),
             OpKind::WriteBack { .. } => ("write-back", KernelClass::WriteBack),
         }
-    }
-
-    /// Runs the sequence and produces a report.
-    ///
-    /// Fails only on errors no fallback can absorb (e.g. a PIM instruction
-    /// unsupported at the configured buffer size); integrity-check failures
-    /// under an attached [`FaultPlan`] are handled by retry/degradation and
-    /// recorded in the report instead.
-    pub fn run(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
-        self.run_inner(seq, None, None)
-    }
-
-    /// [`run`](Self::run) with telemetry: every kernel, handoff, backoff,
-    /// and limb batch is recorded into `tel` as virtual-time spans and
-    /// metrics. Recording happens only on this serial scheduling path, so
-    /// the exported trace is bit-identical across thread counts.
-    pub fn run_traced(
-        &self,
-        seq: &OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.run_inner(seq, None, Some(tel))
-    }
-
-    /// Runs the sequence with per-bank circuit breaking: PIM kernels are
-    /// attributed to the registry's bank domains, failures feed the
-    /// domain breakers, and kernels whose breaker is open skip PIM and run
-    /// on the GPU directly. The registry persists state across calls, so
-    /// repeated runs (e.g. serving requests) accumulate health history.
-    ///
-    /// Fails with [`RunError::HealthDomainMismatch`] if the registry was
-    /// sized for a different device.
-    pub fn run_with_health(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.check_domains(registry)?;
-        self.run_inner(seq, Some(registry), None)
-    }
-
-    /// [`run_with_health`](Self::run_with_health) with telemetry; breaker
-    /// transitions additionally land on the trace's `health` track.
-    pub fn run_with_health_traced(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.check_domains(registry)?;
-        self.run_inner(seq, Some(registry), Some(tel))
-    }
-
-    fn check_domains(&self, registry: &HealthRegistry) -> Result<(), RunError> {
-        if let Some((dev, _)) = self.pim {
-            let device = dev.dram.geometry.die_groups;
-            if registry.domains() != device {
-                return Err(RunError::HealthDomainMismatch {
-                    registry: registry.domains(),
-                    device,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn run_inner(
-        &self,
-        seq: &OpSequence,
-        mut health: Option<&mut HealthRegistry>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<ExecutionReport, RunError> {
-        if self.mode == ScheduleMode::Pipelined && self.pim.is_some() {
-            return self.run_inner_pipelined(seq, health, tel);
-        }
-        let n = seq.params.n() as u64;
-        let mut report = ExecutionReport::default();
-        let mut cache = L2Cache::new(self.gpu.config().l2_bytes);
-        let mut now = 0.0f64;
-        let mut last_exec = Executor::Gpu;
-        let mut pim_batch: Vec<(PimKernelSpec, &'static str)> = Vec::new();
-        let mut injector = self.fault.map(FaultInjector::new);
-        let mut pim_disabled = false;
-        let mut kernel_idx = 0u64;
-
-        for op in &seq.ops {
-            if self.over_budget(now) {
-                report.cancelled = true;
-                break;
-            }
-            let target = if self.pim.is_some() && !pim_disabled {
-                op.executor
-            } else {
-                Executor::Gpu
-            };
-            match target {
-                Executor::Pim => {
-                    let (instr, limbs) = match op.kind {
-                        OpKind::Ew { instr, limbs } => (instr, limbs),
-                        _ => unreachable!("only element-wise ops are offloaded"),
-                    };
-                    if last_exec != Executor::Pim {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition(now, now + TRANSITION_NS);
-                        }
-                        now += TRANSITION_NS;
-                        report.transitions += 1;
-                        last_exec = Executor::Pim;
-                    }
-                    pim_batch.push((
-                        PimKernelSpec {
-                            instr,
-                            limbs,
-                            n: n as usize,
-                        },
-                        op.label,
-                    ));
-                }
-                Executor::Gpu => {
-                    if last_exec != Executor::Gpu {
-                        // Drain the queued PIM kernels first.
-                        if let Some(pim) = self.pim {
-                            self.flush_pim(
-                                &mut pim_batch,
-                                &mut now,
-                                &mut report,
-                                pim,
-                                &mut injector,
-                                &mut pim_disabled,
-                                health.as_deref_mut(),
-                                &mut kernel_idx,
-                                tel.as_deref_mut(),
-                            )?;
-                        }
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition(now, now + TRANSITION_NS);
-                        }
-                        now += TRANSITION_NS;
-                        report.transitions += 1;
-                        last_exec = Executor::Gpu;
-                    }
-                    let (class_label, class) = Self::kernel_class(&op.kind);
-                    let desc = self.describe_gpu_op(op, n, class, &mut cache);
-                    let cost = self.gpu.cost(&desc);
-                    report.gpu_dram_bytes += desc.dram_bytes();
-                    report.energy_j += cost.energy_j;
-                    let stall = Self::apply_gpu_faults(&mut injector, &mut report);
-                    let start = now;
-                    now += cost.time_ns + stall;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.gpu_kernel(
-                            op.label,
-                            class_label,
-                            start,
-                            now,
-                            desc.dram_bytes(),
-                            cost.bandwidth_bound,
-                            false,
-                        );
-                    }
-                    report.push_segment(GanttSegment {
-                        start_ns: start,
-                        end_ns: now,
-                        executor: Executor::Gpu,
-                        class: class_label,
-                        label: op.label,
-                        degraded: false,
-                    });
-                }
-            }
-        }
-        if let Some(pim) = self.pim {
-            self.flush_pim(
-                &mut pim_batch,
-                &mut now,
-                &mut report,
-                pim,
-                &mut injector,
-                &mut pim_disabled,
-                health,
-                &mut kernel_idx,
-                tel.as_deref_mut(),
-            )?;
-        }
-        report.total_ns = now;
-        if let Some(t) = tel {
-            t.run_complete(&report);
-        }
-        Ok(report)
-    }
-
-    /// The pipelined two-stream pass. Ops are still visited in issue order
-    /// — so the stateful L2 model, the fault-injector stream, and breaker
-    /// decisions consume exactly the serial sequence — but each op is
-    /// placed on its own stream's cursor at the earliest point its data
-    /// dependencies allow. A dependency whose producer ran on the other
-    /// stream pays one [`TRANSITION_NS`] handoff; same-stream work queues
-    /// back-to-back for free. Coherence write-backs carry no tracked
-    /// read/write sets, so every PIM kernel additionally waits for the
-    /// last write-back to land plus one handoff — the conservative barrier
-    /// that keeps PIM from reading stale bank rows.
-    ///
-    /// `report.transitions` uses the same counting rule as serial mode
-    /// (issue-order executor switches plus one per GPU fallback), so for a
-    /// fault-free run `total_ns + stream_overlap_ns` reconstructs the
-    /// serial makespan exactly.
-    fn run_inner_pipelined(
-        &self,
-        seq: &OpSequence,
-        mut health: Option<&mut HealthRegistry>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<ExecutionReport, RunError> {
-        let n = seq.params.n() as u64;
-        let (dev, layout) = self.pim.expect("pipelined pass requires a PIM device");
-        let exec = PimExecutor::new(dev, layout);
-        let mut report = ExecutionReport::default();
-        let mut cache = L2Cache::new(self.gpu.config().l2_bytes);
-        let mut injector = self.fault.map(FaultInjector::new);
-        let mut pim_disabled = false;
-        let mut kernel_idx = 0u64;
-
-        // Stream cursors and the dependency horizon. `writer_end` maps an
-        // object to its last producer's completion (overwrite: builders
-        // allocate SSA-style, so the last write in issue order is the
-        // program-order dependency); `reader_end` max-merges, because a
-        // later-issued reader can finish earlier on the other stream.
-        let mut gpu_now = 0.0f64;
-        let mut pim_now = 0.0f64;
-        let mut last_flush_end = 0.0f64;
-        let mut writer_end: HashMap<u64, (f64, Executor)> = HashMap::new();
-        let mut reader_end: HashMap<u64, (f64, Executor)> = HashMap::new();
-
-        let mut last_exec = Executor::Gpu;
-        // Issue-order run-length segments per stream, for telemetry.
-        let mut seg_idx = 0u32;
-        let mut prev_seg_end = 0.0f64;
-        let mut cur_seg: Option<(Executor, f64, f64, u32, f64)> = None;
-
-        for op in &seq.ops {
-            if self.over_budget(gpu_now.max(pim_now)) {
-                report.cancelled = true;
-                break;
-            }
-            let target = if !pim_disabled {
-                op.executor
-            } else {
-                Executor::Gpu
-            };
-            let ready = Self::dep_ready_ns(op, target, &writer_end, &reader_end);
-            let (start, done, done_on) = match target {
-                Executor::Gpu => {
-                    let (class_label, class) = Self::kernel_class(&op.kind);
-                    let desc = self.describe_gpu_op(op, n, class, &mut cache);
-                    let cost = self.gpu.cost(&desc);
-                    report.gpu_dram_bytes += desc.dram_bytes();
-                    report.energy_j += cost.energy_j;
-                    let stall = Self::apply_gpu_faults(&mut injector, &mut report);
-                    let start = gpu_now.max(ready);
-                    if last_exec != Executor::Gpu {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition((start - TRANSITION_NS).max(0.0), start);
-                        }
-                        report.transitions += 1;
-                        last_exec = Executor::Gpu;
-                    }
-                    let end = start + cost.time_ns + stall;
-                    gpu_now = end;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.gpu_kernel(
-                            op.label,
-                            class_label,
-                            start,
-                            end,
-                            desc.dram_bytes(),
-                            cost.bandwidth_bound,
-                            false,
-                        );
-                    }
-                    report.push_segment(GanttSegment {
-                        start_ns: start,
-                        end_ns: end,
-                        executor: Executor::Gpu,
-                        class: class_label,
-                        label: op.label,
-                        degraded: false,
-                    });
-                    if matches!(op.kind, OpKind::WriteBack { .. }) {
-                        last_flush_end = end;
-                    }
-                    (start, end, Executor::Gpu)
-                }
-                Executor::Pim => {
-                    let (instr, limbs) = match op.kind {
-                        OpKind::Ew { instr, limbs } => (instr, limbs),
-                        _ => unreachable!("only element-wise ops are offloaded"),
-                    };
-                    let spec = PimKernelSpec {
-                        instr,
-                        limbs,
-                        n: n as usize,
-                    };
-                    let kid = kernel_idx;
-                    kernel_idx += 1;
-                    let start = pim_now.max(ready).max(last_flush_end + TRANSITION_NS);
-                    if last_exec != Executor::Pim {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition((start - TRANSITION_NS).max(0.0), start);
-                        }
-                        report.transitions += 1;
-                        last_exec = Executor::Pim;
-                    }
-                    let (done, done_on) = match health.as_deref_mut() {
-                        Some(reg) => self.pipelined_kernel_with_health(
-                            &exec,
-                            spec,
-                            op.label,
-                            start,
-                            &mut pim_now,
-                            &mut gpu_now,
-                            &mut report,
-                            dev,
-                            &mut injector,
-                            reg,
-                            kid,
-                            tel.as_deref_mut(),
-                        )?,
-                        None => self.pipelined_kernel_legacy(
-                            &exec,
-                            spec,
-                            op.label,
-                            start,
-                            &mut pim_now,
-                            &mut gpu_now,
-                            &mut report,
-                            dev,
-                            &mut injector,
-                            &mut pim_disabled,
-                            kid,
-                            tel.as_deref_mut(),
-                        )?,
-                    };
-                    (start, done, done_on)
-                }
-            };
-            Self::note_completion(op, done, done_on, &mut writer_end, &mut reader_end);
-            match cur_seg.as_mut() {
-                Some(s) if s.0 == target => {
-                    s.2 = s.2.max(done);
-                    s.3 += 1;
-                }
-                _ => {
-                    if let Some((ex, s0, s1, ops, slide)) = cur_seg.take() {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.stream_segment(Self::stream_name(ex), seg_idx, s0, s1, ops, slide);
-                        }
-                        seg_idx += 1;
-                        prev_seg_end = s1;
-                    }
-                    let slide = if seg_idx == 0 {
-                        0.0
-                    } else {
-                        (prev_seg_end + TRANSITION_NS - start).max(0.0)
-                    };
-                    cur_seg = Some((target, start, done, 1, slide));
-                }
-            }
-        }
-        if let Some((ex, s0, s1, ops, slide)) = cur_seg.take() {
-            if let Some(t) = tel.as_deref_mut() {
-                t.stream_segment(Self::stream_name(ex), seg_idx, s0, s1, ops, slide);
-            }
-        }
-        report.total_ns = gpu_now.max(pim_now);
-        // How much virtual time the two streams hid: the serial-equivalent
-        // span (kernels + handoffs + backoff) minus the pipelined makespan.
-        let kernel_ns: f64 = report.breakdown_ns.values().sum();
-        let serial_equiv =
-            kernel_ns + f64::from(report.transitions) * TRANSITION_NS + report.backoff_ns;
-        report.stream_overlap_ns = (serial_equiv - report.total_ns).max(0.0);
-        if let Some(t) = tel {
-            t.stream_overlap(report.stream_overlap_ns);
-            t.run_complete(&report);
-        }
-        Ok(report)
-    }
-
-    fn stream_name(ex: Executor) -> &'static str {
-        match ex {
-            Executor::Gpu => "gpu",
-            Executor::Pim => "pim",
-        }
-    }
-
-    /// Earliest start permitted by `op`'s RAW/WAR/WAW dependencies, with a
-    /// [`TRANSITION_NS`] penalty on every edge whose other endpoint ran on
-    /// the opposite stream.
-    fn dep_ready_ns(
-        op: &Op,
-        target: Executor,
-        writer_end: &HashMap<u64, (f64, Executor)>,
-        reader_end: &HashMap<u64, (f64, Executor)>,
-    ) -> f64 {
-        let cross = |(t, e): (f64, Executor)| {
-            if e == target {
-                t
-            } else {
-                t + TRANSITION_NS
-            }
-        };
-        let mut ready = 0.0f64;
-        for r in &op.reads {
-            if let Some(&w) = writer_end.get(&r.id) {
-                ready = ready.max(cross(w));
-            }
-        }
-        for w in &op.writes {
-            if let Some(&p) = writer_end.get(&w.id) {
-                ready = ready.max(cross(p));
-            }
-            if let Some(&p) = reader_end.get(&w.id) {
-                ready = ready.max(cross(p));
-            }
-        }
-        ready
-    }
-
-    /// Publishes `op`'s completion into the dependency horizon.
-    fn note_completion(
-        op: &Op,
-        end: f64,
-        on: Executor,
-        writer_end: &mut HashMap<u64, (f64, Executor)>,
-        reader_end: &mut HashMap<u64, (f64, Executor)>,
-    ) {
-        for r in &op.reads {
-            let e = reader_end.entry(r.id).or_insert((end, on));
-            if end >= e.0 {
-                *e = (end, on);
-            }
-        }
-        for w in &op.writes {
-            writer_end.insert(w.id, (end, on));
-        }
-    }
-
-    /// Pipelined twin of [`Self::run_kernel_legacy`]: attempts, retries,
-    /// and backoff charge the PIM stream from `start`; a GPU fallback
-    /// queues behind the GPU stream after one handoff. Returns the op's
-    /// completion time and which engine finished it.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_kernel_legacy(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        start: f64,
-        pim_now: &mut f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(f64, Executor), RunError> {
-        let mut cursor = start;
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults(&spec, inj),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(
-                        &r,
-                        label,
-                        false,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    *pim_now = cursor;
-                    return Ok((cursor, Executor::Pim));
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if violation.is_permanent() {
-                        *pim_disabled = true;
-                    } else if retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            &mut cursor,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.retry();
-                        }
-                        continue;
-                    }
-                    report.pim_fallbacks += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fallback();
-                    }
-                    *pim_now = cursor;
-                    let done = self.pipelined_fallback(
-                        exec, &spec, label, cursor, gpu_now, report, injector, tel,
-                    );
-                    return Ok((done, Executor::Gpu));
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-    }
-
-    /// Pipelined twin of [`Self::run_kernel_with_health`]: breaker-gated
-    /// routing with the attempt clock on the PIM stream and fallbacks on
-    /// the GPU stream.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_kernel_with_health(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        start: f64,
-        pim_now: &mut f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        reg: &mut HealthRegistry,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(f64, Executor), RunError> {
-        let domains = reg.domains() as u32;
-        let bank = reg.assign_domain();
-        let domain = BankDomain::new(bank, domains);
-        let (decision, transition) = reg.decide(bank, start);
-        if let Some(t) = transition {
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_transition(&t, start);
-            }
-            report.breaker_transitions.push(t);
-        }
-        if decision == PathDecision::Skip {
-            report.breaker_skips += 1;
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_skip();
-            }
-            // No PIM attempt was made, so the PIM cursor does not move.
-            let done =
-                self.pipelined_fallback(exec, &spec, label, start, gpu_now, report, injector, tel);
-            return Ok((done, Executor::Gpu));
-        }
-        let mut cursor = start;
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, Some(domain)),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(
-                        &r,
-                        label,
-                        false,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if let Some(t) = reg.on_success(bank, cursor) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, cursor);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    *pim_now = cursor;
-                    return Ok((cursor, Executor::Pim));
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    reg.counters.faults_detected += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    let permanent = violation.is_permanent();
-                    if !permanent
-                        && decision == PathDecision::Allow
-                        && retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            &mut cursor,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        reg.counters.pim_retries += 1;
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.retry();
-                        }
-                        continue;
-                    }
-                    if let Some(t) = reg.on_failure(bank, permanent, cursor, violation.cause()) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, cursor);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    report.pim_fallbacks += 1;
-                    reg.counters.gpu_fallbacks += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fallback();
-                    }
-                    *pim_now = cursor;
-                    let done = self.pipelined_fallback(
-                        exec, &spec, label, cursor, gpu_now, report, injector, tel,
-                    );
-                    return Ok((done, Executor::Gpu));
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-    }
-
-    /// Pipelined twin of [`Self::fallback_on_gpu`]: the re-dispatch pays
-    /// one handoff from the failed attempt's end and then queues behind
-    /// whatever the GPU stream is already running, so a fallback can never
-    /// overlap another kernel on the same engine.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_fallback(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: &PimKernelSpec,
-        label: &'static str,
-        fail_end: f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        injector: &mut Option<FaultInjector>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> f64 {
-        let start = gpu_now.max(fail_end + TRANSITION_NS);
-        if let Some(t) = tel.as_deref_mut() {
-            t.transition((start - TRANSITION_NS).max(0.0), start);
-        }
-        report.transitions += 1;
-        let p = spec.instr.profile();
-        let dram_read = (p.total_reads() * spec.limbs * spec.n * 4) as u64;
-        let dram_write = exec.gpu_bytes_equivalent(spec) - dram_read;
-        let int_ops = (spec.n * spec.limbs) as u64 * spec.instr.mmac_ops_per_element() as u64 * 6;
-        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
-        let cost = self.gpu.cost(&desc);
-        report.gpu_dram_bytes += desc.dram_bytes();
-        report.energy_j += cost.energy_j;
-        let stall = Self::apply_gpu_faults(injector, report);
-        let end = start + cost.time_ns + stall;
-        if let Some(t) = tel {
-            t.gpu_kernel(
-                label,
-                "element-wise",
-                start,
-                end,
-                desc.dram_bytes(),
-                cost.bandwidth_bound,
-                true,
-            );
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: end,
-            executor: Executor::Gpu,
-            class: "element-wise",
-            label,
-            degraded: true,
-        });
-        *gpu_now = end;
-        end
-    }
-
-    /// Drains queued PIM kernels: executes each (under fault injection when
-    /// configured), retries transient integrity failures under the retry
-    /// policy, and re-executes on the GPU what PIM cannot complete. With a
-    /// [`HealthRegistry`] attached, routing is breaker-gated per bank
-    /// domain instead of the legacy global `pim_disabled` switch.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_pim(
-        &self,
-        batch: &mut Vec<(PimKernelSpec, &'static str)>,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        pim: (&PimDeviceConfig, LayoutPolicy),
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        mut health: Option<&mut HealthRegistry>,
-        kernel_idx: &mut u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let exec = PimExecutor::new(pim.0, pim.1);
-        for (spec, label) in batch.drain(..) {
-            if self.over_budget(*now) {
-                // Budget ran out between queued kernels: drop the rest of
-                // the batch (the drain consumes it) and cancel the run.
-                report.cancelled = true;
-                break;
-            }
-            let kid = *kernel_idx;
-            *kernel_idx += 1;
-            match health.as_deref_mut() {
-                Some(reg) => {
-                    self.run_kernel_with_health(
-                        &exec,
-                        spec,
-                        label,
-                        now,
-                        report,
-                        pim.0,
-                        injector,
-                        reg,
-                        kid,
-                        tel.as_deref_mut(),
-                    )?;
-                }
-                None => {
-                    self.run_kernel_legacy(
-                        &exec,
-                        spec,
-                        label,
-                        now,
-                        report,
-                        pim.0,
-                        injector,
-                        pim_disabled,
-                        kid,
-                        tel.as_deref_mut(),
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges a PIM attempt (successful or wasted) to the timeline.
-    #[allow(clippy::too_many_arguments)]
-    fn charge_pim_segment(
-        &self,
-        r: &pim::exec::PimKernelResult,
-        label: &'static str,
-        degraded: bool,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        tel: Option<&mut Telemetry>,
-    ) {
-        let start = *now;
-        *now += r.latency_ns;
-        report.energy_j += r.energy_joules(dev);
-        report.pim_dram_bytes += r.bytes_internal;
-        if let Some(t) = tel {
-            t.pim_kernel(label, start, *now, r, degraded);
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: *now,
-            executor: Executor::Pim,
-            class: "element-wise",
-            label,
-            degraded,
-        });
-    }
-
-    /// Computes (and charges, if affordable) the backoff before the next
-    /// retry of kernel `kid`. Returns false when the backoff budget is
-    /// exhausted and the kernel should fall back instead.
-    fn charge_backoff(
-        &self,
-        kid: u64,
-        attempt: u32,
-        backoff_spent: &mut f64,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        tel: Option<&mut Telemetry>,
-    ) -> bool {
-        let b = self.retry.backoff_ns(kid, attempt);
-        if *backoff_spent + b > self.retry.budget_ns {
-            return false;
-        }
-        if let Some(t) = tel {
-            if b > 0.0 {
-                t.backoff(*now, *now + b);
-            }
-        }
-        *backoff_spent += b;
-        *now += b;
-        report.backoff_ns += b;
-        true
-    }
-
-    /// The legacy (registry-free) degradation path: policy-driven retries
-    /// and a global PIM kill switch on the first hard fault.
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_legacy(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        if *pim_disabled {
-            // A prior hard fault took the PIM path out; the rest of the
-            // batch re-executes on the GPU.
-            self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-            return Ok(());
-        }
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults(&spec, inj),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(&r, label, false, now, report, dev, tel.as_deref_mut());
-                    break;
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fault();
-                    }
-                    // The failed attempt still burned time and energy.
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        now,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if violation.is_permanent() {
-                        // Hard fault (stuck MMAC lane): retrying on PIM
-                        // cannot succeed — disable the path for good.
-                        *pim_disabled = true;
-                    } else if retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            now,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.retry();
-                        }
-                        continue;
-                    }
-                    report.pim_fallbacks += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fallback();
-                    }
-                    self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-                    break;
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// The breaker-gated degradation path: the kernel is attributed to a
-    /// bank health domain, an open breaker routes it straight to the GPU,
-    /// and its outcome feeds the domain's breaker. Faults are scoped to
-    /// the owning domain ([`PimExecutor::execute_with_faults_scoped`]), so
-    /// a stuck lane sickens one die group instead of the whole device.
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_with_health(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        reg: &mut HealthRegistry,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        let domains = reg.domains() as u32;
-        let bank = reg.assign_domain();
-        let domain = BankDomain::new(bank, domains);
-        let (decision, transition) = reg.decide(bank, *now);
-        if let Some(t) = transition {
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_transition(&t, *now);
-            }
-            report.breaker_transitions.push(t);
-        }
-        if decision == PathDecision::Skip {
-            report.breaker_skips += 1;
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_skip();
-            }
-            self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-            return Ok(());
-        }
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, Some(domain)),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(&r, label, false, now, report, dev, tel.as_deref_mut());
-                    if let Some(t) = reg.on_success(bank, *now) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, *now);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    break;
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    reg.counters.faults_detected += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        now,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    let permanent = violation.is_permanent();
-                    // A half-open probe gets exactly one attempt; hard
-                    // faults are never retried.
-                    if !permanent
-                        && decision == PathDecision::Allow
-                        && retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            now,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        reg.counters.pim_retries += 1;
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.retry();
-                        }
-                        continue;
-                    }
-                    if let Some(t) = reg.on_failure(bank, permanent, *now, violation.cause()) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, *now);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    report.pim_fallbacks += 1;
-                    reg.counters.gpu_fallbacks += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fallback();
-                    }
-                    self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-                    break;
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-executes a failed PIM kernel on the GPU. The operands are
-    /// PIM-resident, so the kernel streams everything through DRAM with no
-    /// L2 reuse, and the re-dispatch pays one PIM→GPU handoff.
-    #[allow(clippy::too_many_arguments)]
-    fn fallback_on_gpu(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: &PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        injector: &mut Option<FaultInjector>,
-        mut tel: Option<&mut Telemetry>,
-    ) {
-        if let Some(t) = tel.as_deref_mut() {
-            t.transition(*now, *now + TRANSITION_NS);
-        }
-        *now += TRANSITION_NS;
-        report.transitions += 1;
-        let p = spec.instr.profile();
-        let dram_read = (p.total_reads() * spec.limbs * spec.n * 4) as u64;
-        let dram_write = exec.gpu_bytes_equivalent(spec) - dram_read;
-        let int_ops = (spec.n * spec.limbs) as u64 * spec.instr.mmac_ops_per_element() as u64 * 6;
-        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
-        let cost = self.gpu.cost(&desc);
-        report.gpu_dram_bytes += desc.dram_bytes();
-        report.energy_j += cost.energy_j;
-        let stall = Self::apply_gpu_faults(injector, report);
-        let start = *now;
-        *now += cost.time_ns + stall;
-        if let Some(t) = tel {
-            t.gpu_kernel(
-                label,
-                "element-wise",
-                start,
-                *now,
-                desc.dram_bytes(),
-                cost.bandwidth_bound,
-                true,
-            );
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: *now,
-            executor: Executor::Gpu,
-            class: "element-wise",
-            label,
-            degraded: true,
-        });
     }
 
     fn describe_gpu_op(
@@ -1312,6 +309,640 @@ impl<'a> Scheduler<'a> {
     }
 }
 
+/// How a run routes PIM kernels around failures.
+enum Gate<'r> {
+    /// No registry: the first hard fault switches PIM off for the rest of
+    /// the run. Later ops are then issued as ordinary (L2-cached) GPU ops.
+    KillSwitch { tripped: bool },
+    /// Per-bank circuit breakers that persist across runs.
+    Breakers(&'r mut HealthRegistry),
+}
+
+/// Where ops land in virtual time — the only thing the modes disagree on.
+struct Timeline {
+    /// Executor of the previous op in issue order; a switch is a handoff.
+    last: Executor,
+    clock: Clock,
+}
+
+enum Clock {
+    /// One clock for both engines. `run_start` is the clock right after
+    /// the handoff that opened the current PIM run.
+    Serial { now: f64, run_start: f64 },
+    /// A cursor per stream plus the dependency horizon.
+    Pipelined(Box<Streams>),
+}
+
+/// The pipelined pass's state. Ops are still visited in issue order — so
+/// the stateful L2 model, the fault-injector stream, and breaker decisions
+/// consume exactly the serial sequence — but each op is placed on its own
+/// stream's cursor at the earliest point its data dependencies allow. A
+/// dependency whose producer ran on the other stream pays one
+/// [`TRANSITION_NS`] handoff; same-stream work queues back-to-back for
+/// free. Coherence write-backs carry no tracked read/write sets, so every
+/// PIM kernel additionally waits for the last write-back to land plus one
+/// handoff — the conservative barrier that keeps PIM from reading stale
+/// bank rows.
+///
+/// `report.transitions` uses the same counting rule as serial mode
+/// (issue-order executor switches plus one per GPU fallback), so for a
+/// fault-free run `total_ns + stream_overlap_ns` reconstructs the serial
+/// makespan exactly.
+#[derive(Default)]
+struct Streams {
+    gpu: f64,
+    pim: f64,
+    last_writeback_end: f64,
+    /// Object → its last producer's completion (overwrite: builders
+    /// allocate SSA-style, so the last write in issue order is the
+    /// program-order dependency).
+    writer_end: HashMap<u64, (f64, Executor)>,
+    /// Object → its latest reader's completion (max-merge, because a
+    /// later-issued reader can finish earlier on the other stream).
+    reader_end: HashMap<u64, (f64, Executor)>,
+    /// Issue-order run-length segments per stream, for telemetry:
+    /// (stream, start, end, ops, slide).
+    seg: Option<(Executor, f64, f64, u32, f64)>,
+    seg_idx: u32,
+    prev_seg_end: f64,
+}
+
+impl Timeline {
+    fn new(pipelined: bool) -> Self {
+        let clock = if pipelined {
+            Clock::Pipelined(Box::default())
+        } else {
+            Clock::Serial {
+                now: 0.0,
+                run_start: 0.0,
+            }
+        };
+        Self {
+            last: Executor::Gpu,
+            clock,
+        }
+    }
+
+    /// The clock the budget is checked against before the next op.
+    ///
+    /// Serial reproduces its original queue-then-drain loop, which checked
+    /// the budget when it queued a PIM op and only ran the run's kernels at
+    /// the next GPU op: inside a PIM run (and at the GPU op closing it)
+    /// this is the clock as of the run's opening handoff, and each kernel
+    /// gets its own check at its start (see [`Run::schedule`]).
+    fn issue_ns(&self) -> f64 {
+        match &self.clock {
+            Clock::Serial { now, run_start } => {
+                if self.last == Executor::Pim {
+                    *run_start
+                } else {
+                    *now
+                }
+            }
+            Clock::Pipelined(s) => s.gpu.max(s.pim),
+        }
+    }
+
+    /// Serial only: whether a PIM run is open. Its ops were routed when the
+    /// original loop queued them, so a kill switch tripped mid-run sends
+    /// the rest of the run down the degraded GPU fallback.
+    fn in_serial_pim_run(&self) -> bool {
+        matches!(self.clock, Clock::Serial { .. }) && self.last == Executor::Pim
+    }
+
+    /// Where `op` starts on `target`, recording the handoff when the
+    /// issue-order executor switches.
+    fn start(
+        &mut self,
+        op: &Op,
+        target: Executor,
+        report: &mut ExecutionReport,
+        tel: Option<&mut Telemetry>,
+    ) -> f64 {
+        let switch = self.last != target;
+        self.last = target;
+        if switch {
+            report.transitions += 1;
+        }
+        match &mut self.clock {
+            Clock::Serial { now, run_start } => {
+                if switch {
+                    if let Some(t) = tel {
+                        t.transition(*now, *now + TRANSITION_NS);
+                    }
+                    *now += TRANSITION_NS;
+                    *run_start = *now;
+                }
+                *now
+            }
+            Clock::Pipelined(s) => {
+                let ready = s.dep_ready_ns(op, target);
+                let start = match target {
+                    Executor::Gpu => s.gpu.max(ready),
+                    Executor::Pim => s.pim.max(ready).max(s.last_writeback_end + TRANSITION_NS),
+                };
+                if switch {
+                    if let Some(t) = tel {
+                        t.transition((start - TRANSITION_NS).max(0.0), start);
+                    }
+                }
+                start
+            }
+        }
+    }
+
+    /// Where a kernel PIM could not complete (its attempts ended at
+    /// `fail_end`) restarts on the GPU: one handoff later, and in pipelined
+    /// mode behind whatever the GPU stream is already running, so a
+    /// fallback never overlaps another kernel on the same engine.
+    fn fallback_start(
+        &self,
+        fail_end: f64,
+        report: &mut ExecutionReport,
+        tel: Option<&mut Telemetry>,
+    ) -> f64 {
+        report.transitions += 1;
+        let (from, start) = match &self.clock {
+            Clock::Serial { .. } => (fail_end, fail_end + TRANSITION_NS),
+            Clock::Pipelined(s) => {
+                let start = s.gpu.max(fail_end + TRANSITION_NS);
+                ((start - TRANSITION_NS).max(0.0), start)
+            }
+        };
+        if let Some(t) = tel {
+            t.transition(from, start);
+        }
+        start
+    }
+
+    /// End of a GPU kernel started at `start`. Each mode keeps the float
+    /// rounding of its committed timelines: the serial clock adds latency
+    /// and stall as one sum, the GPU stream adds them in turn.
+    fn gpu_end(&self, start: f64, latency_ns: f64, stall_ns: f64) -> f64 {
+        match self.clock {
+            Clock::Serial { .. } => start + (latency_ns + stall_ns),
+            Clock::Pipelined(_) => start + latency_ns + stall_ns,
+        }
+    }
+
+    /// Moves the `on` engine's cursor (serial: the clock) to `t`.
+    fn advance(&mut self, on: Executor, t: f64) {
+        match &mut self.clock {
+            Clock::Serial { now, .. } => *now = t,
+            Clock::Pipelined(s) => match on {
+                Executor::Gpu => s.gpu = t,
+                Executor::Pim => s.pim = t,
+            },
+        }
+    }
+
+    /// Publishes `op`, issued to `target` at `start` and completed at
+    /// `done` by `done_on`, into the dependency horizon and the stream
+    /// segments. The serial clock has nothing to track.
+    fn publish(
+        &mut self,
+        op: &Op,
+        target: Executor,
+        start: f64,
+        (done, done_on): (f64, Executor),
+        tel: Option<&mut Telemetry>,
+    ) {
+        let Clock::Pipelined(s) = &mut self.clock else {
+            return;
+        };
+        if matches!(op.kind, OpKind::WriteBack { .. }) {
+            s.last_writeback_end = done;
+        }
+        for r in &op.reads {
+            let e = s.reader_end.entry(r.id).or_insert((done, done_on));
+            if done >= e.0 {
+                *e = (done, done_on);
+            }
+        }
+        for w in &op.writes {
+            s.writer_end.insert(w.id, (done, done_on));
+        }
+        match s.seg.as_mut() {
+            Some(seg) if seg.0 == target => {
+                seg.2 = seg.2.max(done);
+                seg.3 += 1;
+            }
+            _ => {
+                s.close_segment(tel);
+                let slide = if s.seg_idx == 0 {
+                    0.0
+                } else {
+                    (s.prev_seg_end + TRANSITION_NS - start).max(0.0)
+                };
+                s.seg = Some((target, start, done, 1, slide));
+            }
+        }
+    }
+
+    /// Closes the run: the makespan and, for the pipelined pass, the
+    /// overlap the two streams hid.
+    fn finish(&mut self, report: &mut ExecutionReport, mut tel: Option<&mut Telemetry>) {
+        match &mut self.clock {
+            Clock::Serial { now, .. } => report.total_ns = *now,
+            Clock::Pipelined(s) => {
+                s.close_segment(tel.as_deref_mut());
+                report.total_ns = s.gpu.max(s.pim);
+                // The serial-equivalent span (kernels + handoffs + backoff)
+                // minus the pipelined makespan.
+                let kernel_ns: f64 = report.breakdown_ns.values().sum();
+                let serial_equiv =
+                    kernel_ns + f64::from(report.transitions) * TRANSITION_NS + report.backoff_ns;
+                report.stream_overlap_ns = (serial_equiv - report.total_ns).max(0.0);
+                if let Some(t) = tel.as_deref_mut() {
+                    t.stream_overlap(report.stream_overlap_ns);
+                }
+            }
+        }
+        if let Some(t) = tel {
+            t.run_complete(report);
+        }
+    }
+}
+
+impl Streams {
+    /// Earliest start permitted by `op`'s RAW/WAR/WAW dependencies, with a
+    /// [`TRANSITION_NS`] penalty on every edge whose other endpoint ran on
+    /// the opposite stream.
+    fn dep_ready_ns(&self, op: &Op, target: Executor) -> f64 {
+        let cross = |(t, e): (f64, Executor)| {
+            if e == target {
+                t
+            } else {
+                t + TRANSITION_NS
+            }
+        };
+        let mut ready = 0.0f64;
+        for r in &op.reads {
+            if let Some(&w) = self.writer_end.get(&r.id) {
+                ready = ready.max(cross(w));
+            }
+        }
+        for w in &op.writes {
+            if let Some(&p) = self.writer_end.get(&w.id) {
+                ready = ready.max(cross(p));
+            }
+            if let Some(&p) = self.reader_end.get(&w.id) {
+                ready = ready.max(cross(p));
+            }
+        }
+        ready
+    }
+
+    fn close_segment(&mut self, tel: Option<&mut Telemetry>) {
+        if let Some((ex, s0, s1, ops, slide)) = self.seg.take() {
+            if let Some(t) = tel {
+                let stream = match ex {
+                    Executor::Gpu => "gpu",
+                    Executor::Pim => "pim",
+                };
+                t.stream_segment(stream, self.seg_idx, s0, s1, ops, slide);
+            }
+            self.seg_idx += 1;
+            self.prev_seg_end = s1;
+        }
+    }
+}
+
+/// One run's mutable state.
+struct Run<'s, 'r> {
+    sched: &'s Scheduler<'s>,
+    n: u64,
+    report: ExecutionReport,
+    cache: L2Cache,
+    injector: Option<FaultInjector>,
+    gate: Gate<'r>,
+    tel: Option<&'r mut Telemetry>,
+    budget_ns: Option<f64>,
+    tl: Timeline,
+}
+
+impl<'s> Run<'s, '_> {
+    /// The PIM executor; PIM ops are routed only when there is a device.
+    fn exec(&self) -> PimExecutor<'s> {
+        let (dev, layout) = self.sched.pim.expect("PIM ops need a PIM device");
+        PimExecutor::new(dev, layout)
+    }
+
+    fn over_budget(&self, now: f64) -> bool {
+        self.budget_ns.is_some_and(|b| now > b)
+    }
+
+    /// The run loop: every op in issue order, on the engine its gate
+    /// allows, at the time its mode's timeline gives it.
+    fn schedule(mut self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
+        let mut kernel_idx = 0u64;
+        for op in &seq.ops {
+            if self.over_budget(self.tl.issue_ns()) {
+                self.report.cancelled = true;
+                break;
+            }
+            let pim_open = match self.gate {
+                Gate::KillSwitch { tripped } => !tripped,
+                Gate::Breakers(_) => true,
+            };
+            let target = if self.sched.pim.is_some() && (pim_open || self.tl.in_serial_pim_run()) {
+                op.executor
+            } else {
+                Executor::Gpu
+            };
+            let (start, done) = match target {
+                Executor::Gpu => {
+                    let (class_label, class) = Scheduler::kernel_class(&op.kind);
+                    let desc = self
+                        .sched
+                        .describe_gpu_op(op, self.n, class, &mut self.cache);
+                    let start =
+                        self.tl
+                            .start(op, target, &mut self.report, self.tel.as_deref_mut());
+                    let end = self.gpu_kernel(desc, op.label, class_label, start, false);
+                    (start, (end, Executor::Gpu))
+                }
+                Executor::Pim => {
+                    // Serial flush-time cancel. The original serial loop
+                    // queued a PIM run, drained it when the GPU op closing
+                    // the run arrived, and checked the budget again before
+                    // each queued kernel. A kernel that finds the budget
+                    // spent cancels the run and drops the rest of the PIM
+                    // run, yet the closing GPU op still executes: its own
+                    // check, against the clock as of the run's opening
+                    // handoff (`Timeline::issue_ns`), passed before the
+                    // drain. Only after it does the loop stop. Kept so the
+                    // committed serial timelines stay byte-identical.
+                    if self.report.cancelled {
+                        continue;
+                    }
+                    let OpKind::Ew { instr, limbs } = op.kind else {
+                        unreachable!("only element-wise ops are offloaded")
+                    };
+                    let spec = PimKernelSpec {
+                        instr,
+                        limbs,
+                        n: self.n as usize,
+                    };
+                    let start =
+                        self.tl
+                            .start(op, target, &mut self.report, self.tel.as_deref_mut());
+                    if self.tl.in_serial_pim_run() && self.over_budget(start) {
+                        self.report.cancelled = true;
+                        continue;
+                    }
+                    let kid = kernel_idx;
+                    kernel_idx += 1;
+                    (start, self.pim_kernel(spec, op.label, kid, start)?)
+                }
+            };
+            self.tl
+                .publish(op, target, start, done, self.tel.as_deref_mut());
+        }
+        self.tl.finish(&mut self.report, self.tel.as_deref_mut());
+        Ok(self.report)
+    }
+
+    /// Charges one GPU kernel started at `start` and returns its end.
+    fn gpu_kernel(
+        &mut self,
+        desc: KernelDesc,
+        label: &'static str,
+        class: &'static str,
+        start: f64,
+        degraded: bool,
+    ) -> f64 {
+        let cost = self.sched.gpu.cost(&desc);
+        self.report.gpu_dram_bytes += desc.dram_bytes();
+        self.report.energy_j += cost.energy_j;
+        let stall = self.gpu_faults();
+        let end = self.tl.gpu_end(start, cost.time_ns, stall);
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.gpu_kernel(
+                label,
+                class,
+                start,
+                end,
+                desc.dram_bytes(),
+                cost.bandwidth_bound,
+                degraded,
+            );
+        }
+        self.report.push_segment(GanttSegment {
+            start_ns: start,
+            end_ns: end,
+            executor: Executor::Gpu,
+            class,
+            label,
+            degraded,
+        });
+        self.tl.advance(Executor::Gpu, end);
+        end
+    }
+
+    /// Samples the GPU-side fault domain at one GPU kernel launch: returns
+    /// the extra latency of an injected stream stall, and fails the
+    /// end-to-end integrity verdict on an injected transfer bit flip (the
+    /// GPU path has no per-kernel residue check to catch it earlier).
+    /// Zero-probability plans draw nothing from the fault stream.
+    fn gpu_faults(&mut self) -> f64 {
+        let mut extra = 0.0;
+        if let Some(inj) = self.injector.as_mut() {
+            if let Some(stall) = inj.sample_gpu_stall() {
+                extra += stall;
+                self.report.gpu_stalls += 1;
+            }
+            if inj.sample_gpu_transfer_flip() {
+                self.report.gpu_faults += 1;
+                self.report.integrity_failed = true;
+            }
+        }
+        extra
+    }
+
+    /// Runs one PIM kernel from `start` through the gate: attempts under
+    /// fault injection, policy-driven retries of transient integrity
+    /// failures, and the GPU fallback for whatever PIM cannot complete.
+    /// Returns the kernel's completion time and the engine that finished it.
+    fn pim_kernel(
+        &mut self,
+        spec: PimKernelSpec,
+        label: &'static str,
+        kid: u64,
+        start: f64,
+    ) -> Result<(f64, Executor), RunError> {
+        let (bank, decision) = match &mut self.gate {
+            Gate::KillSwitch { tripped: true } => {
+                // A hard fault earlier in this serial PIM run took PIM out;
+                // the rest of the run re-executes on the GPU.
+                return Ok((self.gpu_fallback(&spec, label, start), Executor::Gpu));
+            }
+            Gate::KillSwitch { tripped: false } => (None, PathDecision::Allow),
+            Gate::Breakers(reg) => {
+                let domains = reg.domains() as u32;
+                let bank = reg.assign_domain();
+                let (decision, transition) = reg.decide(bank, start);
+                note_transition(&mut self.report, self.tel.as_deref_mut(), transition, start);
+                if decision == PathDecision::Skip {
+                    self.report.breaker_skips += 1;
+                    if let Some(t) = self.tel.as_deref_mut() {
+                        t.breaker_skip();
+                    }
+                    // No PIM attempt was made, so the PIM cursor stays put.
+                    return Ok((self.gpu_fallback(&spec, label, start), Executor::Gpu));
+                }
+                (Some((bank, BankDomain::new(bank, domains))), decision)
+            }
+        };
+        let exec = self.exec();
+        let mut cursor = start;
+        let mut retries = 0u32;
+        let mut backoff_spent = 0.0f64;
+        loop {
+            let outcome = match self.injector.as_mut() {
+                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, bank.map(|b| b.1)),
+                None => exec.execute(&spec),
+            };
+            let violation = match outcome {
+                Ok(r) => {
+                    self.pim_attempt(&r, label, false, &mut cursor);
+                    if let (Gate::Breakers(reg), Some((bank, _))) = (&mut self.gate, bank) {
+                        let t = reg.on_success(bank, cursor);
+                        note_transition(&mut self.report, self.tel.as_deref_mut(), t, cursor);
+                    }
+                    self.tl.advance(Executor::Pim, cursor);
+                    return Ok((cursor, Executor::Pim));
+                }
+                Err(PimError::IntegrityViolation(violation)) => violation,
+                Err(e) => return Err(RunError::Pim(e)),
+            };
+            self.report.faults_detected += 1;
+            if let Gate::Breakers(reg) = &mut self.gate {
+                reg.counters.faults_detected += 1;
+            }
+            if let Some(t) = self.tel.as_deref_mut() {
+                t.fault();
+            }
+            // The failed attempt still burned time and energy.
+            self.pim_attempt(&violation.wasted, label, true, &mut cursor);
+            let permanent = violation.is_permanent();
+            // A half-open probe gets exactly one attempt; hard faults are
+            // never retried.
+            if !permanent
+                && decision == PathDecision::Allow
+                && retries < self.sched.retry.max_retries
+                && self.backoff(kid, retries + 1, &mut backoff_spent, &mut cursor)
+            {
+                retries += 1;
+                self.report.pim_retries += 1;
+                if let Gate::Breakers(reg) = &mut self.gate {
+                    reg.counters.pim_retries += 1;
+                }
+                if let Some(t) = self.tel.as_deref_mut() {
+                    t.retry();
+                }
+                continue;
+            }
+            match (&mut self.gate, bank) {
+                (Gate::Breakers(reg), Some((bank, _))) => {
+                    let t = reg.on_failure(bank, permanent, cursor, violation.cause());
+                    note_transition(&mut self.report, self.tel.as_deref_mut(), t, cursor);
+                    reg.counters.gpu_fallbacks += 1;
+                }
+                // A hard fault (stuck MMAC lane): retrying on PIM cannot
+                // succeed, so the switch stays off for the rest of the run.
+                (Gate::KillSwitch { tripped }, _) => *tripped |= permanent,
+                (Gate::Breakers(_), None) => unreachable!("breaker-gated kernels own a bank"),
+            }
+            self.report.pim_fallbacks += 1;
+            if let Some(t) = self.tel.as_deref_mut() {
+                t.fallback();
+            }
+            self.tl.advance(Executor::Pim, cursor);
+            return Ok((self.gpu_fallback(&spec, label, cursor), Executor::Gpu));
+        }
+    }
+
+    /// Re-executes a kernel PIM could not complete (ending at `fail_end`)
+    /// on the GPU. The operands are PIM-resident, so the kernel streams
+    /// everything through DRAM with no L2 reuse, and the re-dispatch pays
+    /// one PIM→GPU handoff.
+    fn gpu_fallback(&mut self, spec: &PimKernelSpec, label: &'static str, fail_end: f64) -> f64 {
+        let start = self
+            .tl
+            .fallback_start(fail_end, &mut self.report, self.tel.as_deref_mut());
+        let dram_read = (spec.instr.profile().total_reads() * spec.limbs * spec.n * 4) as u64;
+        let dram_write = self.exec().gpu_bytes_equivalent(spec) - dram_read;
+        let kind = OpKind::Ew {
+            instr: spec.instr,
+            limbs: spec.limbs,
+        };
+        let int_ops = self.sched.int_ops(&kind, spec.n as u64);
+        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
+        self.gpu_kernel(desc, label, "element-wise", start, true)
+    }
+
+    /// Charges a PIM attempt (successful or wasted) to the timeline.
+    fn pim_attempt(
+        &mut self,
+        r: &PimKernelResult,
+        label: &'static str,
+        degraded: bool,
+        now: &mut f64,
+    ) {
+        let start = *now;
+        *now += r.latency_ns;
+        self.report.energy_j += r.energy_joules(self.exec().device());
+        self.report.pim_dram_bytes += r.bytes_internal;
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.pim_kernel(label, start, *now, r, degraded);
+        }
+        self.report.push_segment(GanttSegment {
+            start_ns: start,
+            end_ns: *now,
+            executor: Executor::Pim,
+            class: "element-wise",
+            label,
+            degraded,
+        });
+    }
+
+    /// Computes (and charges, if affordable) the backoff before the next
+    /// retry of kernel `kid`. Returns false when the backoff budget is
+    /// exhausted and the kernel should fall back instead.
+    fn backoff(&mut self, kid: u64, attempt: u32, spent: &mut f64, now: &mut f64) -> bool {
+        let retry = &self.sched.retry;
+        let b = retry.backoff_ns(kid, attempt);
+        if *spent + b > retry.budget_ns {
+            return false;
+        }
+        if let Some(t) = self.tel.as_deref_mut() {
+            if b > 0.0 {
+                t.backoff(*now, *now + b);
+            }
+        }
+        *spent += b;
+        *now += b;
+        self.report.backoff_ns += b;
+        true
+    }
+}
+
+/// Records a breaker transition (if any) in the report and on the trace.
+fn note_transition(
+    report: &mut ExecutionReport,
+    tel: Option<&mut Telemetry>,
+    transition: Option<BreakerTransition>,
+    at_ns: f64,
+) {
+    if let Some(t) = transition {
+        if let Some(tl) = tel {
+            tl.breaker_transition(&t, at_ns);
+        }
+        report.breaker_transitions.push(t);
+    }
+}
+
 /// Estimates the DRAM footprint of a sequence: peak live data
 /// (evk + plaintext + ciphertext objects), used for the OoM checks of
 /// §VIII-B.
@@ -1342,6 +973,13 @@ mod tests {
 
     fn gpu_model() -> GpuModel {
         GpuModel::new(GpuConfig::a100_80gb(), LibraryProfile::cheddar())
+    }
+
+    fn budget(ns: f64) -> RunOptions<'static> {
+        RunOptions {
+            budget_ns: Some(ns),
+            ..RunOptions::default()
+        }
     }
 
     fn lt(reorder: bool) -> OpSequence {
@@ -1640,8 +1278,7 @@ mod tests {
 
         // A generous budget changes nothing.
         let roomy = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .with_deadline_budget(clean.total_ns * 10.0)
-            .run(&seq)
+            .run_with(&seq, budget(clean.total_ns * 10.0))
             .unwrap();
         assert!(!roomy.cancelled);
         assert_eq!(roomy.total_ns, clean.total_ns);
@@ -1650,8 +1287,7 @@ mod tests {
         // A tight budget cancels at a segment boundary: only part of the
         // work ran, and the consumed time is what the report carries.
         let tight = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .with_deadline_budget(clean.total_ns * 0.3)
-            .run(&seq)
+            .run_with(&seq, budget(clean.total_ns * 0.3))
             .unwrap();
         assert!(tight.cancelled, "30% budget must cancel the run");
         assert!(tight.total_ns < clean.total_ns);
@@ -1670,8 +1306,7 @@ mod tests {
             .unwrap();
         let tight = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
-            .with_deadline_budget(clean.total_ns * 0.25)
-            .run(&seq)
+            .run_with(&seq, budget(clean.total_ns * 0.25))
             .unwrap();
         assert!(tight.cancelled);
         assert!(tight.total_ns < clean.total_ns);

@@ -10,9 +10,10 @@
 //! regardless of `ANAHEIM_THREADS`. Span ids come from the recorder's
 //! seeded SplitMix64 stream, never a wall clock or thread id.
 //!
-//! Tracing is strictly opt-in: the scheduler takes `Option<&mut Telemetry>`
-//! internally, and the untraced entry points pass `None`, so the disabled
-//! path costs one branch per recording site and allocates nothing.
+//! Tracing is strictly opt-in: the scheduler takes the sink as
+//! [`RunOptions::telemetry`](crate::schedule::RunOptions::telemetry), an
+//! `Option<&mut Telemetry>` that is `None` by default, so the disabled path
+//! costs one branch per recording site and allocates nothing.
 
 use obs::{MetricsRegistry, SpanId, TraceRecorder};
 use pim::exec::PimKernelResult;

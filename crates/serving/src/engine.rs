@@ -15,7 +15,8 @@
 //!    [`Rejected::DeadlineInfeasible`].
 //! 3. **Dispatch** (serial, virtual time): lanes pick up queued requests in
 //!    pop order; each executes through the breaker-gated scheduler
-//!    ([`Scheduler::run_with_health`]) under its own derived fault stream.
+//!    ([`Anaheim::run_prepared_with`], the engine's registry in
+//!    [`RunOptions::health`]) under its own derived fault stream.
 //!    Requests that finish late are reported as [`Outcome::DeadlineMiss`] —
 //!    never as success.
 //!
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
 use anaheim_core::health::{BreakerConfig, HealthRegistry, HealthSnapshot, RetryPolicy};
 use anaheim_core::ir::OpSequence;
-use anaheim_core::schedule::Scheduler;
+use anaheim_core::schedule::RunOptions;
 use anaheim_core::telemetry::{names, Telemetry};
 use anaheim_core::RunError;
 use pim::fault::FaultPlan;
@@ -816,42 +817,20 @@ impl ServingEngine {
             t.set_base_ns(start);
             t.open_segment(format!("req{} {}", p.id, p.label), track, 0.0)
         });
-        let cfg = rt.config();
         // The run starts at local virtual time 0, so the remaining deadline
         // headroom is the budget the scheduler may spend.
         let budget_ns = self
             .cancel_over_budget
             .then_some((p.deadline_ns - start).max(0.0));
-        let report = match &cfg.pim {
-            Some(dev) if cfg.mode == anaheim_core::framework::ExecMode::GpuWithPim => {
-                let mut s = Scheduler::with_pim(rt.model(), dev, cfg.layout)
-                    .with_retry_policy(cfg.retry)
-                    .with_mode(cfg.schedule);
-                if let Some(plan) = p.fault {
-                    s = s.with_fault_plan(plan);
-                }
-                if let Some(b) = budget_ns {
-                    s = s.with_deadline_budget(b);
-                }
-                match tel.as_deref_mut() {
-                    Some(t) => s.run_with_health_traced(&p.seq, registry, t)?,
-                    None => s.run_with_health(&p.seq, registry)?,
-                }
-            }
-            _ => {
-                let mut s = Scheduler::gpu_only(rt.model());
-                if let Some(plan) = p.fault {
-                    s = s.with_fault_plan(plan);
-                }
-                if let Some(b) = budget_ns {
-                    s = s.with_deadline_budget(b);
-                }
-                match tel.as_deref_mut() {
-                    Some(t) => s.run_traced(&p.seq, t)?,
-                    None => s.run(&p.seq)?,
-                }
-            }
-        };
+        let report = rt.run_prepared_with(
+            &p.seq,
+            RunOptions {
+                health: Some(&mut *registry),
+                telemetry: tel.as_deref_mut(),
+                budget_ns,
+                fault: p.fault,
+            },
+        )?;
         // The amortized evk fetch shortens the virtual occupancy; the
         // realized credit is capped at the run's own duration. With
         // `credit_ns == 0.0` (ordering off, or not a joiner) this is

@@ -16,7 +16,4 @@ pub mod catalog;
 pub mod runner;
 
 pub use catalog::Workload;
-pub use runner::{
-    run_workload, run_workload_traced, run_workload_with_health, run_workload_with_health_traced,
-    WorkloadNumbers, WorkloadReport,
-};
+pub use runner::{run_workload, run_workload_with, WorkloadNumbers, WorkloadReport};

@@ -4,9 +4,8 @@
 use std::collections::BTreeMap;
 
 use anaheim_core::error::RunError;
-use anaheim_core::framework::{Anaheim, CapacityCheck};
-use anaheim_core::health::HealthRegistry;
-use anaheim_core::telemetry::Telemetry;
+use anaheim_core::framework::Anaheim;
+use anaheim_core::schedule::RunOptions;
 
 use crate::catalog::Workload;
 
@@ -77,12 +76,42 @@ impl WorkloadNumbers {
     }
 }
 
-/// Runs a workload on a platform, honouring capacity limits.
+/// Runs a workload on a platform with default [`RunOptions`].
+pub fn run_workload(rt: &Anaheim, w: &Workload) -> Result<WorkloadReport, RunError> {
+    run_workload_with(rt, w, RunOptions::default())
+}
+
+/// Runs a workload on a platform, honouring capacity limits: every segment
+/// is prepared and scheduled once under `opts` (the budget applies to each
+/// segment's run) and its numbers are scaled by the segment's repeats.
 ///
 /// Per-segment fault/retry counts aggregate into the workload numbers
-/// (scaled by segment repeats) rather than aborting the workload; only
-/// unrecoverable configuration errors surface as [`RunError`].
-pub fn run_workload(rt: &Anaheim, w: &Workload) -> Result<WorkloadReport, RunError> {
+/// rather than aborting the workload; only unrecoverable configuration
+/// errors surface as [`RunError`].
+///
+/// With a registry in [`RunOptions::health`], bank health persists across
+/// segments: a bank that trips during one segment stays routed-around for
+/// the rest of the workload, and the registry's final
+/// [`HealthSnapshot`](anaheim_core::health::HealthSnapshot) describes the
+/// whole run.
+///
+/// With a sink in [`RunOptions::telemetry`], every segment gets one
+/// `workload`-track span (kernel spans nest inside), with the trace base
+/// advanced by the segment's *total* repeated duration so consecutive
+/// segments tile the virtual timeline. Each segment instance is simulated
+/// once and its span annotated with `repeat` — repeats are collapsed in the
+/// trace exactly as they are in the cost model. Only the *trace* base
+/// advances: the registry clock is left alone, so breaker behaviour (and
+/// therefore the numbers) cannot differ between traced and untraced runs.
+/// A traced, health-gated run ends with an export of the registry's
+/// snapshot. Recording happens on the (serial) calling thread only, so
+/// the exported trace and metrics are bit-identical for every
+/// `ANAHEIM_THREADS` value.
+pub fn run_workload_with(
+    rt: &Anaheim,
+    w: &Workload,
+    mut opts: RunOptions<'_>,
+) -> Result<WorkloadReport, RunError> {
     // OoM check against the workload's working set (§VIII-B).
     let capacity = rt.config().gpu.dram_capacity_bytes as u64;
     if w.footprint_bytes > capacity {
@@ -93,122 +122,25 @@ pub fn run_workload(rt: &Anaheim, w: &Workload) -> Result<WorkloadReport, RunErr
         });
     }
     let mut nums = WorkloadNumbers::default();
-    for seg in &w.segments {
-        let r = rt.run(seg.seq.clone())?;
-        let _ = matches!(rt.check_capacity(&seg.seq), CapacityCheck::Fits { .. });
-        accumulate(&mut nums, &r, seg.repeat);
-    }
-    Ok(WorkloadReport {
-        workload: w.name,
-        platform: rt.config().name,
-        outcome: Some(nums),
-    })
-}
-
-/// Like [`run_workload`], but executes every segment through the
-/// breaker-gated path ([`Anaheim::run_with_health`]) so that bank health
-/// persists across segments: a bank that trips during one segment stays
-/// routed-around for the rest of the workload, and the registry's final
-/// [`HealthSnapshot`](anaheim_core::health::HealthSnapshot) describes the
-/// whole run.
-pub fn run_workload_with_health(
-    rt: &Anaheim,
-    w: &Workload,
-    registry: &mut HealthRegistry,
-) -> Result<WorkloadReport, RunError> {
-    let capacity = rt.config().gpu.dram_capacity_bytes as u64;
-    if w.footprint_bytes > capacity {
-        return Ok(WorkloadReport {
-            workload: w.name,
-            platform: rt.config().name,
-            outcome: None,
-        });
-    }
-    let mut nums = WorkloadNumbers::default();
-    for seg in &w.segments {
-        let r = rt.run_with_health(seg.seq.clone(), registry)?;
-        accumulate(&mut nums, &r, seg.repeat);
-    }
-    Ok(WorkloadReport {
-        workload: w.name,
-        platform: rt.config().name,
-        outcome: Some(nums),
-    })
-}
-
-/// Like [`run_workload`], but records every segment into `tel`: one
-/// `workload`-track span per segment (kernel spans nest inside), with the
-/// trace base advanced by the segment's *total* repeated duration so
-/// consecutive segments tile the virtual timeline. Each segment instance
-/// is simulated once and its span annotated with `repeat` — repeats are
-/// collapsed in the trace exactly as they are in the cost model.
-///
-/// Recording happens on the (serial) calling thread only, so the exported
-/// trace and metrics are bit-identical for every `ANAHEIM_THREADS` value.
-pub fn run_workload_traced(
-    rt: &Anaheim,
-    w: &Workload,
-    tel: &mut Telemetry,
-) -> Result<WorkloadReport, RunError> {
-    let capacity = rt.config().gpu.dram_capacity_bytes as u64;
-    if w.footprint_bytes > capacity {
-        return Ok(WorkloadReport {
-            workload: w.name,
-            platform: rt.config().name,
-            outcome: None,
-        });
-    }
-    let mut nums = WorkloadNumbers::default();
     let mut clock_ns = 0.0f64;
     for seg in &w.segments {
-        tel.set_base_ns(clock_ns);
-        let span = tel.open_segment(format!("{} {}", w.name, seg.name), "workload", 0.0);
-        let r = rt.run_traced(seg.seq.clone(), tel)?;
-        tel.trace.annotate(span, "repeat", seg.repeat);
-        tel.close_segment(span, r.total_ns);
+        let span = opts.telemetry.as_deref_mut().map(|tel| {
+            tel.set_base_ns(clock_ns);
+            tel.open_segment(format!("{} {}", w.name, seg.name), "workload", 0.0)
+        });
+        let mut seq = seg.seq.clone();
+        rt.prepare(&mut seq);
+        let r = rt.run_prepared_with(&seq, opts.reborrow())?;
+        if let (Some(tel), Some(span)) = (opts.telemetry.as_deref_mut(), span) {
+            tel.trace.annotate(span, "repeat", seg.repeat);
+            tel.close_segment(span, r.total_ns);
+        }
         clock_ns += r.total_ns * seg.repeat as f64;
         accumulate(&mut nums, &r, seg.repeat);
     }
-    Ok(WorkloadReport {
-        workload: w.name,
-        platform: rt.config().name,
-        outcome: Some(nums),
-    })
-}
-
-/// [`run_workload_with_health`] with telemetry — segment spans as in
-/// [`run_workload_traced`], plus breaker-transition markers from the
-/// health-gated scheduler and a final idempotent export of the registry's
-/// snapshot.
-pub fn run_workload_with_health_traced(
-    rt: &Anaheim,
-    w: &Workload,
-    registry: &mut HealthRegistry,
-    tel: &mut Telemetry,
-) -> Result<WorkloadReport, RunError> {
-    let capacity = rt.config().gpu.dram_capacity_bytes as u64;
-    if w.footprint_bytes > capacity {
-        return Ok(WorkloadReport {
-            workload: w.name,
-            platform: rt.config().name,
-            outcome: None,
-        });
+    if let (Some(tel), Some(reg)) = (opts.telemetry, opts.health) {
+        tel.export_health(&reg.snapshot());
     }
-    let mut nums = WorkloadNumbers::default();
-    let mut clock_ns = 0.0f64;
-    for seg in &w.segments {
-        // Only the *trace* base advances: the registry clock is left
-        // exactly as in the untraced variant so breaker behaviour (and
-        // therefore the numbers) cannot differ between the two paths.
-        tel.set_base_ns(clock_ns);
-        let span = tel.open_segment(format!("{} {}", w.name, seg.name), "workload", 0.0);
-        let r = rt.run_with_health_traced(seg.seq.clone(), registry, tel)?;
-        tel.trace.annotate(span, "repeat", seg.repeat);
-        tel.close_segment(span, r.total_ns);
-        clock_ns += r.total_ns * seg.repeat as f64;
-        accumulate(&mut nums, &r, seg.repeat);
-    }
-    tel.export_health(&registry.snapshot());
     Ok(WorkloadReport {
         workload: w.name,
         platform: rt.config().name,
@@ -237,6 +169,15 @@ fn accumulate(nums: &mut WorkloadNumbers, r: &anaheim_core::report::ExecutionRep
 mod tests {
     use super::*;
     use anaheim_core::framework::AnaheimConfig;
+    use anaheim_core::health::HealthRegistry;
+    use anaheim_core::telemetry::Telemetry;
+
+    fn with_health(reg: &mut HealthRegistry) -> RunOptions<'_> {
+        RunOptions {
+            health: Some(reg),
+            ..RunOptions::default()
+        }
+    }
 
     #[test]
     fn boot_runs_on_all_platforms() {
@@ -350,7 +291,7 @@ mod tests {
         );
         let w = Workload::boot();
         let plain = run_workload(&rt, &w).unwrap().outcome.expect("fits");
-        let healthy = run_workload_with_health(&rt, &w, &mut reg)
+        let healthy = run_workload_with(&rt, &w, with_health(&mut reg))
             .unwrap()
             .outcome
             .expect("fits");
@@ -373,7 +314,7 @@ mod tests {
         );
         let rt = Anaheim::new(cfg);
         let w = Workload::helr();
-        let nums = run_workload_with_health(&rt, &w, &mut reg)
+        let nums = run_workload_with(&rt, &w, with_health(&mut reg))
             .unwrap()
             .outcome
             .expect("fits");
@@ -390,7 +331,11 @@ mod tests {
         let w = Workload::boot();
         let plain = run_workload(&rt, &w).unwrap().outcome.expect("fits");
         let mut tel = Telemetry::new(9);
-        let traced = run_workload_traced(&rt, &w, &mut tel)
+        let opts = RunOptions {
+            telemetry: Some(&mut tel),
+            ..RunOptions::default()
+        };
+        let traced = run_workload_with(&rt, &w, opts)
             .unwrap()
             .outcome
             .expect("fits");

@@ -195,11 +195,12 @@ fn degraded_platform_still_serves_correct_decrypted_values() {
 #[test]
 fn stuck_lane_trips_breaker_and_soak_completes_on_gpu() {
     // --- Breaker-aware soak: a *persistent* hard fault (stuck MMAC lane)
-    // must not burn retries forever. Under `run_with_health`, the owning
+    // must not burn retries forever. Under a health registry, the owning
     // bank domain's breaker opens permanently after the failure threshold,
     // later kernels route straight to the GPU, and every other domain
     // stays closed — a sick bank degrades throughput, never availability.
-    use anaheim::workloads::runner::run_workload_with_health;
+    use anaheim::core::schedule::RunOptions;
+    use anaheim::workloads::runner::run_workload_with;
 
     let plan = FaultPlan::none().with_seed(53).with_stuck_lane(2);
     let cfg = AnaheimConfig::a100_near_bank().with_fault_plan(plan);
@@ -212,7 +213,11 @@ fn stuck_lane_trips_breaker_and_soak_completes_on_gpu() {
     // Soak the registry across a whole multi-segment workload: the trip
     // happens early and the rest of the run rides the open breaker.
     let w = Workload::helr();
-    let nums = run_workload_with_health(&rt, &w, &mut reg)
+    let opts = RunOptions {
+        health: Some(&mut reg),
+        ..RunOptions::default()
+    };
+    let nums = run_workload_with(&rt, &w, opts)
         .expect("a stuck lane must degrade, not abort")
         .outcome
         .expect("HELR fits on the A100");

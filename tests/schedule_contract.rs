@@ -16,18 +16,20 @@
 //! refactor of the scheduler must leave every line unchanged.
 
 use anaheim::core::build::{Builder, LinTransStyle};
+use anaheim::core::framework::{Anaheim, AnaheimConfig};
 use anaheim::core::health::{BreakerConfig, HealthRegistry, RetryPolicy};
 use anaheim::core::ir::OpSequence;
 use anaheim::core::params::ParamSet;
 use anaheim::core::passes::{fuse, offload, offload_measured, FusionConfig, OffloadPolicy};
 use anaheim::core::report::ExecutionReport;
-use anaheim::core::schedule::{ScheduleMode, Scheduler, TRANSITION_NS};
+use anaheim::core::schedule::{RunOptions, ScheduleMode, Scheduler, TRANSITION_NS};
 use anaheim::core::telemetry::Telemetry;
 use anaheim::gpu::config::{GpuConfig, LibraryProfile};
 use anaheim::gpu::model::GpuModel;
 use anaheim::pim::device::PimDeviceConfig;
 use anaheim::pim::fault::FaultPlan;
 use anaheim::pim::layout::LayoutPolicy;
+use anaheim::workloads::{run_workload, Workload, WorkloadReport};
 
 const GOLDEN: &str = include_str!("golden/schedule_contract.txt");
 
@@ -63,12 +65,8 @@ impl Fixture {
     fn new() -> Self {
         let gpu = GpuModel::new(GpuConfig::a100_80gb(), LibraryProfile::cheddar());
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut lt = Builder::new(ParamSet::paper_default()).lintrans(
-            54,
-            8,
-            LinTransStyle::Hoisting,
-            true,
-        );
+        let mut lt =
+            Builder::new(ParamSet::paper_default()).lintrans(54, 8, LinTransStyle::Hoisting, true);
         fuse(&mut lt, &FusionConfig::full());
         offload(&mut lt, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
         let mut boot = Builder::new(ParamSet::paper_default()).bootstrap();
@@ -145,23 +143,25 @@ fn run(
     if let Some(plan) = s.plan {
         sched = sched.with_fault_plan(plan);
     }
-    if let Some(b) = s.budget_ns {
-        sched = sched.with_deadline_budget(b);
-    }
-    match (registry, tel) {
-        (None, None) => sched.run(seq),
-        (None, Some(t)) => sched.run_traced(seq, t),
-        (Some(r), None) => sched.run_with_health(seq, r),
-        (Some(r), Some(t)) => sched.run_with_health_traced(seq, r, t),
-    }
-    .expect("the contract grid only uses supported kernels")
+    let opts = RunOptions {
+        health: registry,
+        telemetry: tel,
+        budget_ns: s.budget_ns,
+        fault: None,
+    };
+    sched
+        .run_with(seq, opts)
+        .expect("the contract grid only uses supported kernels")
 }
 
 /// Every case of the grid, as `name digest…` lines in a fixed order.
 fn contract_lines() -> Vec<String> {
     let fx = Fixture::new();
     let mut lines = Vec::new();
-    let modes = [("serial", ScheduleMode::Serial), ("pipe", ScheduleMode::Pipelined)];
+    let modes = [
+        ("serial", ScheduleMode::Serial),
+        ("pipe", ScheduleMode::Pipelined),
+    ];
     let retries = [
         ("fixed2", RetryPolicy::fixed(2)),
         ("serving", RetryPolicy::serving_default(7)),
@@ -280,7 +280,74 @@ fn contract_lines() -> Vec<String> {
             fnv1a(&tel.prometheus())
         ));
     }
+    let (run, prepared, workload) = gpu_only_stalled_runs();
+    lines.push(format!("gpu-only-fault-plan/run {}", report_digest(&run)));
+    lines.push(format!(
+        "gpu-only-fault-plan/run-prepared {}",
+        report_digest(&prepared)
+    ));
+    lines.push(format!(
+        "gpu-only-fault-plan/workload {:016x}",
+        fnv1a(&format!("{workload:?}"))
+    ));
     lines
+}
+
+const STALL_NS: f64 = 5000.0;
+
+fn stalled_baseline() -> Anaheim {
+    let plan = FaultPlan::none()
+        .with_seed(7)
+        .with_gpu_stalls(1.0, STALL_NS);
+    Anaheim::new(AnaheimConfig::a100_baseline().with_fault_plan(plan))
+}
+
+fn lintrans() -> OpSequence {
+    Builder::new(ParamSet::paper_default()).lintrans(54, 8, LinTransStyle::Hoisting, true)
+}
+
+/// A GPU-only configuration with a stall-every-launch fault plan, run
+/// through `Anaheim::run`, `Anaheim::run_prepared` and `run_workload`.
+fn gpu_only_stalled_runs() -> (ExecutionReport, ExecutionReport, WorkloadReport) {
+    let rt = stalled_baseline();
+    let run = rt.run(lintrans()).expect("GPU-only lintrans runs");
+    let mut seq = lintrans();
+    rt.prepare(&mut seq);
+    let prepared = rt.run_prepared(&seq).expect("GPU-only lintrans runs");
+    let workload = run_workload(&rt, &Workload::boot()).expect("GPU-only Boot runs");
+    (run, prepared, workload)
+}
+
+fn assert_close(got: f64, want: f64, what: &str) {
+    assert!(
+        (got - want).abs() <= 1e-9 * want,
+        "{what}: {got} vs expected {want}"
+    );
+}
+
+#[test]
+fn gpu_only_configs_honour_their_fault_plan() {
+    let clean_rt = Anaheim::new(AnaheimConfig::a100_baseline());
+    let clean = clean_rt.run(lintrans()).expect("GPU-only lintrans runs");
+    let kernels = clean.segments.len() as u32;
+    let (run, prepared, workload) = gpu_only_stalled_runs();
+    for (entry, r) in [("Anaheim::run", &run), ("Anaheim::run_prepared", &prepared)] {
+        assert_eq!(r.gpu_stalls, kernels, "{entry}: every launch must stall");
+        assert_close(
+            r.total_ns,
+            clean.total_ns + f64::from(kernels) * STALL_NS,
+            entry,
+        );
+    }
+    let w = Workload::boot();
+    let mut want_ms = 0.0;
+    for seg in &w.segments {
+        let r = clean_rt.run(seg.seq.clone()).expect("GPU-only Boot runs");
+        let stalled_ns = r.total_ns + r.segments.len() as f64 * STALL_NS;
+        want_ms += stalled_ns / 1e6 * seg.repeat as f64;
+    }
+    let got_ms = workload.outcome.expect("Boot fits the A100").time_ms;
+    assert_close(got_ms, want_ms, "run_workload");
 }
 
 #[test]

@@ -9,9 +9,10 @@
 
 use anaheim::core::framework::{Anaheim, AnaheimConfig};
 use anaheim::core::health::HealthRegistry;
+use anaheim::core::schedule::RunOptions;
 use anaheim::core::telemetry::Telemetry;
 use anaheim::serving::{Priority, Request, ServingConfig, ServingEngine};
-use anaheim::workloads::{run_workload_traced, run_workload_with_health_traced, Workload};
+use anaheim::workloads::{run_workload_with, Workload};
 
 /// Runs `f` under an explicit parpool width, restoring auto mode after.
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -25,7 +26,11 @@ fn boot_exports(threads: usize) -> (String, String) {
     with_threads(threads, || {
         let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
         let mut tel = Telemetry::new(42);
-        run_workload_traced(&rt, &Workload::boot(), &mut tel).expect("Boot runs");
+        let opts = RunOptions {
+            telemetry: Some(&mut tel),
+            ..RunOptions::default()
+        };
+        run_workload_with(&rt, &Workload::boot(), opts).expect("Boot runs");
         (tel.chrome_trace(), tel.prometheus())
     })
 }
@@ -47,7 +52,11 @@ fn pipelined_boot_exports(threads: usize) -> (String, String) {
             AnaheimConfig::a100_near_bank().with_schedule_mode(ScheduleMode::Pipelined),
         );
         let mut tel = Telemetry::new(42);
-        run_workload_traced(&rt, &Workload::boot(), &mut tel).expect("Boot runs");
+        let opts = RunOptions {
+            telemetry: Some(&mut tel),
+            ..RunOptions::default()
+        };
+        run_workload_with(&rt, &Workload::boot(), opts).expect("Boot runs");
         (tel.chrome_trace(), tel.prometheus())
     })
 }
@@ -74,8 +83,12 @@ fn health_exports(threads: usize) -> (String, String) {
         );
         let rt = Anaheim::new(cfg);
         let mut tel = Telemetry::new(7);
-        run_workload_with_health_traced(&rt, &Workload::helr(), &mut reg, &mut tel)
-            .expect("HELR runs");
+        let opts = RunOptions {
+            health: Some(&mut reg),
+            telemetry: Some(&mut tel),
+            ..RunOptions::default()
+        };
+        run_workload_with(&rt, &Workload::helr(), opts).expect("HELR runs");
         (tel.chrome_trace(), tel.prometheus())
     })
 }
