@@ -98,11 +98,31 @@ scripts/soak.sh --quick
 # the binary) and byte-compares the per-shard snapshot text. Override
 # the request count or budget via the environment for quicker local runs:
 #   STREAM_SOAK_REQUESTS=50000 STREAM_SOAK_RSS_BUDGET_KB=65536 scripts/check.sh
-STREAM_SOAK_REQUESTS="${STREAM_SOAK_REQUESTS:-1000000}"
+STREAM_SOAK_DEFAULT=1000000
+STREAM_SOAK_REQUESTS="${STREAM_SOAK_REQUESTS:-$STREAM_SOAK_DEFAULT}"
 STREAM_SOAK_RSS_BUDGET_KB="${STREAM_SOAK_RSS_BUDGET_KB:-262144}"
 echo "==> streaming fleet soak ($STREAM_SOAK_REQUESTS requests, RSS budget ${STREAM_SOAK_RSS_BUDGET_KB} kB)"
 snap_dir="$(mktemp -d)"
 trap 'rm -rf "$snap_dir"' EXIT
+
+# Golden soak snapshots: the ANAHEIM_THREADS=1 snapshot text of each fleet
+# soak at this script's default request count is committed under
+# tests/golden/. It carries full-precision finish times and breaker logs,
+# so it pins virtual time: drift common to every thread count fails here
+# even though the 1-vs-8 comparison passes. An overridden request count
+# has no golden and is skipped with a note.
+#   golden_cmp SNAPSHOT GOLDEN REQUESTS DEFAULT_REQUESTS
+golden_cmp() {
+  if [ "$3" != "$4" ]; then
+    echo "  golden $2 skipped: $3 requests requested, golden is for $4"
+  elif cmp -s "$1" "$2"; then
+    echo "  snapshot byte-identical to $2 — ok"
+  else
+    echo "FAIL: snapshot differs from $2" >&2
+    diff "$2" "$1" | head -20 >&2
+    exit 1
+  fi
+}
 for threads in 1 8; do
   echo "==> streaming fleet soak (ANAHEIM_THREADS=$threads)"
   ANAHEIM_THREADS="$threads" ./target/release/soak --stream \
@@ -117,6 +137,8 @@ else
   diff "$snap_dir/snap-t1.txt" "$snap_dir/snap-t8.txt" | head -20 >&2
   exit 1
 fi
+golden_cmp "$snap_dir/snap-t1.txt" tests/golden/soak-stream.txt \
+  "$STREAM_SOAK_REQUESTS" "$STREAM_SOAK_DEFAULT"
 
 # Hedge-chaos gate: the GPU fault domain (stream stalls + transfer
 # bit-flips) with deadline-budget cancellation and hedged re-execution on.
@@ -126,7 +148,8 @@ fi
 # thread counts and independently grep the artifact for nonzero hedge
 # wins and cancellations, so a silently-neutered scenario cannot pass.
 #   HEDGE_SOAK_REQUESTS=5000 scripts/check.sh
-HEDGE_SOAK_REQUESTS="${HEDGE_SOAK_REQUESTS:-20000}"
+HEDGE_SOAK_DEFAULT=20000
+HEDGE_SOAK_REQUESTS="${HEDGE_SOAK_REQUESTS:-$HEDGE_SOAK_DEFAULT}"
 echo "==> hedge-chaos streaming soak ($HEDGE_SOAK_REQUESTS requests)"
 for threads in 1 8; do
   echo "==> hedge-chaos streaming soak (ANAHEIM_THREADS=$threads)"
@@ -142,6 +165,8 @@ else
   diff "$snap_dir/hedge-t1.txt" "$snap_dir/hedge-t8.txt" | head -20 >&2
   exit 1
 fi
+golden_cmp "$snap_dir/hedge-t1.txt" tests/golden/soak-hedge-chaos.txt \
+  "$HEDGE_SOAK_REQUESTS" "$HEDGE_SOAK_DEFAULT"
 if ! grep -Eq 'hedges-won=[1-9]' "$snap_dir/hedge-t1.txt"; then
   echo "FAIL: hedge-chaos soak recorded zero hedge wins" >&2
   exit 1
@@ -193,7 +218,8 @@ EOF
 # across thread counts and independently grep the artifact for a nonzero
 # saving, so a silently-disabled batcher cannot pass.
 #   BATCH_SOAK_REQUESTS=2000 scripts/check.sh
-BATCH_SOAK_REQUESTS="${BATCH_SOAK_REQUESTS:-20000}"
+BATCH_SOAK_DEFAULT=20000
+BATCH_SOAK_REQUESTS="${BATCH_SOAK_REQUESTS:-$BATCH_SOAK_DEFAULT}"
 echo "==> batched-fleet streaming soak ($BATCH_SOAK_REQUESTS requests)"
 for threads in 1 8; do
   echo "==> batched-fleet streaming soak (ANAHEIM_THREADS=$threads)"
@@ -209,6 +235,8 @@ else
   diff "$snap_dir/batch-t1.txt" "$snap_dir/batch-t8.txt" | head -20 >&2
   exit 1
 fi
+golden_cmp "$snap_dir/batch-t1.txt" tests/golden/soak-batched.txt \
+  "$BATCH_SOAK_REQUESTS" "$BATCH_SOAK_DEFAULT"
 if ! grep -Eq 'saved-bytes=[1-9]' "$snap_dir/batch-t1.txt"; then
   echo "FAIL: batched-fleet soak amortized zero evaluation-key bytes" >&2
   exit 1
@@ -222,7 +250,8 @@ echo "  evaluation-key bytes amortized in the snapshot — ok"
 # reorders, so a silently-disabled orderer cannot pass. The JSON gate
 # below then compares the ordered-fleet row against the batched-fleet row.
 #   ORDERED_SOAK_REQUESTS=2000 scripts/check.sh
-ORDERED_SOAK_REQUESTS="${ORDERED_SOAK_REQUESTS:-20000}"
+ORDERED_SOAK_DEFAULT=20000
+ORDERED_SOAK_REQUESTS="${ORDERED_SOAK_REQUESTS:-$ORDERED_SOAK_DEFAULT}"
 echo "==> ordered-fleet streaming soak ($ORDERED_SOAK_REQUESTS requests)"
 for threads in 1 8; do
   echo "==> ordered-fleet streaming soak (ANAHEIM_THREADS=$threads)"
@@ -238,6 +267,8 @@ else
   diff "$snap_dir/ordered-t1.txt" "$snap_dir/ordered-t8.txt" | head -20 >&2
   exit 1
 fi
+golden_cmp "$snap_dir/ordered-t1.txt" tests/golden/soak-ordered.txt \
+  "$ORDERED_SOAK_REQUESTS" "$ORDERED_SOAK_DEFAULT"
 if ! grep -Eq 'reorders=[1-9]' "$snap_dir/ordered-t1.txt"; then
   echo "FAIL: ordered-fleet soak committed zero reorders" >&2
   exit 1
