@@ -326,8 +326,13 @@ struct Timeline {
 }
 
 enum Clock {
-    /// One clock for both engines. `run_start` is the clock right after
-    /// the handoff that opened the current PIM run.
+    /// One clock for both engines. Serial treats a PIM run as a queue:
+    /// its ops are routed and budget-checked as they are issued, and its
+    /// kernels execute, each after a budget check of its own, when the GPU
+    /// op closing the run arrives. The committed serial timelines (soak
+    /// snapshots, the schedule contract) have exactly these semantics.
+    /// `run_start` is the clock right after the handoff that opened the
+    /// current PIM run.
     Serial { now: f64, run_start: f64 },
     /// A cursor per stream plus the dependency horizon.
     Pipelined(Box<Streams>),
@@ -383,13 +388,10 @@ impl Timeline {
         }
     }
 
-    /// The clock the budget is checked against before the next op.
-    ///
-    /// Serial reproduces its original queue-then-drain loop, which checked
-    /// the budget when it queued a PIM op and only ran the run's kernels at
-    /// the next GPU op: inside a PIM run (and at the GPU op closing it)
-    /// this is the clock as of the run's opening handoff, and each kernel
-    /// gets its own check at its start (see [`Run::schedule`]).
+    /// The clock the budget is checked against before the next op. For a
+    /// serial op issued inside a PIM run, or the GPU op closing it, that is
+    /// the clock as of the run's opening handoff: the run's kernels have
+    /// not executed yet at issue (see [`Clock::Serial`]).
     fn issue_ns(&self) -> f64 {
         match &self.clock {
             Clock::Serial { now, run_start } => {
@@ -403,9 +405,9 @@ impl Timeline {
         }
     }
 
-    /// Serial only: whether a PIM run is open. Its ops were routed when the
-    /// original loop queued them, so a kill switch tripped mid-run sends
-    /// the rest of the run down the degraded GPU fallback.
+    /// Serial only: whether a PIM run is open. Its ops were routed at
+    /// issue, before any of its kernels ran, so a kill switch tripped
+    /// mid-run sends the rest of the run down the degraded GPU fallback.
     fn in_serial_pim_run(&self) -> bool {
         matches!(self.clock, Clock::Serial { .. }) && self.last == Executor::Pim
     }
@@ -663,16 +665,12 @@ impl<'s> Run<'s, '_> {
                     (start, (end, Executor::Gpu))
                 }
                 Executor::Pim => {
-                    // Serial flush-time cancel. The original serial loop
-                    // queued a PIM run, drained it when the GPU op closing
-                    // the run arrived, and checked the budget again before
-                    // each queued kernel. A kernel that finds the budget
-                    // spent cancels the run and drops the rest of the PIM
-                    // run, yet the closing GPU op still executes: its own
-                    // check, against the clock as of the run's opening
-                    // handoff (`Timeline::issue_ns`), passed before the
-                    // drain. Only after it does the loop stop. Kept so the
-                    // committed serial timelines stay byte-identical.
+                    // Serial flush-time cancel (see `Clock::Serial`): a
+                    // kernel of this PIM run found the budget spent, so the
+                    // rest of the run is dropped. The GPU op closing the run
+                    // still executes, because its own budget check passed
+                    // at issue, before the run's kernels executed; only
+                    // after it does the loop stop.
                     if self.report.cancelled {
                         continue;
                     }
@@ -843,16 +841,15 @@ impl<'s> Run<'s, '_> {
                 }
                 continue;
             }
-            match (&mut self.gate, bank) {
-                (Gate::Breakers(reg), Some((bank, _))) => {
-                    let t = reg.on_failure(bank, permanent, cursor, violation.cause());
-                    note_transition(&mut self.report, self.tel.as_deref_mut(), t, cursor);
-                    reg.counters.gpu_fallbacks += 1;
-                }
-                // A hard fault (stuck MMAC lane): retrying on PIM cannot
-                // succeed, so the switch stays off for the rest of the run.
-                (Gate::KillSwitch { tripped }, _) => *tripped |= permanent,
-                (Gate::Breakers(_), None) => unreachable!("breaker-gated kernels own a bank"),
+            if let (Gate::Breakers(reg), Some((bank, _))) = (&mut self.gate, bank) {
+                let t = reg.on_failure(bank, permanent, cursor, violation.cause());
+                note_transition(&mut self.report, self.tel.as_deref_mut(), t, cursor);
+                reg.counters.gpu_fallbacks += 1;
+            }
+            // A hard fault (stuck MMAC lane): retrying on PIM cannot succeed,
+            // so a kill switch stays off for the rest of the run.
+            if let Gate::KillSwitch { tripped } = &mut self.gate {
+                *tripped |= permanent;
             }
             self.report.pim_fallbacks += 1;
             if let Some(t) = self.tel.as_deref_mut() {

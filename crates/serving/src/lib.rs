@@ -12,8 +12,8 @@
 //! - [`engine`] — parallel request preparation (vendored `parpool`),
 //!   serial virtual-time dispatch through the breaker-gated scheduler
 //!   ([`anaheim_core::framework::Anaheim::run_prepared_with`] with the
-//!   engine's registry in [`anaheim_core::schedule::RunOptions::health`]), and a
-//!   persistent [`anaheim_core::health::HealthRegistry`].
+//!   engine's registry in [`anaheim_core::schedule::RunOptions::health`]),
+//!   and a persistent [`anaheim_core::health::HealthRegistry`].
 //! - [`router`] — seeded rendezvous hashing from tenants to replica
 //!   shards: stable homes, minimal movement on failover.
 //! - [`shard`] — replica shards with deterministic failover: each shard
