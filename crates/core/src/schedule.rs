@@ -326,13 +326,13 @@ struct Timeline {
 }
 
 enum Clock {
-    /// One clock for both engines. Serial treats a PIM run as a queue:
-    /// its ops are routed and budget-checked as they are issued, and its
-    /// kernels execute, each after a budget check of its own, when the GPU
-    /// op closing the run arrives. The committed serial timelines (soak
-    /// snapshots, the schedule contract) have exactly these semantics.
-    /// `run_start` is the clock right after the handoff that opened the
-    /// current PIM run.
+    /// One clock for both engines. Serial treats a PIM run as a queue
+    /// drained when the GPU op closing the run arrives: the run's ops, and
+    /// that GPU op, are routed and budget-checked against the clock as of
+    /// the run's opening handoff (`run_start`), and each kernel gets a
+    /// budget check of its own at its start. The committed serial
+    /// timelines (soak snapshots, the schedule contract) have exactly these
+    /// semantics.
     Serial { now: f64, run_start: f64 },
     /// A cursor per stream plus the dependency horizon.
     Pipelined(Box<Streams>),
@@ -388,10 +388,9 @@ impl Timeline {
         }
     }
 
-    /// The clock the budget is checked against before the next op. For a
-    /// serial op issued inside a PIM run, or the GPU op closing it, that is
-    /// the clock as of the run's opening handoff: the run's kernels have
-    /// not executed yet at issue (see [`Clock::Serial`]).
+    /// The clock the budget is checked against before the next op: for a
+    /// serial op inside a PIM run, or the GPU op closing it, the clock as
+    /// of the run's opening handoff (see [`Clock::Serial`]).
     fn issue_ns(&self) -> f64 {
         match &self.clock {
             Clock::Serial { now, run_start } => {
@@ -405,8 +404,8 @@ impl Timeline {
         }
     }
 
-    /// Serial only: whether a PIM run is open. Its ops were routed at
-    /// issue, before any of its kernels ran, so a kill switch tripped
+    /// Serial only: whether a PIM run is open. Its ops are routed as of
+    /// the run's opening (see [`Clock::Serial`]), so a kill switch tripped
     /// mid-run sends the rest of the run down the degraded GPU fallback.
     fn in_serial_pim_run(&self) -> bool {
         matches!(self.clock, Clock::Serial { .. }) && self.last == Executor::Pim
