@@ -36,6 +36,12 @@ ANAHEIM_THREADS=1 cargo test -q --test trace_determinism
 echo "==> trace determinism (ANAHEIM_THREADS=8)"
 ANAHEIM_THREADS=8 cargo test -q --test trace_determinism
 
+echo "==> serving contract (ANAHEIM_THREADS=1)"
+ANAHEIM_THREADS=1 cargo test -q --test serving_contract
+
+echo "==> serving contract (ANAHEIM_THREADS=8)"
+ANAHEIM_THREADS=8 cargo test -q --test serving_contract
+
 echo "==> bench smoke (scripts/bench.sh --quick)"
 scripts/bench.sh --quick
 
