@@ -487,7 +487,7 @@ fn emit_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
 /// provenance — the fault seed plus the lane/shard/thread configuration
 /// that produced it — so a diff in the counters can be replayed exactly.
 fn bench_serving(quick: bool) {
-    use serving::soak::{check_invariants, run_soak, run_soak_stream, SoakConfig};
+    use serving::soak::{run_soak_stream, SoakConfig};
     let threads_env = std::env::var("ANAHEIM_THREADS").unwrap_or_else(|_| "auto".into());
     let requests = if quick { 48 } else { 240 };
     let scenarios = [
@@ -510,9 +510,12 @@ fn bench_serving(quick: bool) {
             }),
             ..base.clone()
         };
-        let out = run_soak(&cfg).unwrap_or_else(|e| panic!("{name} soak failed: {e}"));
-        let sum = check_invariants(&cfg, &out)
+        let out = run_soak_stream(&cfg, None)
             .unwrap_or_else(|e| panic!("{name} soak invariant violated: {e}"));
+        let sum = out.summary;
+        // The single-engine soak is a one-shard fleet; breaker skips and
+        // transitions come from its registry, which counts every execution.
+        let health = &out.snapshots[0].health;
         println!("  {name:5} {sum}");
         s.push_str(&format!(
             "  {{\"scenario\": \"{}\", \"fault_seed\": {}, \"workers\": {}, \
@@ -529,12 +532,12 @@ fn bench_serving(quick: bool) {
             sum.shed_queue_full,
             sum.shed_infeasible,
             sum.faults,
-            sum.breaker_skips,
-            sum.transitions,
+            health.counters.breaker_skips,
+            health.transitions,
             sum.dead_banks,
         ));
         if *name == "chaos" {
-            for b in &out.snapshot.banks {
+            for b in &health.banks {
                 println!(
                     "        bank {}: {} ({} trip(s){})",
                     b.bank,

@@ -9,16 +9,22 @@
 //!      [--rss-budget-kb N] [--help]
 //! ```
 //!
-//! `--stream` switches to the sharded, bounded-memory streaming soak
-//! ([`run_soak_stream`]): the trace is generated lazily, responses are
-//! invariant-checked and dropped as they are produced, completed spans
-//! stream through a bounded sink (incrementally written to `--trace-out`
-//! when given), and the Prometheus exposition is rewritten to
-//! `--metrics-out` periodically. `--snapshot-out` writes the deterministic
-//! per-shard snapshot text — the artifact `scripts/check.sh` byte-compares
-//! across `ANAHEIM_THREADS`. `--rss-budget-kb` reads the process's peak
-//! RSS (`VmHWM` in `/proc/self/status`) after the run and fails if the
-//! budget was exceeded — the memory-boundedness gate.
+//! Every scenario runs through [`run_soak_stream_with`]: the trace is
+//! generated lazily, served through the sharded fleet, and responses are
+//! invariant-checked and dropped as they are produced. Without `--stream`
+//! the scenario is the single-engine chaos soak ([`SoakConfig::chaos`]),
+//! served as a one-shard fleet. `--stream` selects the fleet chaos soak
+//! ([`SoakConfig::fleet_chaos`]): completed spans stream through a bounded
+//! sink (incrementally written to `--trace-out` when given), and the
+//! Prometheus exposition is rewritten to `--metrics-out` periodically.
+//! `--snapshot-out` writes the deterministic per-shard snapshot text — the
+//! artifact `scripts/check.sh` byte-compares across `ANAHEIM_THREADS`.
+//! `--rss-budget-kb` reads the process's peak RSS (`VmHWM` in
+//! `/proc/self/status`) after the run and fails if the budget was
+//! exceeded — the memory-boundedness gate. `--threads-check` reruns the
+//! scenario at 1 and 8 threads and compares every response (as a digest),
+//! the per-shard snapshots with their health and breaker transition logs,
+//! the summary, and the snapshot text.
 //!
 //! `--hedge` (requires `--stream`) swaps the base scenario to
 //! [`SoakConfig::hedge_chaos`]: a GPU fault domain (stream stalls +
@@ -48,12 +54,13 @@
 //! flags print usage on stderr and exit 2. Any invariant violation,
 //! determinism mismatch, or busted RSS budget exits 1. Success exits 0.
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use anaheim_core::Telemetry;
 use obs::StreamingTraceSink;
-use serving::soak::{check_invariants, run_soak, run_soak_stream, SoakConfig};
+use serving::soak::{run_soak_stream_with, SoakConfig, StreamOutcome};
 use serving::StreamObs;
 
 /// Parsed command line. Defaults resolve against the chosen mode's
@@ -175,72 +182,16 @@ fn main() {
         return;
     }
     let opts = parse_args(&args).unwrap_or_else(|e| usage(&e));
-    if opts.stream {
-        run_stream_mode(&opts);
-    } else {
-        run_batch_mode(&opts);
-    }
+    run(&opts);
     check_rss(&opts);
     println!("soak: all invariants hold");
 }
 
-/// The original single-engine soak: every response retained and checked
-/// offline; optional in-process thread-count determinism check.
-fn run_batch_mode(opts: &Opts) {
-    let cfg = SoakConfig {
-        requests: opts.requests.unwrap_or(240),
-        ..SoakConfig::chaos(opts.seed)
-    };
-    println!(
-        "soak: {} requests, seed {}, {} lanes, queue {} deep, flips p={}, storms every {}, \
-         stuck lane {} in {:?}",
-        cfg.requests,
-        cfg.seed,
-        cfg.workers,
-        cfg.queue_capacity,
-        cfg.flip_probability,
-        cfg.storm_every,
-        cfg.stuck_lane,
-        cfg.stuck_window,
-    );
-
-    let out = run_soak(&cfg).unwrap_or_else(|e| fail(&format!("soak run failed: {e}")));
-    let summary =
-        check_invariants(&cfg, &out).unwrap_or_else(|e| fail(&format!("invariant violated: {e}")));
-    println!("soak: {summary}");
-    for b in &out.snapshot.banks {
-        println!(
-            "  bank {}: {} ({} trip(s){})",
-            b.bank,
-            b.state,
-            b.trips,
-            if b.permanent { ", permanent" } else { "" }
-        );
-    }
-
-    if opts.threads_check {
-        let mut mismatch = false;
-        for threads in [1usize, 8] {
-            parpool::set_threads(threads);
-            let again = run_soak(&cfg).unwrap_or_else(|e| {
-                fail(&format!("soak rerun at {threads} thread(s) failed: {e}"))
-            });
-            let ok = again == out;
-            println!(
-                "soak: ANAHEIM_THREADS={threads}: {}",
-                if ok { "bit-identical" } else { "MISMATCH" }
-            );
-            mismatch |= !ok;
-        }
-        if mismatch {
-            fail("soak outcome depends on thread count");
-        }
-    }
-}
-
-/// The sharded streaming soak: bounded memory at any request count.
-fn run_stream_mode(opts: &Opts) {
-    let mut cfg = if opts.ordered {
+/// The scenario the flags select, resized by `--requests` / `--shards`.
+fn scenario(opts: &Opts) -> SoakConfig {
+    let mut cfg = if !opts.stream {
+        SoakConfig::chaos(opts.seed)
+    } else if opts.ordered {
         SoakConfig::ordered_fleet(opts.seed)
     } else if opts.batch && opts.hedge {
         SoakConfig::batch_hedge_chaos(opts.seed)
@@ -257,15 +208,52 @@ fn run_stream_mode(opts: &Opts) {
     if let Some(s) = opts.shards {
         cfg.shards = s;
     }
+    cfg
+}
+
+/// FNV-1a over text written into it.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Runs the soak. With `digest`, every response's `Debug` text is folded
+/// into an FNV-1a digest as it is produced, so the thread-count check can
+/// compare every response without keeping any.
+fn serve_soak(
+    cfg: &SoakConfig,
+    obs: Option<&mut StreamObs<'_>>,
+    digest: bool,
+) -> (StreamOutcome, u64) {
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let out = run_soak_stream_with(cfg, obs, |r| {
+        if digest {
+            let _ = write!(fnv, "{r:?}");
+        }
+    })
+    .unwrap_or_else(|e| fail(&format!("invariant violated: {e}")));
+    (out, fnv.0)
+}
+
+/// The soak: bounded memory at any request count.
+fn run(opts: &Opts) {
+    let cfg = scenario(opts);
     println!(
-        "soak: streaming {} requests over {} shard(s), seed {}, {} lanes/shard, \
-         queue {} deep, flips p={}, shard storm {:?}, stuck lane {} in {:?}",
+        "soak: {} requests over {} shard(s), seed {}, {} lanes/shard, \
+         queue {} deep, flips p={}, storms every {}, shard storm {:?}, stuck lane {} in {:?}",
         cfg.requests,
         cfg.shards,
         cfg.seed,
         cfg.workers,
         cfg.queue_capacity,
         cfg.flip_probability,
+        cfg.storm_every,
         cfg.shard_storm,
         cfg.stuck_lane,
         cfg.stuck_window,
@@ -320,8 +308,7 @@ fn run_stream_mode(opts: &Opts) {
         stream_obs = stream_obs.with_prometheus(m.clone(), 65_536);
     }
 
-    let out = run_soak_stream(&cfg, Some(&mut stream_obs))
-        .unwrap_or_else(|e| fail(&format!("invariant violated: {e}")));
+    let (out, digest) = serve_soak(&cfg, Some(&mut stream_obs), opts.threads_check);
     if let Some(e) = stream_obs.prom_io_error() {
         fail(&format!("metrics write failed: {e}"));
     }
@@ -369,10 +356,11 @@ fn run_stream_mode(opts: &Opts) {
         let mut mismatch = false;
         for threads in [1usize, 8] {
             parpool::set_threads(threads);
-            let again = run_soak_stream(&cfg, None).unwrap_or_else(|e| {
-                fail(&format!("soak rerun at {threads} thread(s) failed: {e}"))
-            });
-            let ok = again.snapshot_text == out.snapshot_text && again.summary == out.summary;
+            let (again, again_digest) = serve_soak(&cfg, None, true);
+            let ok = again_digest == digest
+                && again.summary == out.summary
+                && again.snapshots == out.snapshots
+                && again.snapshot_text == out.snapshot_text;
             println!(
                 "soak: ANAHEIM_THREADS={threads}: {}",
                 if ok { "bit-identical" } else { "MISMATCH" }
@@ -380,7 +368,7 @@ fn run_stream_mode(opts: &Opts) {
             mismatch |= !ok;
         }
         if mismatch {
-            fail("streaming soak outcome depends on thread count");
+            fail("soak outcome depends on thread count");
         }
     }
 }

@@ -1,24 +1,25 @@
-//! The deadline-aware serving engine.
+//! The serving configuration and the per-shard executor.
 //!
-//! One engine owns an [`Anaheim`] runtime, a persistent [`HealthRegistry`],
-//! and a virtual-lane model of the accelerator. A trace of requests runs in
+//! Each replica shard of a [`ShardedEngine`](crate::shard::ShardedEngine)
+//! owns one crate-private `ServingEngine`: an [`Anaheim`] runtime, a
+//! persistent [`HealthRegistry`], and the same-tenant batch tracker. The
+//! shard admits and dispatches; this module supplies the pieces it runs in
 //! three steps:
 //!
-//! 1. **Prepare** (parallel): each request's op sequence is fused/offloaded
-//!    and costed fault-free to get `estimate_ns`. This is pure per-request
-//!    work, fanned out over the vendored `parpool` — results are written to
-//!    disjoint slots, so the outcome is bit-identical for every
-//!    `ANAHEIM_THREADS` value.
-//! 2. **Admit** (serial, virtual time): arrivals are processed in time
-//!    order. A full queue sheds with [`Rejected::QueueFull`]; a request
-//!    whose projected start plus estimate overruns its deadline sheds with
+//! 1. **Prepare** (parallel, `prepare_batch`): each request's op sequence
+//!    is fused/offloaded and costed fault-free to get `estimate_ns`. This
+//!    is pure per-request work, fanned out over the vendored `parpool` —
+//!    results are written to disjoint slots, so the outcome is
+//!    bit-identical for every `ANAHEIM_THREADS` value.
+//! 2. **Admit** (serial, virtual time): a request whose projected start
+//!    plus estimate overruns its deadline sheds with
 //!    [`Rejected::DeadlineInfeasible`].
 //! 3. **Dispatch** (serial, virtual time): lanes pick up queued requests in
 //!    pop order; each executes through the breaker-gated scheduler
-//!    ([`Anaheim::run_prepared_with`], the engine's registry in
-//!    [`RunOptions::health`]) under its own derived fault stream.
-//!    Requests that finish late are reported as [`Outcome::DeadlineMiss`] —
-//!    never as success.
+//!    ([`Anaheim::run_prepared_with`], the shard's registry in
+//!    [`RunOptions::health`]) under its own derived fault stream. Requests
+//!    that finish late are reported as [`Outcome::DeadlineMiss`] — never
+//!    as success.
 //!
 //! The dispatcher being serial in *virtual* time is a determinism decision,
 //! not a throughput one: breaker state is global, so any parallel execution
@@ -52,7 +53,7 @@ pub(crate) fn earliest_lane(lanes: &[f64]) -> usize {
 
 /// One dispatcher step: the lane and start time of the queue's head, if it
 /// can start at or before `until_ns`. Shared by
-/// [`ServingEngine::dispatch_until`] and the property tests, so the test
+/// [`ServingEngine::select_dispatch`] and the property tests, so the test
 /// drains exactly the dispatcher's schedule.
 pub(crate) fn next_dispatch<T: Queued>(
     queue: &AdmissionQueue<T>,
@@ -268,15 +269,14 @@ impl BatchState {
     }
 }
 
-/// A prepared request: fused/offloaded sequence plus its fault-free cost.
 /// One entry of a dry-run slack charge: the queued request's id, its
 /// slack budget after absorbing the candidate's estimate, and whether
 /// the charge also counts against its `max_bypass` allowance (true only
 /// for requests ahead of the candidate in pop order).
 type SlackCharge = (u64, f64, bool);
 
-/// Crate-visible so the shard layer can admit/dispatch prepared work
-/// through its own queues.
+/// A prepared request: fused/offloaded sequence plus its fault-free cost,
+/// admitted and dispatched through the shard layer's queues.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     pub(crate) id: u64,
@@ -369,10 +369,10 @@ impl Queued for Prepared {
     }
 }
 
-/// The serving engine. Health state persists across traces: a bank that
-/// went sick in one trace is still routed around in the next.
+/// One shard's executor. Health state persists across requests: a bank
+/// that went sick is still routed around for every later request.
 #[derive(Debug)]
-pub struct ServingEngine {
+pub(crate) struct ServingEngine {
     rt: Anaheim,
     registry: HealthRegistry,
     workers: usize,
@@ -393,7 +393,7 @@ pub struct ServingEngine {
 
 impl ServingEngine {
     /// Builds the runtime and a health registry sized for its PIM device.
-    pub fn new(cfg: ServingConfig) -> Self {
+    pub(crate) fn new(cfg: ServingConfig) -> Self {
         let ServingConfig {
             mut platform,
             breaker,
@@ -425,14 +425,14 @@ impl ServingEngine {
 
     /// Evaluation-key byte accounting of same-tenant batching (all zeros
     /// with [`ServingConfig::batching`] off).
-    pub fn evk_stats(&self) -> BatchStats {
+    pub(crate) fn evk_stats(&self) -> BatchStats {
         self.batch.stats
     }
 
     /// Notes one dispatch into the batch tracker (no-op returning 0 with
-    /// batching off). Called from the serial dispatch loops — here and in
-    /// the shard layer — immediately before execution, so the tracker
-    /// sees exactly the dispatch order.
+    /// batching off). Called from the shard's serial dispatch loop
+    /// immediately before execution, so the tracker sees exactly the
+    /// dispatch order.
     pub(crate) fn note_batch_dispatch(
         &mut self,
         tenant: u32,
@@ -455,7 +455,7 @@ impl ServingEngine {
 
     /// Virtual ns the evk-fetch credit took off the dispatch lanes (0.0
     /// with [`ServingConfig::ordering`] off).
-    pub fn evk_saved_ns(&self) -> f64 {
+    pub(crate) fn evk_saved_ns(&self) -> f64 {
         self.evk_saved_ns
     }
 
@@ -571,16 +571,13 @@ impl ServingEngine {
         Some((key, cand_start, charged))
     }
 
-    /// Exports the batch byte counters idempotently, guarded so a
-    /// non-batching run's exposition is byte-identical to one rendered
-    /// before the counters existed.
-    pub(crate) fn export_evk(&self, tel: &mut Telemetry, shard: Option<u32>) {
+    /// Exports the batch byte counters idempotently under `shard`'s label,
+    /// guarded so a non-batching run's exposition is byte-identical to one
+    /// rendered before the counters existed.
+    pub(crate) fn export_evk(&self, tel: &mut Telemetry, shard: u32) {
         let s = self.batch.stats;
-        let sid = shard.map(|id| id.to_string());
-        let mut labels: Vec<(&str, &str)> = Vec::new();
-        if let Some(id) = &sid {
-            labels.push(("shard", id));
-        }
+        let sid = shard.to_string();
+        let labels = [("shard", sid.as_str())];
         if s.hit_bytes > 0 {
             tel.metrics
                 .set_counter(names::EVK_CACHE_HIT_BYTES, &labels, s.hit_bytes);
@@ -604,113 +601,18 @@ impl ServingEngine {
     }
 
     /// The persistent health registry.
-    pub fn registry(&self) -> &HealthRegistry {
+    pub(crate) fn registry(&self) -> &HealthRegistry {
         &self.registry
     }
 
     /// A comparable snapshot of the health state.
-    pub fn snapshot(&self) -> HealthSnapshot {
+    pub(crate) fn snapshot(&self) -> HealthSnapshot {
         self.registry.snapshot()
     }
 
-    /// Serves a trace of requests, returning one response per request
-    /// (sorted by id). Fails only on configuration-level errors the
-    /// degradation machinery cannot absorb.
-    ///
-    /// ```
-    /// use anaheim_core::build::{Builder, LinTransStyle};
-    /// use anaheim_core::params::ParamSet;
-    /// use serving::{Priority, Request, ServingConfig, ServingEngine};
-    ///
-    /// let mut b = Builder::new(ParamSet::paper_default());
-    /// let req = Request {
-    ///     id: 0,
-    ///     tenant: 0,
-    ///     priority: Priority::Standard,
-    ///     arrival_ns: 0.0,
-    ///     deadline_ns: 1e12,
-    ///     seq: std::sync::Arc::new(b.lintrans(24, 4, LinTransStyle::Hoisting, true)),
-    ///     fault: None,
-    ///     label: "lintrans",
-    /// };
-    /// let mut engine = ServingEngine::new(ServingConfig::a100_default(7));
-    /// let responses = engine.run_trace(&[req]).expect("serves");
-    /// assert!(responses[0].outcome.is_completed());
-    /// ```
-    pub fn run_trace(&mut self, trace: &[Request]) -> Result<Vec<Response>, RunError> {
-        self.run_trace_inner(trace, None)
-    }
-
-    /// [`run_trace`](Self::run_trace) with telemetry: each dispatched
-    /// request becomes a `serving`-track span (children: its kernels),
-    /// latency/slack land in histograms, and the final health snapshot is
-    /// exported idempotently. Recording happens only on the serial
-    /// dispatch lane, so the exports are bit-identical across
-    /// `ANAHEIM_THREADS`.
-    pub fn run_trace_traced(
-        &mut self,
-        trace: &[Request],
-        tel: &mut Telemetry,
-    ) -> Result<Vec<Response>, RunError> {
-        self.run_trace_inner(trace, Some(tel))
-    }
-
-    fn run_trace_inner(
-        &mut self,
-        trace: &[Request],
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<Vec<Response>, RunError> {
-        // Step 1: pure per-request preparation, in parallel (deduplicated
-        // by template identity). Nothing is recorded here — telemetry is
-        // confined to the serial lane below.
-        let mut prepared = prepare_batch(&self.rt, trace)?;
-        prepared.sort_by(|a, b| a.arrival_ns.total_cmp(&b.arrival_ns).then(a.id.cmp(&b.id)));
-
-        // Steps 2–3: serial admission + dispatch in virtual time.
-        let queue: AdmissionQueue<Prepared> = AdmissionQueue::new(self.queue_capacity);
-        let mut lanes = vec![0.0f64; self.workers];
-        let mut responses = Vec::with_capacity(trace.len());
-        for mut p in prepared {
-            let now = p.arrival_ns;
-            self.dispatch_until(&queue, &mut lanes, now, &mut responses, tel.as_deref_mut())?;
-            self.registry.counters.submitted += 1;
-            if queue.len() >= self.queue_capacity {
-                self.registry.counters.shed_queue_full += 1;
-                Self::shed_marker(tel.as_deref_mut(), &p, "queue-full", "serving");
-                responses.push(Self::rejection(&p, Rejected::QueueFull));
-                continue;
-            }
-            let projected = Self::projected_start_ns(&lanes, &queue, &p, now);
-            if projected + p.estimate_ns > p.deadline_ns {
-                self.registry.counters.shed_infeasible += 1;
-                Self::shed_marker(tel.as_deref_mut(), &p, "deadline-infeasible", "serving");
-                responses.push(Self::rejection(&p, Rejected::DeadlineInfeasible));
-                continue;
-            }
-            // The projected deadline headroom is the slack budget batch-
-            // aware ordering may later spend delaying this request.
-            p.slack_ns = (p.deadline_ns - projected - p.estimate_ns).max(0.0);
-            let depth = queue.submit(p).expect("capacity checked above");
-            self.registry.note_queue_depth(depth);
-        }
-        self.dispatch_until(
-            &queue,
-            &mut lanes,
-            f64::INFINITY,
-            &mut responses,
-            tel.as_deref_mut(),
-        )?;
-        self.flush_batch(tel.as_deref_mut());
-        if let Some(t) = tel {
-            self.export_evk(t, None);
-            t.export_health(&self.registry.snapshot());
-        }
-        responses.sort_by_key(|r| r.id);
-        Ok(responses)
-    }
-
     /// Records a zero-width shed marker at the request's arrival time on
-    /// `track` (`"serving"` unsharded, `"shard-N"` per shard).
+    /// `track` (`"shard-N"` for a shard's sheds, `"serving"` for a
+    /// fleet-wide rejection).
     pub(crate) fn shed_marker(
         tel: Option<&mut Telemetry>,
         p: &Prepared,
@@ -750,38 +652,6 @@ impl ServingEngine {
             },
             now,
         )
-    }
-
-    /// Dispatches queued requests onto lanes while one can start at or
-    /// before `until_ns`.
-    fn dispatch_until(
-        &mut self,
-        queue: &AdmissionQueue<Prepared>,
-        lanes: &mut [f64],
-        until_ns: f64,
-        responses: &mut Vec<Response>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        loop {
-            let Some((lane, start, p, reordered)) = self.select_dispatch(queue, lanes, until_ns)
-            else {
-                return Ok(());
-            };
-            let saved =
-                self.note_batch_dispatch(p.tenant, p.seq.evk_read_bytes(), tel.as_deref_mut());
-            let credit_ns = self.lane_credit_ns(saved);
-            let (mut response, finish) =
-                self.execute(p, start, credit_ns, tel.as_deref_mut(), "serving")?;
-            lanes[lane] = finish;
-            if saved > 0 {
-                response.outcome = Outcome::Batched {
-                    evk_bytes_saved: saved,
-                    reordered,
-                    outcome: Box::new(response.outcome),
-                };
-            }
-            responses.push(response);
-        }
     }
 
     /// The virtual-time lane credit for a dispatch that amortized `saved`
@@ -954,7 +824,10 @@ mod tests {
     use super::*;
     use anaheim_core::build::{Builder, LinTransStyle};
     use anaheim_core::params::ParamSet;
+    use obs::StreamingTraceSink;
     use proptest::prelude::*;
+
+    use crate::shard::{ShardConfig, ShardedEngine, StreamObs};
 
     fn small_seq() -> Arc<OpSequence> {
         let mut b = Builder::new(ParamSet::paper_default());
@@ -974,12 +847,32 @@ mod tests {
         }
     }
 
-    fn engine() -> ServingEngine {
-        ServingEngine::new(ServingConfig {
+    fn two_lanes() -> ServingConfig {
+        ServingConfig {
             workers: 2,
             queue_capacity: 2,
             ..ServingConfig::a100_default(7)
-        })
+        }
+    }
+
+    fn engine() -> ServingEngine {
+        ServingEngine::new(two_lanes())
+    }
+
+    /// Serves `trace` through a one-shard fleet built from `cfg`, returning
+    /// the fleet and the responses sorted by id.
+    fn serve(
+        cfg: ServingConfig,
+        trace: &[Request],
+        obs: Option<&mut StreamObs<'_>>,
+    ) -> (ShardedEngine, Vec<Response>) {
+        let mut fleet = ShardedEngine::new(cfg, ShardConfig::new(1));
+        let mut rs = Vec::new();
+        fleet
+            .run_stream(trace.to_vec(), |r| rs.push(r.clone()), obs)
+            .unwrap();
+        rs.sort_by_key(|r| r.id);
+        (fleet, rs)
     }
 
     #[test]
@@ -1020,71 +913,75 @@ mod tests {
 
     #[test]
     fn fault_free_requests_complete_in_order() {
-        let mut e = engine();
         let trace: Vec<Request> = (0..4)
             .map(|i| req(i, i as f64 * 1e3, 1e12, Priority::Standard))
             .collect();
-        let rs = e.run_trace(&trace).unwrap();
+        let (e, rs) = serve(two_lanes(), &trace, None);
         assert_eq!(rs.len(), 4);
         assert!(rs.iter().all(|r| r.outcome.is_completed()));
-        assert_eq!(e.registry().counters.completed, 4);
-        assert_eq!(e.registry().counters.submitted, 4);
+        let counters = e.snapshots()[0].health.counters;
+        assert_eq!(counters.completed, 4);
+        assert_eq!(counters.submitted, 4);
     }
 
     #[test]
     fn infeasible_deadline_is_shed_not_executed() {
-        let mut e = engine();
         // Deadline in the past relative to any possible completion.
-        let rs = e
-            .run_trace(&[req(1, 0.0, 1.0, Priority::Interactive)])
-            .unwrap();
+        let (e, rs) = serve(
+            two_lanes(),
+            &[req(1, 0.0, 1.0, Priority::Interactive)],
+            None,
+        );
         assert_eq!(
             rs[0].outcome,
             Outcome::Rejected(Rejected::DeadlineInfeasible)
         );
-        assert_eq!(e.registry().counters.shed_infeasible, 1);
-        assert_eq!(e.registry().counters.completed, 0);
+        let counters = e.snapshots()[0].health.counters;
+        assert_eq!(counters.shed_infeasible, 1);
+        assert_eq!(counters.completed, 0);
     }
 
     #[test]
     fn queue_overflow_sheds_queue_full() {
-        let mut e = engine();
         // 2 lanes busy + 2 queued = saturation; the rest shed. All arrive
         // at t=0 so nothing drains in between.
         let trace: Vec<Request> = (0..7)
             .map(|i| req(i, 0.0, 1e12, Priority::Standard))
             .collect();
-        let rs = e.run_trace(&trace).unwrap();
+        let (e, rs) = serve(two_lanes(), &trace, None);
+        let counters = e.snapshots()[0].health.counters;
         let shed = rs
             .iter()
             .filter(|r| r.outcome == Outcome::Rejected(Rejected::QueueFull))
             .count();
         assert!(shed >= 1, "over-capacity arrivals must shed");
-        assert_eq!(e.registry().counters.shed_queue_full as usize, shed);
-        assert_eq!(e.registry().counters.max_queue_depth, 2);
+        assert_eq!(counters.shed_queue_full as usize, shed);
+        assert_eq!(counters.max_queue_depth, 2);
         let served = rs.iter().filter(|r| r.outcome.is_completed()).count();
         assert_eq!(served + shed, 7);
     }
 
     #[test]
     fn traced_run_records_request_segments_and_health() {
-        let mut e = engine();
         let trace: Vec<Request> = (0..2)
             .map(|i| req(i, i as f64 * 1e3, 1e12, Priority::Standard))
             .collect();
         let mut tel = Telemetry::new(7);
-        let rs = e.run_trace_traced(&trace, &mut tel).unwrap();
+        let mut sink = StreamingTraceSink::new(1 << 16);
+        let (_, rs) = serve(
+            two_lanes(),
+            &trace,
+            Some(&mut StreamObs::new(&mut tel, &mut sink)),
+        );
         assert!(rs.iter().all(|r| r.outcome.is_completed()));
-        let segments: Vec<_> = tel
-            .trace
-            .spans()
-            .iter()
-            .filter(|s| s.track == "serving" && s.cat == "segment")
+        let segments: Vec<_> = sink
+            .recent()
+            .filter(|s| s.track == "shard-0" && s.cat == "segment")
             .collect();
         assert_eq!(segments.len(), 2, "one segment span per dispatched request");
         assert!(segments.iter().any(|s| s.name == "req0 lintrans"));
         // Kernel spans nest under the request segments.
-        assert!(tel.trace.spans().iter().any(|s| s.cat == "element-wise"));
+        assert!(sink.recent().any(|s| s.cat == "element-wise"));
         // Latency observed per request; health exported once at the end.
         let lat = tel
             .metrics
@@ -1092,50 +989,58 @@ mod tests {
             .unwrap();
         assert_eq!(lat.count(), 2);
         assert_eq!(
-            tel.metrics
-                .counter_value(names::SERVING_EVENTS, &[("event", "submitted")]),
+            tel.metrics.counter_value(
+                names::SERVING_EVENTS,
+                &[("event", "submitted"), ("shard", "0")]
+            ),
             2
         );
         // The same trace, replayed through a fresh engine, renders
         // byte-identically (the serial-lane determinism contract).
-        let mut e2 = engine();
         let mut tel2 = Telemetry::new(7);
-        e2.run_trace_traced(&trace, &mut tel2).unwrap();
-        assert_eq!(tel.chrome_trace(), tel2.chrome_trace());
+        let mut sink2 = StreamingTraceSink::new(1 << 16);
+        serve(
+            two_lanes(),
+            &trace,
+            Some(&mut StreamObs::new(&mut tel2, &mut sink2)),
+        );
+        assert!(sink.recent().eq(sink2.recent()));
         assert_eq!(tel.prometheus(), tel2.prometheus());
     }
 
     #[test]
     fn pipelined_platform_serves_and_replays_identically() {
         use anaheim_core::schedule::ScheduleMode;
-        let mk = || {
-            ServingEngine::new(ServingConfig {
-                workers: 2,
-                queue_capacity: 4,
-                platform: AnaheimConfig::a100_near_bank()
-                    .with_retry_policy(RetryPolicy::serving_default(7))
-                    .with_schedule_mode(ScheduleMode::Pipelined),
-                breaker: BreakerConfig::default(),
-                cancel_over_budget: false,
-                batching: false,
-                ordering: None,
-            })
+        let mk = || ServingConfig {
+            workers: 2,
+            queue_capacity: 4,
+            platform: AnaheimConfig::a100_near_bank()
+                .with_retry_policy(RetryPolicy::serving_default(7))
+                .with_schedule_mode(ScheduleMode::Pipelined),
+            breaker: BreakerConfig::default(),
+            cancel_over_budget: false,
+            batching: false,
+            ordering: None,
         };
         let trace: Vec<Request> = (0..3)
             .map(|i| req(i, i as f64 * 1e3, 1e12, Priority::Standard))
             .collect();
         let mut tel = Telemetry::new(9);
-        let rs = mk().run_trace_traced(&trace, &mut tel).unwrap();
+        let mut sink = StreamingTraceSink::new(1 << 16);
+        let (_, rs) = serve(mk(), &trace, Some(&mut StreamObs::new(&mut tel, &mut sink)));
         assert!(rs.iter().all(|r| r.outcome.is_completed()));
         // Pipelined runs put segments on their own stream tracks.
-        assert!(tel
-            .trace
-            .spans()
-            .iter()
+        assert!(sink
+            .recent()
             .any(|s| s.track == "gpu-stream" || s.track == "pim-stream"));
         let mut tel2 = Telemetry::new(9);
-        mk().run_trace_traced(&trace, &mut tel2).unwrap();
-        assert_eq!(tel.chrome_trace(), tel2.chrome_trace());
+        let mut sink2 = StreamingTraceSink::new(1 << 16);
+        serve(
+            mk(),
+            &trace,
+            Some(&mut StreamObs::new(&mut tel2, &mut sink2)),
+        );
+        assert!(sink.recent().eq(sink2.recent()));
         assert_eq!(tel.prometheus(), tel2.prometheus());
     }
 
@@ -1214,13 +1119,11 @@ mod tests {
     fn batching_amortizes_same_tenant_runs_and_conserves_bytes() {
         // One lane so dispatch order is the queue order; tenants arrive as
         // the runs A A A B B A — four batches, widest 3.
-        let mk = |batching| {
-            ServingEngine::new(ServingConfig {
-                workers: 1,
-                queue_capacity: 8,
-                batching,
-                ..ServingConfig::a100_default(7)
-            })
+        let mk = |batching| ServingConfig {
+            workers: 1,
+            queue_capacity: 8,
+            batching,
+            ..ServingConfig::a100_default(7)
         };
         let tenants = [0u32, 0, 0, 1, 1, 0];
         let trace: Vec<Request> = tenants
@@ -1232,15 +1135,14 @@ mod tests {
                 r
             })
             .collect();
-        let mut e = mk(true);
-        let rs = e.run_trace(&trace).unwrap();
+        let (e, rs) = serve(mk(true), &trace, None);
         assert!(rs.iter().all(|r| r.outcome.is_completed()));
         let per_req = trace[0].seq.evk_read_bytes();
         assert!(per_req > 0, "lintrans reads evaluation keys");
         // Prepared sequences are fused, so the batch tracker sees the
         // prepared evk bytes; read them back from the stats instead of
         // assuming the unfused count.
-        let s = e.evk_stats();
+        let s = e.snapshots()[0].evk;
         assert_eq!(s.batches, 3, "A-run, B-run, final A (closed by flush)");
         assert_eq!(s.max_batch, 3);
         assert_eq!(
@@ -1271,9 +1173,8 @@ mod tests {
         assert_eq!(s.hit_bytes, s.miss_bytes, "3 hits, 3 misses, equal sizes");
         // The same trace with batching off: identical final outcomes (the
         // schedule is untouched), no wrappers, zero stats.
-        let mut off = mk(false);
-        let rs_off = off.run_trace(&trace).unwrap();
-        assert_eq!(off.evk_stats(), BatchStats::default());
+        let (off, rs_off) = serve(mk(false), &trace, None);
+        assert_eq!(off.snapshots()[0].evk, BatchStats::default());
         for (a, b) in rs.iter().zip(&rs_off) {
             assert_eq!(a.outcome.final_outcome(), b.outcome.final_outcome());
             assert!(!matches!(b.outcome, Outcome::Batched { .. }));
@@ -1340,14 +1241,12 @@ mod tests {
 
     #[test]
     fn ordering_pulls_same_tenant_work_forward_within_slack() {
-        let mk = |ordering| {
-            ServingEngine::new(ServingConfig {
-                workers: 1,
-                queue_capacity: 8,
-                batching: true,
-                ordering,
-                ..ServingConfig::a100_default(7)
-            })
+        let mk = |ordering| ServingConfig {
+            workers: 1,
+            queue_capacity: 8,
+            batching: true,
+            ordering,
+            ..ServingConfig::a100_default(7)
         };
         // One lane; tenants arrive A A B A. While the A-run is open, the
         // stranger B heads the queue with the third A right behind it:
@@ -1363,10 +1262,9 @@ mod tests {
                 r
             })
             .collect();
-        let mut e = mk(Some(OrderingConfig::a100_default()));
-        let rs = e.run_trace(&trace).unwrap();
+        let (e, rs) = serve(mk(Some(OrderingConfig::a100_default())), &trace, None);
         assert!(rs.iter().all(|r| r.outcome.final_outcome().is_completed()));
-        let s = e.evk_stats();
+        let s = e.snapshots()[0].evk;
         assert_eq!(s.reorders, 1, "{s:?}");
         assert_eq!(s.max_batch, 3, "the pulled request extends the A-run");
         assert!(
@@ -1390,7 +1288,7 @@ mod tests {
             "an in-order joiner is not"
         );
         assert!(
-            e.evk_saved_ns() > 0.0,
+            e.snapshots()[0].evk_saved_ns > 0.0,
             "the amortized fetch is credited back to the lane"
         );
         // The bypassed stranger still completes within its deadline.
@@ -1402,10 +1300,9 @@ mod tests {
             .is_completed());
         // Same trace with ordering off: no reorders, no credit, and the
         // run stays split by the stranger.
-        let mut off = mk(None);
-        let rs_off = off.run_trace(&trace).unwrap();
-        assert_eq!(off.evk_stats().reorders, 0);
-        assert_eq!(off.evk_saved_ns(), 0.0);
+        let (off, rs_off) = serve(mk(None), &trace, None);
+        assert_eq!(off.snapshots()[0].evk.reorders, 0);
+        assert_eq!(off.snapshots()[0].evk_saved_ns, 0.0);
         assert!(!rs_off.iter().any(|r| matches!(
             r.outcome,
             Outcome::Batched {
@@ -1556,11 +1453,11 @@ mod tests {
 
     #[test]
     fn interactive_jumps_the_queue() {
-        let mut e = ServingEngine::new(ServingConfig {
+        let cfg = ServingConfig {
             workers: 1,
             queue_capacity: 8,
             ..ServingConfig::a100_default(7)
-        });
+        };
         // One lane: b1 runs; then batch b2..b4 and interactive i all queue.
         let mut trace = vec![
             req(0, 0.0, 1e12, Priority::Batch),
@@ -1569,7 +1466,7 @@ mod tests {
             req(3, 3.0, 1e12, Priority::Interactive),
         ];
         trace[3].label = "interactive";
-        let rs = e.run_trace(&trace).unwrap();
+        let (_, rs) = serve(cfg, &trace, None);
         let finish = |id: u64| match rs.iter().find(|r| r.id == id).unwrap().outcome {
             Outcome::Completed { finish_ns, .. } => finish_ns,
             ref o => panic!("{id} should complete, got {o:?}"),

@@ -9,23 +9,25 @@
 //!   [`request::Outcome::DeadlineMiss`], never a success).
 //! - [`queue`] — a bounded, `Mutex`-guarded admission queue (std threads
 //!   only, no async runtime) with deterministic pop order.
-//! - [`engine`] — parallel request preparation (vendored `parpool`),
-//!   serial virtual-time dispatch through the breaker-gated scheduler
+//! - [`engine`] — the serving configuration and each shard's executor:
+//!   parallel request preparation (vendored `parpool`), serial
+//!   virtual-time dispatch through the breaker-gated scheduler
 //!   ([`anaheim_core::framework::Anaheim::run_prepared_with`] with the
-//!   engine's registry in [`anaheim_core::schedule::RunOptions::health`]),
+//!   shard's registry in [`anaheim_core::schedule::RunOptions::health`]),
 //!   and a persistent [`anaheim_core::health::HealthRegistry`].
 //! - [`router`] — seeded rendezvous hashing from tenants to replica
 //!   shards: stable homes, minimal movement on failover.
-//! - [`shard`] — replica shards with deterministic failover: each shard
-//!   owns its own engine, breaker set, and lanes; sick shards drain, cool
-//!   down, and re-admit through a probe while the router re-routes their
-//!   tenants ([`request::Outcome::Rerouted`]) — and only a fully sick
-//!   fleet rejects ([`request::Rejected::AllShardsUnhealthy`]).
+//! - [`shard`] — the one serving path, [`ShardedEngine::run_stream`]:
+//!   replica shards with deterministic failover, each owning its own
+//!   executor, breaker set, and lanes; sick shards drain, cool down, and
+//!   re-admit through a probe while the router re-routes their tenants
+//!   ([`request::Outcome::Rerouted`]) — and only a fully sick fleet
+//!   rejects ([`request::Rejected::AllShardsUnhealthy`]). A single-engine
+//!   trace runs as a one-shard fleet ([`ShardConfig::new`]`(1)`).
 //! - [`soak`] — the deterministic chaos-soak harness: seeded mixed-workload
-//!   traces under seeded fault schedules, with machine-checked invariants
-//!   and bit-identical results across `ANAHEIM_THREADS`. Streaming mode
-//!   pushes a million requests through the sharded fleet in bounded
-//!   memory.
+//!   traces under seeded fault schedules, with streaming machine-checked
+//!   invariants and bit-identical results across `ANAHEIM_THREADS` — a
+//!   million requests through the fleet in bounded memory.
 
 pub mod engine;
 pub mod queue;
@@ -34,7 +36,7 @@ pub mod router;
 pub mod shard;
 pub mod soak;
 
-pub use engine::{BatchStats, OrderingConfig, ServingConfig, ServingEngine};
+pub use engine::{BatchStats, OrderingConfig, ServingConfig};
 pub use queue::{AdmissionQueue, QueueKey, Queued};
 pub use request::{Outcome, Priority, Rejected, Request, Response};
 pub use router::ShardRouter;
@@ -43,6 +45,6 @@ pub use shard::{
     ShardedEngine, StreamObs,
 };
 pub use soak::{
-    build_trace, check_invariants, run_soak, run_soak_stream, shard_config_for, SoakConfig,
-    SoakOutcome, SoakSummary, StreamOutcome, StreamSummary, TraceGen,
+    build_trace, run_soak_stream, run_soak_stream_with, shard_config_for, SoakConfig,
+    StreamOutcome, StreamSummary, TraceGen,
 };

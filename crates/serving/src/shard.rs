@@ -1,12 +1,13 @@
-//! Replica shards with deterministic failover.
+//! Replica shards with deterministic failover — the one serving path.
 //!
-//! One [`ServingEngine`] models a single PIM fleet with one shared health
-//! registry: a fault storm that opens enough breakers degrades *every*
-//! tenant. A [`ShardedEngine`] partitions the fleet into N replica shards
-//! — each owning its own engine (whole PIM stack),
+//! A [`ShardedEngine`] partitions the fleet into N replica shards — each
+//! owning its own executor (runtime and whole PIM stack),
 //! [`HealthRegistry`](anaheim_core::health::HealthRegistry)
 //! breaker set, admission queue, and virtual-time lane cursor — behind a
-//! seeded rendezvous [`ShardRouter`]. Blast radius becomes per-shard: when
+//! seeded rendezvous [`ShardRouter`]. A single-engine trace is a one-shard
+//! fleet: [`ShardConfig::new`]`(1)` never drains its lone replica, so every
+//! request is admitted, dispatched and executed exactly as on one engine
+//! with one shared health registry. Blast radius is per-shard: when
 //! a shard's breakers trip past [`ShardConfig::unhealthy_open_fraction`],
 //! it stops accepting, drains its in-flight work, cools down, and is
 //! re-admitted through a HalfOpen-style probe, while the router sends its
@@ -45,12 +46,14 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use anaheim_core::health::{BreakerState, HealthSnapshot};
+use anaheim_core::health::{BreakerState, BreakerTransition, HealthSnapshot};
 use anaheim_core::telemetry::{names, shard_track, Telemetry};
 use anaheim_core::RunError;
 use obs::StreamingTraceSink;
 
-use crate::engine::{prepare_batch, BatchStats, Prepared, ServingConfig, ServingEngine};
+use crate::engine::{
+    earliest_lane, prepare_batch, BatchStats, Prepared, ServingConfig, ServingEngine,
+};
 use crate::queue::AdmissionQueue;
 use crate::request::{Outcome, Rejected, Request, Response};
 use crate::router::ShardRouter;
@@ -97,12 +100,14 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// `shards` replicas with the default failover tuning: drain at half
     /// the breakers open, 8 ms drain cooldown doubling to a 128 ms cap.
-    /// Hedging is off.
+    /// Hedging is off. A lone replica never drains: it has no sibling to
+    /// take its tenants, and `open_fraction` never exceeds 1.
     pub fn new(shards: u32) -> Self {
+        let shards = shards.max(1);
         Self {
-            shards: shards.max(1),
+            shards,
             router_seed: 0x5AAD_0001,
-            unhealthy_open_fraction: 0.5,
+            unhealthy_open_fraction: if shards == 1 { f64::INFINITY } else { 0.5 },
             drain_cooldown_ns: 8.0e6,
             cooldown_multiplier: 2.0,
             max_cooldown_ns: 1.28e8,
@@ -199,6 +204,9 @@ pub struct ShardSnapshot {
     pub health: HealthSnapshot,
     /// The full shard transition log.
     pub transitions: Vec<ShardTransition>,
+    /// The full breaker transition log of the shard's registry. Compared
+    /// by the determinism checks, but not rendered into the snapshot text.
+    pub breaker_log: Vec<BreakerTransition>,
     /// Finish time of the shard's busiest lane (ns).
     pub last_finish_ns: f64,
     /// Same-tenant batch evk accounting (all zeros with
@@ -415,6 +423,17 @@ impl Shard {
         }
     }
 
+    /// Up → Draining when the registry's open fraction has reached the
+    /// threshold after an execution that finished at `at_ns`.
+    fn drain_if_sick(&mut self, at_ns: f64, cfg: &ShardConfig, tel: Option<&mut Telemetry>) {
+        if self.state == ShardState::Up
+            && self.engine.registry().open_fraction() >= cfg.unhealthy_open_fraction
+        {
+            self.counters.drains += 1;
+            self.transition(ShardState::Draining, at_ns, "breaker-threshold", tel);
+        }
+    }
+
     /// Advances the lifecycle clock to `now` (Cooling → Probation when the
     /// cooldown has elapsed) and reports whether the shard accepts a new
     /// request at `now`.
@@ -444,9 +463,10 @@ impl Shard {
         resp
     }
 
-    /// Admission (serial, virtual time): the same queue-full / infeasible
-    /// discipline as the unsharded engine, against this shard's queue and
-    /// lanes. A request admitted while on Probation is the shard's probe.
+    /// Admission (serial, virtual time) — the only admission routine:
+    /// queue-full and deadline-infeasible sheds against this shard's queue
+    /// and lanes. A request admitted while on Probation is the shard's
+    /// probe.
     fn admit(
         &mut self,
         p: Prepared,
@@ -489,8 +509,8 @@ impl Shard {
         }
     }
 
-    /// Dispatches queued work while something can start at or before
-    /// `until_ns`, evaluating the lifecycle after every execution: Up
+    /// The only dispatch loop: dispatches queued work while something can
+    /// start at or before `until_ns`, evaluating the lifecycle after every execution: Up
     /// drains past the breaker threshold; a probe's result decides
     /// re-admission; a Draining shard whose queue empties starts cooling.
     ///
@@ -567,37 +587,25 @@ impl Shard {
                 }
                 None => out.push(Self::wrap(rerouted_from, self.id, resp)),
             }
-            let frac = self.engine.registry().open_fraction();
-            match self.state {
-                ShardState::Up if frac >= cfg.unhealthy_open_fraction => {
-                    self.counters.drains += 1;
+            self.drain_if_sick(finish, cfg, tel.as_deref_mut());
+            if was_probe {
+                self.probe_inflight = false;
+                if self.engine.registry().open_fraction() < cfg.unhealthy_open_fraction {
+                    self.counters.readmits += 1;
+                    self.next_cooldown_ns = cfg.drain_cooldown_ns;
+                    self.transition(ShardState::Up, finish, "probe-ok", tel.as_deref_mut());
+                } else {
+                    self.counters.probe_failures += 1;
+                    self.readmit_at_ns = finish + self.next_cooldown_ns;
+                    self.next_cooldown_ns =
+                        (self.next_cooldown_ns * cfg.cooldown_multiplier).min(cfg.max_cooldown_ns);
                     self.transition(
-                        ShardState::Draining,
+                        ShardState::Cooling,
                         finish,
-                        "breaker-threshold",
+                        "probe-fail",
                         tel.as_deref_mut(),
                     );
                 }
-                ShardState::Probation if was_probe => {
-                    self.probe_inflight = false;
-                    if frac < cfg.unhealthy_open_fraction {
-                        self.counters.readmits += 1;
-                        self.next_cooldown_ns = cfg.drain_cooldown_ns;
-                        self.transition(ShardState::Up, finish, "probe-ok", tel.as_deref_mut());
-                    } else {
-                        self.counters.probe_failures += 1;
-                        self.readmit_at_ns = finish + self.next_cooldown_ns;
-                        self.next_cooldown_ns = (self.next_cooldown_ns * cfg.cooldown_multiplier)
-                            .min(cfg.max_cooldown_ns);
-                        self.transition(
-                            ShardState::Cooling,
-                            finish,
-                            "probe-fail",
-                            tel.as_deref_mut(),
-                        );
-                    }
-                }
-                _ => {}
             }
         }
         if self.state == ShardState::Draining && self.queue.is_empty() {
@@ -618,6 +626,7 @@ impl Shard {
             counters: self.counters,
             health: self.engine.snapshot(),
             transitions: self.transitions.clone(),
+            breaker_log: self.engine.registry().transitions().to_vec(),
             last_finish_ns: self.lanes.iter().copied().fold(0.0, f64::max),
             evk: self.engine.evk_stats(),
             evk_saved_ns: self.engine.evk_saved_ns(),
@@ -867,12 +876,7 @@ impl ShardedEngine {
                 // submission: count it into the sibling's registry so the
                 // per-shard outcome/submission conservation keeps holding.
                 shard.engine.registry_mut().counters.submitted += 1;
-                let mut lane = 0;
-                for l in 1..shard.lanes.len() {
-                    if shard.lanes[l] < shard.lanes[lane] {
-                        lane = l;
-                    }
-                }
+                let lane = earliest_lane(&shard.lanes);
                 let start = shard.lanes[lane].max(now);
                 // Hedges bypass dispatch and are never batch-accounted,
                 // so they carry no evk lane credit.
@@ -883,16 +887,7 @@ impl ShardedEngine {
                 shard.lanes[lane] = hfinish;
                 // A hedge that trips the sibling past the breaker
                 // threshold drains it, same as a queued dispatch would.
-                let frac = shard.engine.registry().open_fraction();
-                if shard.state == ShardState::Up && frac >= cfg.unhealthy_open_fraction {
-                    shard.counters.drains += 1;
-                    shard.transition(
-                        ShardState::Draining,
-                        hfinish,
-                        "breaker-threshold",
-                        tel_of(obs),
-                    );
-                }
+                shard.drain_if_sick(hfinish, &cfg, tel_of(obs));
                 (hresp, start, hfinish)
             };
             let hedge_wins = {
@@ -1094,7 +1089,7 @@ impl ShardedEngine {
                 }
             }
             // Batch evk bytes, per shard; zero-guarded inside.
-            shard.engine.export_evk(tel, Some(shard.id));
+            shard.engine.export_evk(tel, shard.id);
         }
         for (event, v) in [
             ("rerouted", self.fleet.rerouted),

@@ -1,7 +1,7 @@
 //! The deterministic chaos-soak harness.
 //!
 //! A soak run replays a seeded trace of mixed CKKS workloads through the
-//! serving engine under a seeded fault schedule — background bit-flip
+//! serving fleet under a seeded fault schedule — background bit-flip
 //! pressure, periodic fault storms, and a stuck-lane window that
 //! permanently sickens one bank domain — then checks the serving
 //! invariants:
@@ -12,20 +12,17 @@
 //! 4. the stuck-lane window trips a breaker permanently, and the run still
 //!    completes work through GPU fallback.
 //!
-//! Two harnesses share one trace generator:
-//!
-//! - [`run_soak`] — the single-engine soak: materializes the trace, serves
-//!   it, returns every response for offline comparison
-//!   ([`check_invariants`]).
-//! - [`run_soak_stream`] — the sharded, bounded-memory soak: the trace is
-//!   *generated lazily* ([`TraceGen`]), served through a
-//!   [`ShardedEngine`], and every response is checked by a streaming
-//!   accumulator the moment it is produced, then dropped. Memory stays
-//!   constant in the request count (a bitmap plus counters), which is what
-//!   lets the million-request gate in `scripts/check.sh` run at all. A
-//!   shard-storm window sickens one shard's tenants so the run provably
-//!   exercises failover: the shard drains, its tenants re-route, and a
-//!   probe re-admits it.
+//! There is one harness, [`run_soak_stream`]: the trace is *generated
+//! lazily* ([`TraceGen`]), served through a [`ShardedEngine`], and every
+//! response is checked by a streaming accumulator the moment it is
+//! produced, then dropped ([`run_soak_stream_with`] also hands it to a
+//! caller's hook first). Memory stays constant in the request count (a
+//! bitmap plus counters), which is what lets the million-request gate in
+//! `scripts/check.sh` run at all. The single-engine presets
+//! ([`SoakConfig::chaos`], [`SoakConfig::clean`]) run as a one-shard fleet.
+//! The fleet presets add a shard-storm window that sickens one shard's
+//! tenants, so the run provably exercises failover: the shard drains, its
+//! tenants re-route, and a probe re-admits it.
 //!
 //! Everything is a pure function of [`SoakConfig`]: the trace, the fault
 //! streams, and the virtual-time engine are all seeded, so two runs with
@@ -38,13 +35,11 @@ use std::sync::Arc;
 
 use anaheim_core::build::{Builder, LinTransStyle};
 use anaheim_core::framework::Anaheim;
-use anaheim_core::health::{BreakerTransition, HealthSnapshot};
 use anaheim_core::ir::OpSequence;
 use anaheim_core::params::ParamSet;
-use anaheim_core::RunError;
 use pim::fault::FaultPlan;
 
-use crate::engine::{OrderingConfig, ServingConfig, ServingEngine};
+use crate::engine::{OrderingConfig, ServingConfig};
 use crate::request::{Outcome, Priority, Rejected, Request, Response};
 use crate::router::ShardRouter;
 use crate::shard::{ShardConfig, ShardSnapshot, ShardedEngine, StreamObs};
@@ -56,9 +51,9 @@ pub struct SoakConfig {
     pub requests: usize,
     /// Master seed: trace shape, fault streams, retry jitter.
     pub seed: u64,
-    /// Virtual execution lanes (per shard, in streaming mode).
+    /// Virtual execution lanes (per shard).
     pub workers: usize,
-    /// Admission queue capacity (per shard, in streaming mode).
+    /// Admission queue capacity (per shard).
     pub queue_capacity: usize,
     /// Background transient-fault probability per PIM kernel.
     pub flip_probability: f64,
@@ -75,13 +70,12 @@ pub struct SoakConfig {
     /// `reference_cost / total lanes`. Below 1.0 the system is overloaded
     /// and sheds; above it mostly keeps up.
     pub arrival_factor: f64,
-    /// Replica shards for the streaming soak ([`run_soak_stream`]); the
-    /// single-engine [`run_soak`] ignores it.
+    /// Replica shards; 1 is the single-engine soak.
     pub shards: u32,
     /// Request index range `[start, end)` during which requests from
     /// tenants homed on shard 0 run under a near-certain fault storm —
     /// the deterministic way to drain one shard and force failover.
-    /// `None` disables. Streaming soak only.
+    /// `None` disables.
     pub shard_storm: Option<(usize, usize)>,
     /// Background GPU stream-stall probability per GPU kernel launch
     /// (latency-only faults on the GPU executor). 0 disables.
@@ -92,8 +86,7 @@ pub struct SoakConfig {
     /// corruption that only the end-to-end integrity verdict catches.
     /// 0 disables.
     pub gpu_flip_prob: f64,
-    /// Enable hedged re-execution in the streaming fleet soak
-    /// ([`ShardConfig::hedging`]).
+    /// Enable hedged re-execution ([`ShardConfig::hedging`]).
     pub hedge: bool,
     /// Propagate deadline budgets into the scheduler: over-budget requests
     /// are cancelled mid-flight instead of running to a post-hoc miss
@@ -104,15 +97,13 @@ pub struct SoakConfig {
     /// consecutive same-tenant dispatches — and therefore batching wins —
     /// likely.
     pub tenants: u32,
-    /// Enable same-tenant batch serving in the streaming fleet soak
-    /// ([`ServingConfig::batching`]). Streaming soak only; the
-    /// single-engine [`run_soak`] ignores it.
+    /// Enable same-tenant batch serving ([`ServingConfig::batching`]).
     pub batching: bool,
     /// Enable batch-aware dispatch ordering on top of batching
     /// ([`ServingConfig::ordering`], A100-default tuning): same-tenant
     /// requests may be pulled forward past strangers under the slack
     /// budget, and joins credit their saved evk fetch back to the lane as
-    /// virtual time. Streaming soak only.
+    /// virtual time.
     pub ordering: bool,
 }
 
@@ -153,7 +144,7 @@ impl SoakConfig {
         }
     }
 
-    /// The default fleet chaos soak for streaming mode: 4 replica shards,
+    /// The default fleet chaos soak: 4 replica shards,
     /// background flips, a shard-storm window that drains shard 0 (its
     /// tenants fail over, a probe later re-admits it), and a stuck-lane
     /// window that leaves a permanent dead bank on whichever shard serves
@@ -259,65 +250,6 @@ pub fn shard_config_for(cfg: &SoakConfig) -> ShardConfig {
         router_seed: cfg.seed ^ 0x5AAD_F1EE,
         hedging: cfg.hedge,
         ..ShardConfig::new(cfg.shards)
-    }
-}
-
-/// Everything a soak run produces, in comparable form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoakOutcome {
-    /// One response per request, sorted by id.
-    pub responses: Vec<Response>,
-    /// Final health snapshot.
-    pub snapshot: HealthSnapshot,
-    /// The full breaker transition log.
-    pub transitions: Vec<BreakerTransition>,
-}
-
-/// Headline numbers of a soak run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SoakSummary {
-    /// Requests served on time.
-    pub completed: u64,
-    /// Requests that executed but missed their deadline.
-    pub deadline_misses: u64,
-    /// Requests cancelled mid-flight when their deadline budget ran out.
-    pub cancelled: u64,
-    /// Requests whose end-to-end integrity verdict failed (GPU transfer
-    /// corruption the per-kernel residue checks could not see).
-    pub integrity_failures: u64,
-    /// Requests shed: queue full.
-    pub shed_queue_full: u64,
-    /// Requests shed: deadline infeasible.
-    pub shed_infeasible: u64,
-    /// PIM integrity faults absorbed.
-    pub faults: u64,
-    /// Kernels routed around open breakers.
-    pub breaker_skips: u64,
-    /// Breaker transitions recorded.
-    pub transitions: u64,
-    /// Bank domains left permanently open.
-    pub dead_banks: u64,
-}
-
-impl fmt::Display for SoakSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} completed, {} deadline misses, {} cancelled, {} integrity failures, \
-             {} shed (queue-full {}, infeasible {}), \
-             {} faults absorbed, {} breaker skips, {} transitions, {} dead bank(s)",
-            self.completed,
-            self.deadline_misses,
-            self.cancelled,
-            self.integrity_failures,
-            self.shed_queue_full + self.shed_infeasible,
-            self.shed_queue_full,
-            self.shed_infeasible,
-            self.faults,
-            self.breaker_skips,
-            self.transitions,
-            self.dead_banks
-        )
     }
 }
 
@@ -500,189 +432,7 @@ pub fn build_trace(cfg: &SoakConfig) -> Vec<Request> {
     TraceGen::new(cfg).collect()
 }
 
-/// Runs a full soak: build the trace, serve it, snapshot health.
-pub fn run_soak(cfg: &SoakConfig) -> Result<SoakOutcome, RunError> {
-    let trace = build_trace(cfg);
-    let mut engine = ServingEngine::new(ServingConfig {
-        workers: cfg.workers,
-        queue_capacity: cfg.queue_capacity,
-        cancel_over_budget: cfg.cancel,
-        ..ServingConfig::a100_default(cfg.seed)
-    });
-    let responses = engine.run_trace(&trace)?;
-    Ok(SoakOutcome {
-        responses,
-        snapshot: engine.snapshot(),
-        transitions: engine.registry().transitions().to_vec(),
-    })
-}
-
-/// Checks the soak invariants, returning the summary on success and the
-/// first violation otherwise.
-pub fn check_invariants(cfg: &SoakConfig, out: &SoakOutcome) -> Result<SoakSummary, String> {
-    if out.responses.len() != cfg.requests {
-        return Err(format!(
-            "expected {} responses, got {}",
-            cfg.requests,
-            out.responses.len()
-        ));
-    }
-    let mut summary = SoakSummary::default();
-    for (i, r) in out.responses.iter().enumerate() {
-        if r.id != i as u64 {
-            return Err(format!("response {i} has id {} (duplicate or gap)", r.id));
-        }
-        match &r.outcome {
-            Outcome::Completed {
-                start_ns,
-                finish_ns,
-                deadline_ns,
-                deadline_slack_ns,
-                faults,
-                ..
-            } => {
-                if finish_ns > deadline_ns {
-                    return Err(format!(
-                        "request {} reported Completed past its deadline \
-                         (finish {finish_ns} > deadline {deadline_ns})",
-                        r.id
-                    ));
-                }
-                if finish_ns < start_ns {
-                    return Err(format!("request {} finishes before it starts", r.id));
-                }
-                if *deadline_slack_ns != deadline_ns - finish_ns {
-                    return Err(format!(
-                        "request {} slack {} disagrees with deadline {} - finish {}",
-                        r.id, deadline_slack_ns, deadline_ns, finish_ns
-                    ));
-                }
-                summary.completed += 1;
-                summary.faults += *faults as u64;
-            }
-            Outcome::DeadlineMiss {
-                finish_ns,
-                deadline_ns,
-                ..
-            } => {
-                if finish_ns <= deadline_ns {
-                    return Err(format!(
-                        "request {} reported DeadlineMiss inside its deadline",
-                        r.id
-                    ));
-                }
-                summary.deadline_misses += 1;
-            }
-            Outcome::Rejected(reason) => match reason {
-                Rejected::QueueFull => summary.shed_queue_full += 1,
-                Rejected::DeadlineInfeasible => summary.shed_infeasible += 1,
-                Rejected::AllShardsUnhealthy => {
-                    return Err(format!(
-                        "request {} rejected AllShardsUnhealthy in a single-engine soak",
-                        r.id
-                    ))
-                }
-            },
-            Outcome::Cancelled {
-                consumed_ns,
-                segments_done,
-                ..
-            } => {
-                if !cfg.cancel {
-                    return Err(format!(
-                        "request {} cancelled without budget propagation enabled",
-                        r.id
-                    ));
-                }
-                if *consumed_ns < 0.0 {
-                    return Err(format!("request {} consumed negative time", r.id));
-                }
-                let _ = segments_done;
-                summary.cancelled += 1;
-            }
-            Outcome::IntegrityFailure {
-                start_ns,
-                finish_ns,
-            } => {
-                if finish_ns < start_ns {
-                    return Err(format!("request {} finishes before it starts", r.id));
-                }
-                summary.integrity_failures += 1;
-            }
-            Outcome::Rerouted { .. } => {
-                return Err(format!("request {} rerouted in a single-engine soak", r.id))
-            }
-            Outcome::Hedged { .. } => {
-                return Err(format!("request {} hedged in a single-engine soak", r.id))
-            }
-            Outcome::Batched { .. } => {
-                return Err(format!("request {} batched in a single-engine soak", r.id))
-            }
-        }
-    }
-    let c = &out.snapshot.counters;
-    if c.submitted != cfg.requests as u64 {
-        return Err(format!(
-            "submitted counter {} != trace length {}",
-            c.submitted, cfg.requests
-        ));
-    }
-    if c.completed
-        + c.deadline_misses
-        + c.cancelled_over_budget
-        + c.integrity_failures
-        + c.shed_queue_full
-        + c.shed_infeasible
-        != c.submitted
-    {
-        return Err(format!("counters not conserved: {c:?}"));
-    }
-    if (
-        c.completed,
-        c.deadline_misses,
-        c.cancelled_over_budget,
-        c.integrity_failures,
-        c.shed_queue_full,
-        c.shed_infeasible,
-    ) != (
-        summary.completed,
-        summary.deadline_misses,
-        summary.cancelled,
-        summary.integrity_failures,
-        summary.shed_queue_full,
-        summary.shed_infeasible,
-    ) {
-        return Err(format!(
-            "counters disagree with responses: {c:?} vs {summary:?}"
-        ));
-    }
-    if c.max_queue_depth > cfg.queue_capacity as u64 {
-        return Err(format!(
-            "queue depth {} exceeded capacity {}",
-            c.max_queue_depth, cfg.queue_capacity
-        ));
-    }
-    if summary.completed == 0 {
-        return Err("no request completed".into());
-    }
-    summary.breaker_skips = c.breaker_skips;
-    summary.transitions = out.transitions.len() as u64;
-    summary.dead_banks = out.snapshot.banks.iter().filter(|b| b.permanent).count() as u64;
-    if cfg.stuck_window.is_some() {
-        if summary.dead_banks == 0 {
-            return Err("stuck-lane window never tripped a permanent breaker".into());
-        }
-        if summary.breaker_skips == 0 {
-            return Err("open breaker never routed a kernel around PIM".into());
-        }
-        if out.snapshot.open_banks() == out.snapshot.banks.len() {
-            return Err("every bank open: degradation was not bank-scoped".into());
-        }
-    }
-    Ok(summary)
-}
-
-/// Headline numbers of a streaming fleet soak.
+/// Headline numbers of a soak.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamSummary {
     /// Requests generated and submitted to the fleet.
@@ -711,9 +461,13 @@ pub struct StreamSummary {
     pub rerouted: u64,
     /// Rejected fleet-wide: no shard accepting.
     pub all_shards_unhealthy: u64,
-    /// PIM integrity faults absorbed (all shards).
+    /// PIM integrity faults absorbed by requests whose final outcome is
+    /// a completion. The shard registries also count the faults of missed,
+    /// cancelled, failed and losing hedge executions.
     pub faults: u64,
-    /// Kernels routed around open breakers (all shards).
+    /// Kernels routed around open breakers by requests whose final outcome
+    /// is a completion. The shard registries count every execution's
+    /// skips ([`HealthSnapshot`](anaheim_core::health::HealthSnapshot)).
     pub breaker_skips: u64,
     /// Shard drains (all shards).
     pub drains: u64,
@@ -807,10 +561,10 @@ impl fmt::Display for StreamSummary {
     }
 }
 
-/// What a streaming soak leaves behind: the summary, the per-shard
-/// snapshots, and their deterministic text rendering (the artifact the
-/// thread-count gate byte-compares). Responses themselves were checked on
-/// the fly and dropped.
+/// What a soak leaves behind: the summary, the per-shard snapshots, and
+/// their deterministic text rendering (the artifact the thread-count gate
+/// byte-compares). Responses themselves were checked on the fly and
+/// dropped.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// Headline numbers.
@@ -827,6 +581,9 @@ pub struct StreamOutcome {
 /// check itself cannot blow the memory budget it guards.
 struct StreamInvariants {
     capacity: usize,
+    /// Budget cancellation is on ([`SoakConfig::cancel`]); without it a
+    /// cancelled request is a bug.
+    cancel: bool,
     seen: Vec<u64>,
     summary: StreamSummary,
     /// Responses wrapped in [`Outcome::Hedged`] — cross-checked against
@@ -836,10 +593,11 @@ struct StreamInvariants {
 }
 
 impl StreamInvariants {
-    fn new(requests: usize) -> Self {
+    fn new(cfg: &SoakConfig) -> Self {
         Self {
-            capacity: requests,
-            seen: vec![0u64; requests.div_ceil(64)],
+            capacity: cfg.requests,
+            cancel: cfg.cancel,
+            seen: vec![0u64; cfg.requests.div_ceil(64)],
             summary: StreamSummary::default(),
             hedged_seen: 0,
             error: None,
@@ -931,6 +689,7 @@ impl StreamInvariants {
                 start_ns,
                 finish_ns,
                 deadline_ns,
+                deadline_slack_ns,
                 faults,
                 breaker_skips,
                 ..
@@ -944,12 +703,16 @@ impl StreamInvariants {
                 if finish_ns < start_ns {
                     return Err(format!("request {id} finishes before it starts"));
                 }
+                if *deadline_slack_ns != deadline_ns - finish_ns {
+                    return Err(format!(
+                        "request {id} slack {deadline_slack_ns} disagrees with \
+                         deadline {deadline_ns} - finish {finish_ns}"
+                    ));
+                }
                 self.summary.completed += 1;
                 self.summary.faults += u64::from(*faults);
                 self.summary.breaker_skips += u64::from(*breaker_skips);
-                if *finish_ns > self.summary.last_finish_ns {
-                    self.summary.last_finish_ns = *finish_ns;
-                }
+                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
             }
             Outcome::DeadlineMiss {
                 finish_ns,
@@ -962,23 +725,24 @@ impl StreamInvariants {
                     ));
                 }
                 self.summary.deadline_misses += 1;
-                if *finish_ns > self.summary.last_finish_ns {
-                    self.summary.last_finish_ns = *finish_ns;
-                }
+                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
             }
             Outcome::Cancelled {
                 start_ns,
                 consumed_ns,
                 ..
             } => {
+                if !self.cancel {
+                    return Err(format!(
+                        "request {id} cancelled without budget propagation enabled"
+                    ));
+                }
                 if *consumed_ns < 0.0 {
                     return Err(format!("request {id} consumed negative time"));
                 }
                 self.summary.cancelled += 1;
-                let end = start_ns + consumed_ns;
-                if end > self.summary.last_finish_ns {
-                    self.summary.last_finish_ns = end;
-                }
+                self.summary.last_finish_ns =
+                    self.summary.last_finish_ns.max(start_ns + consumed_ns);
             }
             Outcome::IntegrityFailure {
                 start_ns,
@@ -988,14 +752,12 @@ impl StreamInvariants {
                     return Err(format!("request {id} finishes before it starts"));
                 }
                 self.summary.integrity_failures += 1;
-                if *finish_ns > self.summary.last_finish_ns {
-                    self.summary.last_finish_ns = *finish_ns;
-                }
+                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
             }
             Outcome::Rejected(Rejected::QueueFull) => self.summary.shed_queue_full += 1,
             Outcome::Rejected(Rejected::DeadlineInfeasible) => self.summary.shed_infeasible += 1,
             Outcome::Rejected(Rejected::AllShardsUnhealthy) => {
-                if self.summary.rerouted > 0 && matches!(r.outcome, Outcome::Rerouted { .. }) {
+                if matches!(r.outcome, Outcome::Rerouted { .. }) {
                     return Err(format!(
                         "request {id}: AllShardsUnhealthy cannot be wrapped in Rerouted"
                     ));
@@ -1057,13 +819,29 @@ impl StreamInvariants {
         }
         let snapshots = engine.snapshots();
         let mut shard_submitted = 0u64;
-        let mut cancelled_execs = 0u64;
-        let mut integrity_execs = 0u64;
+        let mut breaker_skips = 0u64;
+        // Registry outcome counters, in the order of `by_class` below.
+        let mut executions = [0u64; 6];
         for s in &snapshots {
             let c = &s.health.counters;
             shard_submitted += c.submitted;
-            cancelled_execs += c.cancelled_over_budget;
-            integrity_execs += c.integrity_failures;
+            breaker_skips += c.breaker_skips;
+            for (sum, v) in executions.iter_mut().zip([
+                c.completed,
+                c.deadline_misses,
+                c.cancelled_over_budget,
+                c.integrity_failures,
+                c.shed_queue_full,
+                c.shed_infeasible,
+            ]) {
+                *sum += v;
+            }
+            if cfg.stuck_window.is_some() && s.health.open_banks() == s.health.banks.len() {
+                return Err(format!(
+                    "shard {} has every bank open: degradation was not bank-scoped",
+                    s.shard
+                ));
+            }
             if c.completed
                 + c.deadline_misses
                 + c.cancelled_over_budget
@@ -1102,6 +880,26 @@ impl StreamInvariants {
                 fleet.hedges_launched
             ));
         }
+        // Hedges add executions no response reports, so only an unhedged
+        // run's registries match the responses class by class.
+        let sm = &self.summary;
+        let by_class = [
+            sm.completed,
+            sm.deadline_misses,
+            sm.cancelled,
+            sm.integrity_failures,
+            sm.shed_queue_full,
+            sm.shed_infeasible,
+        ];
+        if !cfg.hedge && executions != by_class {
+            return Err(format!(
+                "registry counters {executions:?} disagree with responses {by_class:?} \
+                 (completed, missed, cancelled, integrity, queue-full, infeasible)"
+            ));
+        }
+        if cfg.shards <= 1 && (self.summary.drains > 0 || fleet.rejected_all_unhealthy > 0) {
+            return Err("a lone replica drained or rejected a request fleet-wide".into());
+        }
         if self.summary.completed == 0 {
             return Err("no request completed".into());
         }
@@ -1115,11 +913,11 @@ impl StreamInvariants {
         }
         if cfg.cancel
             && (cfg.gpu_stall_prob > 0.0 || cfg.flip_probability > 0.0)
-            && cancelled_execs == 0
+            && executions[2] == 0
         {
             return Err("budget propagation enabled under faults but nothing was cancelled".into());
         }
-        if cfg.gpu_flip_prob > 0.0 && integrity_execs == 0 {
+        if cfg.gpu_flip_prob > 0.0 && executions[3] == 0 {
             return Err("GPU transfer flips configured but no integrity verdict failed".into());
         }
         if cfg.shard_storm.is_some() {
@@ -1133,8 +931,13 @@ impl StreamInvariants {
                 return Err("no request failed over to a replica".into());
             }
         }
-        if cfg.stuck_window.is_some() && self.summary.dead_banks == 0 {
-            return Err("stuck-lane window never tripped a permanent breaker".into());
+        if cfg.stuck_window.is_some() {
+            if self.summary.dead_banks == 0 {
+                return Err("stuck-lane window never tripped a permanent breaker".into());
+            }
+            if breaker_skips == 0 {
+                return Err("open breaker never routed a kernel around PIM".into());
+            }
         }
         if cfg.batching {
             if self.summary.evk_saved_bytes == 0 {
@@ -1175,16 +978,26 @@ impl StreamInvariants {
     }
 }
 
-/// Runs the sharded, bounded-memory streaming soak: the trace is generated
-/// lazily, served through a [`ShardedEngine`] built from
-/// [`shard_config_for`], and every response is invariant-checked as it is
-/// produced, then dropped. With `obs`, completed spans stream through the
-/// bounded sink and the fleet state is exported to the metrics registry.
+/// Runs the bounded-memory soak: the trace is generated lazily, served
+/// through a [`ShardedEngine`] built from [`shard_config_for`], and every
+/// response is invariant-checked as it is produced, then dropped. With
+/// `obs`, completed spans stream through the bounded sink and the fleet
+/// state is exported to the metrics registry.
 ///
 /// Returns the first invariant violation (or engine error) as `Err`.
 pub fn run_soak_stream(
     cfg: &SoakConfig,
     obs: Option<&mut StreamObs<'_>>,
+) -> Result<StreamOutcome, String> {
+    run_soak_stream_with(cfg, obs, |_| {})
+}
+
+/// [`run_soak_stream`], handing every response to `on_response` once it
+/// has been checked, in execution order.
+pub fn run_soak_stream_with(
+    cfg: &SoakConfig,
+    obs: Option<&mut StreamObs<'_>>,
+    mut on_response: impl FnMut(&Response),
 ) -> Result<StreamOutcome, String> {
     let gen = TraceGen::new(cfg);
     let mut engine = ShardedEngine::new(
@@ -1198,9 +1011,16 @@ pub fn run_soak_stream(
         },
         shard_config_for(cfg),
     );
-    let mut inv = StreamInvariants::new(cfg.requests);
+    let mut inv = StreamInvariants::new(cfg);
     engine
-        .run_stream(gen, |r| inv.observe(r), obs)
+        .run_stream(
+            gen,
+            |r| {
+                inv.observe(r);
+                on_response(r);
+            },
+            obs,
+        )
         .map_err(|e| format!("engine error: {e}"))?;
     inv.finish(cfg, &engine)
 }
@@ -1300,10 +1120,10 @@ mod tests {
             requests: 30,
             ..SoakConfig::clean(11)
         };
-        let out = run_soak(&cfg).unwrap();
-        let s = check_invariants(&cfg, &out).unwrap();
+        let out = run_soak_stream(&cfg, None).unwrap();
+        let s = out.summary;
         assert_eq!(s.faults, 0);
-        assert_eq!(s.transitions, 0);
+        assert_eq!(out.snapshots[0].health.transitions, 0);
         assert_eq!(s.dead_banks, 0);
         assert!(s.completed > 0);
     }
@@ -1311,11 +1131,11 @@ mod tests {
     #[test]
     fn chaos_soak_trips_breaker_and_passes_invariants() {
         let cfg = tiny(17);
-        let out = run_soak(&cfg).unwrap();
-        let s = check_invariants(&cfg, &out).unwrap();
+        let out = run_soak_stream(&cfg, None).unwrap();
+        let s = out.summary;
         assert!(s.faults > 0, "chaos must inject faults");
         assert_eq!(s.dead_banks, 1, "one domain permanently open");
-        assert!(s.transitions >= 1);
+        assert!(out.snapshots[0].health.transitions >= 1);
     }
 
     #[test]
@@ -1359,8 +1179,9 @@ mod tests {
             cancel: true,
             ..SoakConfig::chaos(23)
         };
-        let out = run_soak(&cfg).unwrap();
-        let s = check_invariants(&cfg, &out).unwrap();
+        let mut responses = Vec::new();
+        let out = run_soak_stream_with(&cfg, None, |r| responses.push(r.clone())).unwrap();
+        let s = out.summary;
         assert!(
             s.cancelled >= 1,
             "GPU stalls under budget propagation must cancel something: {s}"
@@ -1371,9 +1192,10 @@ mod tests {
         );
         assert!(s.completed > 0, "the storm must not kill everything: {s}");
         // Counter conservation with the new classes is checked inside
-        // check_invariants; determinism:
-        let again = run_soak(&cfg).unwrap();
-        assert_eq!(out.responses, again.responses);
+        // the soak's invariants; determinism:
+        let mut again = Vec::new();
+        run_soak_stream_with(&cfg, None, |r| again.push(r.clone())).unwrap();
+        assert_eq!(responses, again);
     }
 
     #[test]

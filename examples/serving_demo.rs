@@ -4,16 +4,16 @@
 //! Run with: `cargo run --release --example serving_demo`
 //!
 //! Part 1 hand-builds a small multi-tenant trace (three priority classes,
-//! one request dragging a hard PIM fault along) and serves it, printing
-//! each typed outcome and the final bank-health snapshot. Part 2 runs the
-//! seeded chaos soak the CI harness uses (`scripts/soak.sh`) at a reduced
-//! request count.
+//! one request dragging a hard PIM fault along) and serves it on one
+//! engine — a one-shard fleet — printing each typed outcome and the final
+//! bank-health snapshot. Part 2 runs the seeded chaos soak the CI harness
+//! uses (`scripts/soak.sh`) at a reduced request count.
 
 use anaheim::core::build::Builder;
 use anaheim::core::params::ParamSet;
 use anaheim::pim::FaultPlan;
-use anaheim::serving::soak::{check_invariants, run_soak, SoakConfig};
-use anaheim::serving::{Outcome, Priority, Request, ServingConfig, ServingEngine};
+use anaheim::serving::soak::{run_soak_stream, SoakConfig};
+use anaheim::serving::{Outcome, Priority, Request, ServingConfig, ShardConfig, ShardedEngine};
 
 fn main() {
     // --- Part 1: a hand-built trace through the engine API.
@@ -22,7 +22,7 @@ fn main() {
         std::sync::Arc::new(b.lintrans(24, 6, anaheim::core::build::LinTransStyle::Hoisting, true));
     let light = std::sync::Arc::new(b.hmult(24));
 
-    let mut engine = ServingEngine::new(ServingConfig::a100_default(2024));
+    let mut engine = ShardedEngine::new(ServingConfig::a100_default(2024), ShardConfig::new(1));
     // Reference cost for picking arrivals/deadlines in virtual ns.
     let t_ref = 2_000_000.0;
 
@@ -69,7 +69,12 @@ fn main() {
     }
 
     println!("serving {} requests from 4 tenants:\n", trace.len());
-    let responses = engine.run_trace(&trace).expect("trace serves");
+    // Responses arrive in execution order; sort them back into trace order.
+    let mut responses = Vec::new();
+    engine
+        .run_stream(trace, |r| responses.push(r.clone()), None)
+        .expect("trace serves");
+    responses.sort_by_key(|r| r.id);
     for r in &responses {
         let verdict = match &r.outcome {
             Outcome::Completed {
@@ -133,7 +138,7 @@ fn main() {
         );
     }
 
-    let snap = engine.snapshot();
+    let snap = engine.snapshots().remove(0).health;
     println!("\nbank health after the trace:");
     for bank in &snap.banks {
         println!(
@@ -158,8 +163,7 @@ fn main() {
         "\nchaos soak: {} mixed requests, seed {}, fault storms + a stuck lane...",
         cfg.requests, cfg.seed
     );
-    let out = run_soak(&cfg).expect("soak runs");
-    let summary = check_invariants(&cfg, &out).expect("all invariants hold");
-    println!("  {summary}");
+    let out = run_soak_stream(&cfg, None).expect("all invariants hold");
+    println!("  {}", out.summary);
     println!("  every outcome typed, every completion inside its deadline.");
 }

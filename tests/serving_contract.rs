@@ -30,8 +30,12 @@ use anaheim::core::ir::OpSequence;
 use anaheim::core::params::ParamSet;
 use anaheim::core::schedule::ScheduleMode;
 use anaheim::core::telemetry::Telemetry;
-use anaheim::serving::soak::{run_soak, run_soak_stream, SoakConfig};
-use anaheim::serving::{OrderingConfig, Priority, Request, Response, ServingConfig, ServingEngine};
+use anaheim::obs::StreamingTraceSink;
+use anaheim::serving::soak::{run_soak_stream, shard_config_for, SoakConfig, TraceGen};
+use anaheim::serving::{
+    OrderingConfig, Priority, Request, Response, ServingConfig, ShardConfig, ShardedEngine,
+    StreamObs,
+};
 
 const GOLDEN: &str = include_str!("golden/serving_contract.txt");
 
@@ -48,24 +52,49 @@ fn digest<T: Debug + ?Sized>(v: &T) -> String {
     format!("{:016x}", fnv1a(&format!("{v:?}")))
 }
 
-/// Serves a hand-built trace on one engine, with or without telemetry;
-/// responses sorted by id.
+/// Serves a hand-built trace on one engine (a one-shard fleet), with or
+/// without telemetry; responses sorted by id.
 fn serve(cfg: ServingConfig, trace: &[Request], traced: bool) -> Vec<Response> {
-    let mut engine = ServingEngine::new(cfg);
-    if traced {
-        let mut tel = Telemetry::new(7);
-        engine.run_trace_traced(trace, &mut tel)
-    } else {
-        engine.run_trace(trace)
-    }
-    .expect("hand-built traces serve")
+    let mut engine = ShardedEngine::new(cfg, ShardConfig::new(1));
+    let mut responses = Vec::new();
+    let mut tel = Telemetry::new(7);
+    let mut sink = StreamingTraceSink::new(64);
+    let mut obs = StreamObs::new(&mut tel, &mut sink);
+    engine
+        .run_stream(
+            trace.to_vec(),
+            |r| responses.push(r.clone()),
+            traced.then_some(&mut obs),
+        )
+        .expect("hand-built traces serve");
+    responses.sort_by_key(|r| r.id);
+    responses
 }
 
-/// The single-engine soak: id-sorted responses, the final health snapshot
-/// and the breaker transition log.
+/// The single-engine soak's trace served on the engine `run_soak_stream`
+/// builds (one shard): id-sorted responses, the final health snapshot and
+/// the breaker transition log. Served directly rather than through the
+/// invariant checker, which rejects a budget-cancelling soak too short to
+/// cancel anything.
 fn soak(cfg: &SoakConfig) -> (Vec<Response>, HealthSnapshot, Vec<BreakerTransition>) {
-    let out = run_soak(cfg).expect("soak runs");
-    (out.responses, out.snapshot, out.transitions)
+    let mut engine = ShardedEngine::new(
+        ServingConfig {
+            workers: cfg.workers,
+            queue_capacity: cfg.queue_capacity,
+            cancel_over_budget: cfg.cancel,
+            batching: cfg.batching,
+            ordering: cfg.ordering.then(OrderingConfig::a100_default),
+            ..ServingConfig::a100_default(cfg.seed)
+        },
+        shard_config_for(cfg),
+    );
+    let mut responses = Vec::new();
+    engine
+        .run_stream(TraceGen::new(cfg), |r| responses.push(r.clone()), None)
+        .expect("soak serves");
+    responses.sort_by_key(|r| r.id);
+    let shard = engine.snapshots().remove(0);
+    (responses, shard.health, shard.breaker_log)
 }
 
 /// `base` at `requests`, its stuck-lane window rescaled as `bench_json`

@@ -8,21 +8,35 @@
 //! re-route, a probe re-admits it) and the per-shard snapshot text is
 //! byte-identical across thread counts.
 
-use anaheim::serving::soak::{check_invariants, run_soak, run_soak_stream, SoakConfig};
-use anaheim::serving::{Outcome, Rejected, ShardState};
+use anaheim::serving::soak::{
+    run_soak_stream, run_soak_stream_with, SoakConfig, StreamOutcome, TraceGen,
+};
+use anaheim::serving::{
+    Outcome, Rejected, Response, ServingConfig, ShardConfig, ShardState, ShardedEngine,
+};
+
+/// The single-engine soak (a one-shard fleet), its invariants checked:
+/// the outcome plus every response, sorted by id.
+fn soak_with_responses(cfg: &SoakConfig) -> Result<(StreamOutcome, Vec<Response>), String> {
+    let mut responses = Vec::new();
+    let out = run_soak_stream_with(cfg, None, |r| responses.push(r.clone()))?;
+    responses.sort_by_key(|r| r.id);
+    Ok((out, responses))
+}
 
 #[test]
 fn chaos_soak_over_200_requests_holds_all_invariants() {
     let cfg = SoakConfig::chaos(2024);
     assert!(cfg.requests >= 200, "acceptance floor is 200 requests");
 
-    let out = run_soak(&cfg).expect("chaos soak must not error out");
-    let summary = check_invariants(&cfg, &out).expect("soak invariants");
+    let (out, responses) = soak_with_responses(&cfg).expect("soak invariants");
+    let summary = out.summary;
+    let snapshot = &out.snapshots[0].health;
 
     // Every response is an honest, typed outcome; in particular no request
-    // that expired returns Ok (check_invariants proves it, but the claim
+    // that expired returns Ok (the soak invariants prove it, but the claim
     // is the acceptance criterion, so spell it out).
-    for r in &out.responses {
+    for r in &responses {
         if let Outcome::Completed {
             finish_ns,
             deadline_ns,
@@ -42,10 +56,10 @@ fn chaos_soak_over_200_requests_holds_all_invariants() {
     // while the fleet keeps serving.
     assert!(summary.completed > 0);
     assert!(summary.faults > 0, "fault storms must fire");
-    assert!(summary.transitions > 0, "breakers must cycle");
+    assert!(snapshot.transitions > 0, "breakers must cycle");
     assert_eq!(summary.dead_banks, 1, "the stuck lane kills one domain");
     assert!(
-        out.snapshot.open_banks() < out.snapshot.banks.len(),
+        snapshot.open_banks() < snapshot.banks.len(),
         "a sick bank must never take the whole fleet down"
     );
 }
@@ -59,14 +73,13 @@ fn sustained_overload_sheds_with_typed_rejections() {
         arrival_factor: 0.05,
         ..SoakConfig::clean(11)
     };
-    let out = run_soak(&cfg).expect("overload must shed, not fail");
-    let summary = check_invariants(&cfg, &out).expect("soak invariants");
+    let (out, responses) = soak_with_responses(&cfg).expect("overload must shed, not fail");
+    let summary = out.summary;
     assert!(
         summary.shed_queue_full + summary.shed_infeasible > 0,
         "overload must shed"
     );
-    let typed_sheds = out
-        .responses
+    let typed_sheds = responses
         .iter()
         .filter(|r| {
             matches!(
@@ -81,7 +94,7 @@ fn sustained_overload_sheds_with_typed_rejections() {
         summary.shed_queue_full + summary.shed_infeasible
     );
     assert!(
-        out.snapshot.counters.max_queue_depth <= cfg.queue_capacity as u64,
+        out.snapshots[0].health.counters.max_queue_depth <= cfg.queue_capacity as u64,
         "backpressure must respect the queue bound"
     );
 }
@@ -96,27 +109,60 @@ fn soak_outcome_is_bit_identical_across_thread_counts() {
     let mut outcomes = Vec::new();
     for threads in [1usize, 8] {
         parpool::set_threads(threads);
-        outcomes.push((threads, run_soak(&cfg).expect("soak runs")));
+        outcomes.push((threads, soak_with_responses(&cfg).expect("soak invariants")));
     }
     parpool::set_threads(0);
 
-    let (_, baseline) = &outcomes[0];
-    check_invariants(&cfg, baseline).expect("soak invariants");
-    for (threads, out) in &outcomes[1..] {
+    let (_, (baseline, baseline_responses)) = &outcomes[0];
+    for (threads, (out, responses)) in &outcomes[1..] {
         assert_eq!(
-            out.responses, baseline.responses,
+            responses, baseline_responses,
             "responses differ at {threads} thread(s)"
         );
         assert_eq!(
-            out.snapshot, baseline.snapshot,
+            out.snapshots[0].health, baseline.snapshots[0].health,
             "health snapshot differs at {threads} thread(s)"
         );
         assert_eq!(
-            out.transitions, baseline.transitions,
+            out.snapshots[0].breaker_log, baseline.snapshots[0].breaker_log,
             "breaker transition log differs at {threads} thread(s)"
         );
-        assert_eq!(out, baseline, "soak outcome depends on thread count");
+        assert_eq!(
+            out.snapshots, baseline.snapshots,
+            "soak outcome depends on thread count"
+        );
     }
+}
+
+#[test]
+fn lone_replica_never_drains() {
+    // A one-shard fleet has no sibling to take a draining shard's tenants,
+    // so a drain could only turn its traffic into fleet-wide rejections:
+    // `ShardConfig::new(1)` never drains, however sick its banks get.
+    let cfg = SoakConfig::chaos(2024);
+    let mut engine = ShardedEngine::new(
+        ServingConfig {
+            workers: cfg.workers,
+            queue_capacity: cfg.queue_capacity,
+            ..ServingConfig::a100_default(cfg.seed)
+        },
+        ShardConfig::new(1),
+    );
+    let mut all_unhealthy = 0;
+    engine
+        .run_stream(
+            TraceGen::new(&cfg),
+            |r| {
+                if r.outcome == Outcome::Rejected(Rejected::AllShardsUnhealthy) {
+                    all_unhealthy += 1;
+                }
+            },
+            None,
+        )
+        .expect("chaos soak serves");
+    assert_eq!(engine.snapshots()[0].counters.drains, 0);
+    assert_eq!(all_unhealthy, 0);
+    assert_eq!(engine.fleet().rejected_all_unhealthy, 0);
 }
 
 /// The CI fleet configuration at a request count that keeps the test fast

@@ -11,7 +11,8 @@ use anaheim::core::framework::{Anaheim, AnaheimConfig};
 use anaheim::core::health::HealthRegistry;
 use anaheim::core::schedule::RunOptions;
 use anaheim::core::telemetry::Telemetry;
-use anaheim::serving::{Priority, Request, ServingConfig, ServingEngine};
+use anaheim::obs::StreamingTraceSink;
+use anaheim::serving::{Priority, Request, ServingConfig, ShardConfig, ShardedEngine, StreamObs};
 use anaheim::workloads::{run_workload_with, Workload};
 
 /// Runs `f` under an explicit parpool width, restoring auto mode after.
@@ -124,10 +125,16 @@ fn serving_exports(threads: usize) -> (String, String) {
                 }
             })
             .collect();
-        let mut engine = ServingEngine::new(ServingConfig::a100_default(7));
+        let mut engine = ShardedEngine::new(ServingConfig::a100_default(7), ShardConfig::new(1));
         let mut tel = Telemetry::new(7);
-        engine.run_trace_traced(&trace, &mut tel).expect("serves");
-        (tel.chrome_trace(), tel.prometheus())
+        // Large enough to keep every span: the sink holds the whole trace.
+        let mut sink = StreamingTraceSink::new(1 << 16);
+        let mut obs = StreamObs::new(&mut tel, &mut sink);
+        engine
+            .run_stream(trace, |_| {}, Some(&mut obs))
+            .expect("serves");
+        let spans: Vec<_> = sink.recent().collect();
+        (format!("{spans:?}"), tel.prometheus())
     })
 }
 
