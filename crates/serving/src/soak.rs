@@ -836,7 +836,12 @@ impl StreamInvariants {
             ]) {
                 *sum += v;
             }
-            if cfg.stuck_window.is_some() && s.health.open_banks() == s.health.banks.len() {
+            // The stuck lane must kill only its own domain. A shard storm
+            // opens every breaker of the shards it reaches on purpose.
+            if cfg.stuck_window.is_some()
+                && cfg.shard_storm.is_none()
+                && s.health.open_banks() == s.health.banks.len()
+            {
                 return Err(format!(
                     "shard {} has every bank open: degradation was not bank-scoped",
                     s.shard

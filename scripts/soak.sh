@@ -4,18 +4,21 @@
 # Builds the `soak` binary in release mode and replays a seeded fault
 # schedule over a mixed-workload trace, checking the serving invariants
 # (no panics, no deadline-expired request reported Ok, typed sheds,
-# bounded queue) and — with --threads-check — that the whole outcome is
-# bit-identical across ANAHEIM_THREADS settings.
+# bounded queue) and — with --threads-check — that every response, the
+# per-shard health snapshots and breaker transition logs, and the
+# snapshot text are bit-identical across ANAHEIM_THREADS settings.
+# Every scenario streams: the trace is generated lazily and served
+# through the sharded fleet, responses checked and dropped as produced.
 #
 # Usage: scripts/soak.sh [--quick] [--requests N] [--seed S] [--threads-check]
 #                        [--stream] [--hedge] [--batch] [--ordered] [--shards N]
 #                        [--snapshot-out FILE] [--trace-out FILE]
 #                        [--metrics-out FILE] [--rss-budget-kb N]
-#   --quick   200-request seeded soak with the determinism check; finishes
-#             in seconds (what scripts/check.sh runs)
-#   --stream  sharded bounded-memory streaming soak: lazy trace generation,
-#             rendezvous-hash routing with replica failover, responses
-#             checked and dropped as produced. --snapshot-out writes the
+#   --quick   200-request single-engine chaos soak (a one-shard fleet) with
+#             the determinism check; finishes in seconds (what
+#             scripts/check.sh runs)
+#   --stream  fleet chaos soak: four shards, rendezvous-hash routing with
+#             replica failover and a shard storm. --snapshot-out writes the
 #             deterministic per-shard snapshot text (the artifact
 #             scripts/check.sh byte-compares across ANAHEIM_THREADS);
 #             --rss-budget-kb fails the run if peak RSS (VmHWM) exceeds
