@@ -375,8 +375,6 @@ impl Queued for Prepared {
 pub(crate) struct ServingEngine {
     rt: Anaheim,
     registry: HealthRegistry,
-    workers: usize,
-    queue_capacity: usize,
     cancel_over_budget: bool,
     batching: bool,
     batch: BatchState,
@@ -394,14 +392,15 @@ pub(crate) struct ServingEngine {
 impl ServingEngine {
     /// Builds the runtime and a health registry sized for its PIM device.
     pub(crate) fn new(cfg: ServingConfig) -> Self {
+        // The shard sizes its own lanes and queue from `workers` and
+        // `queue_capacity`.
         let ServingConfig {
             mut platform,
             breaker,
-            workers,
-            queue_capacity,
             cancel_over_budget,
             batching,
             ordering,
+            ..
         } = cfg;
         // Requests carry their own fault environments.
         platform.fault = None;
@@ -412,8 +411,6 @@ impl ServingEngine {
         Self {
             rt: Anaheim::new(platform),
             registry,
-            workers: workers.max(1),
-            queue_capacity: queue_capacity.max(1),
             cancel_over_budget,
             batching,
             batch: BatchState::default(),
@@ -632,28 +629,6 @@ impl ServingEngine {
         }
     }
 
-    /// When would `cand` start if admitted now? Simulates the lanes working
-    /// through the queue in pop order with the candidate inserted at its
-    /// priority position.
-    pub(crate) fn projected_start_ns(
-        lanes: &[f64],
-        queue: &AdmissionQueue<Prepared>,
-        cand: &Prepared,
-        now: f64,
-    ) -> f64 {
-        projected_start_from_keys(
-            lanes,
-            queue.keys_in_pop_order(),
-            QueueKey {
-                id: cand.id,
-                priority: cand.priority,
-                arrival_ns: cand.arrival_ns,
-                estimate_ns: cand.estimate_ns,
-            },
-            now,
-        )
-    }
-
     /// The virtual-time lane credit for a dispatch that amortized `saved`
     /// evk bytes: the fetch time those bytes would have cost at the
     /// ordering config's bandwidth. 0.0 with ordering off — the plain
@@ -806,16 +781,6 @@ impl ServingEngine {
     /// Mutable access to the registry (shard layer: fleet accounting).
     pub(crate) fn registry_mut(&mut self) -> &mut HealthRegistry {
         &mut self.registry
-    }
-
-    /// Virtual execution lanes.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Admission queue capacity.
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.queue_capacity
     }
 }
 

@@ -52,9 +52,10 @@ use anaheim_core::RunError;
 use obs::StreamingTraceSink;
 
 use crate::engine::{
-    earliest_lane, prepare_batch, BatchStats, Prepared, ServingConfig, ServingEngine,
+    earliest_lane, prepare_batch, projected_start_from_keys, BatchStats, Prepared, ServingConfig,
+    ServingEngine,
 };
-use crate::queue::AdmissionQueue;
+use crate::queue::{AdmissionQueue, QueueKey};
 use crate::request::{Outcome, Rejected, Request, Response};
 use crate::router::ShardRouter;
 
@@ -375,14 +376,11 @@ struct Shard {
 
 impl Shard {
     fn new(id: u32, cfg: ServingConfig, shard_cfg: &ShardConfig) -> Self {
-        let engine = ServingEngine::new(cfg);
-        let lanes = vec![0.0; engine.workers()];
-        let queue = AdmissionQueue::new(engine.queue_capacity());
         Self {
             id,
-            engine,
-            queue,
-            lanes,
+            lanes: vec![0.0; cfg.workers.max(1)],
+            queue: AdmissionQueue::new(cfg.queue_capacity.max(1)),
+            engine: ServingEngine::new(cfg),
             state: ShardState::Up,
             readmit_at_ns: 0.0,
             next_cooldown_ns: shard_cfg.drain_cooldown_ns,
@@ -476,7 +474,7 @@ impl Shard {
     ) {
         self.engine.registry_mut().counters.submitted += 1;
         let track = shard_track(self.id);
-        if self.queue.len() >= self.engine.queue_capacity() {
+        if self.queue.len() >= self.queue.capacity() {
             self.engine.registry_mut().counters.shed_queue_full += 1;
             ServingEngine::shed_marker(tel.as_deref_mut(), &p, "queue-full", track);
             out.push(Self::wrap(
@@ -486,7 +484,16 @@ impl Shard {
             ));
             return;
         }
-        let projected = ServingEngine::projected_start_ns(&self.lanes, &self.queue, &p, now);
+        // Simulates the lanes working through the queue in pop order with
+        // the candidate inserted at its priority position.
+        let cand = QueueKey {
+            id: p.id,
+            priority: p.priority,
+            arrival_ns: p.arrival_ns,
+            estimate_ns: p.estimate_ns,
+        };
+        let projected =
+            projected_start_from_keys(&self.lanes, self.queue.keys_in_pop_order(), cand, now);
         if projected + p.estimate_ns > p.deadline_ns {
             self.engine.registry_mut().counters.shed_infeasible += 1;
             ServingEngine::shed_marker(tel, &p, "deadline-infeasible", track);
@@ -510,9 +517,10 @@ impl Shard {
     }
 
     /// The only dispatch loop: dispatches queued work while something can
-    /// start at or before `until_ns`, evaluating the lifecycle after every execution: Up
-    /// drains past the breaker threshold; a probe's result decides
-    /// re-admission; a Draining shard whose queue empties starts cooling.
+    /// start at or before `until_ns`, evaluating the lifecycle after every
+    /// execution: Up drains past the breaker threshold; a probe's result
+    /// decides re-admission; a Draining shard whose queue empties starts
+    /// cooling.
     ///
     /// With `hedges` present (fleet-level hedging enabled), executions that
     /// look risky at dispatch or fail mid-flight are held back as

@@ -712,7 +712,9 @@ impl StreamInvariants {
                 self.summary.completed += 1;
                 self.summary.faults += u64::from(*faults);
                 self.summary.breaker_skips += u64::from(*breaker_skips);
-                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
+                if *finish_ns > self.summary.last_finish_ns {
+                    self.summary.last_finish_ns = *finish_ns;
+                }
             }
             Outcome::DeadlineMiss {
                 finish_ns,
@@ -725,7 +727,9 @@ impl StreamInvariants {
                     ));
                 }
                 self.summary.deadline_misses += 1;
-                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
+                if *finish_ns > self.summary.last_finish_ns {
+                    self.summary.last_finish_ns = *finish_ns;
+                }
             }
             Outcome::Cancelled {
                 start_ns,
@@ -741,8 +745,10 @@ impl StreamInvariants {
                     return Err(format!("request {id} consumed negative time"));
                 }
                 self.summary.cancelled += 1;
-                self.summary.last_finish_ns =
-                    self.summary.last_finish_ns.max(start_ns + consumed_ns);
+                let end = start_ns + consumed_ns;
+                if end > self.summary.last_finish_ns {
+                    self.summary.last_finish_ns = end;
+                }
             }
             Outcome::IntegrityFailure {
                 start_ns,
@@ -752,12 +758,14 @@ impl StreamInvariants {
                     return Err(format!("request {id} finishes before it starts"));
                 }
                 self.summary.integrity_failures += 1;
-                self.summary.last_finish_ns = self.summary.last_finish_ns.max(*finish_ns);
+                if *finish_ns > self.summary.last_finish_ns {
+                    self.summary.last_finish_ns = *finish_ns;
+                }
             }
             Outcome::Rejected(Rejected::QueueFull) => self.summary.shed_queue_full += 1,
             Outcome::Rejected(Rejected::DeadlineInfeasible) => self.summary.shed_infeasible += 1,
             Outcome::Rejected(Rejected::AllShardsUnhealthy) => {
-                if matches!(r.outcome, Outcome::Rerouted { .. }) {
+                if self.summary.rerouted > 0 && matches!(r.outcome, Outcome::Rerouted { .. }) {
                     return Err(format!(
                         "request {id}: AllShardsUnhealthy cannot be wrapped in Rerouted"
                     ));
