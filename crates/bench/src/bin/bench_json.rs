@@ -141,26 +141,34 @@ fn time_ns(budget: Budget, mut f: impl FnMut()) -> Timing {
     Timing::from_means(means)
 }
 
-/// Times `f` across a whole thread sweep with the sweep points
-/// *interleaved per sample round*: round r takes one sample at every
-/// thread count before round r+1 starts. On a busy host, slow drift
-/// (frequency scaling, noisy neighbours) then lands on every thread count
-/// equally instead of biasing whichever block ran last — which is what the
-/// `scripts/check.sh` small-ring gate compares. Returns one `Timing` per
-/// sweep entry, in order.
-fn time_sweep(budget: Budget, sweep: &[usize], mut f: impl FnMut()) -> Vec<Timing> {
-    let mut means: Vec<Vec<f64>> = vec![Vec::with_capacity(budget.samples); sweep.len()];
+/// Times each of `fs` across a whole thread sweep with every (op, thread
+/// count) point *interleaved per sample round*: round r takes one sample of
+/// every op at every thread count before round r+1 starts. On a busy host,
+/// slow drift (frequency scaling, noisy neighbours) then lands on every
+/// point equally instead of biasing whichever block ran last — which is
+/// what the `scripts/check.sh` gates compare: thread counts in the
+/// small-ring gate, the forward against the inverse NTT in the ratio gate.
+/// Returns, per op, one `Timing` per sweep entry, in order.
+fn time_sweep(budget: Budget, sweep: &[usize], fs: &mut [&mut dyn FnMut()]) -> Vec<Vec<Timing>> {
+    let mut means = vec![vec![Vec::with_capacity(budget.samples); sweep.len()]; fs.len()];
     for &threads in sweep {
         parpool::set_threads(threads);
-        f(); // warmup at each width (pool spawn, cache touch)
+        for f in fs.iter_mut() {
+            f(); // warmup at each width (pool spawn, cache touch)
+        }
     }
     for _ in 0..budget.samples.max(1) {
         for (i, &threads) in sweep.iter().enumerate() {
             parpool::set_threads(threads);
-            means[i].push(one_sample(budget, &mut f));
+            for (op, f) in fs.iter_mut().enumerate() {
+                means[op][i].push(one_sample(budget, f));
+            }
         }
     }
-    means.into_iter().map(Timing::from_means).collect()
+    means
+        .into_iter()
+        .map(|op| op.into_iter().map(Timing::from_means).collect())
+        .collect()
 }
 
 fn write_json(path: &str, records: &[Record]) {
@@ -281,8 +289,9 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
         measured
     };
 
-    // Thread counts are interleaved per sample round (`time_sweep`) so host
-    // drift cannot masquerade as a per-thread-count regression.
+    // Sweep points are interleaved per sample round (`time_sweep`) so host
+    // drift cannot masquerade as a per-thread-count regression, nor as a
+    // forward/inverse NTT gap.
     let mut push = |op: &'static str, timings: Vec<Timing>| {
         let c = counts
             .iter()
@@ -309,50 +318,23 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
             })
         }
     };
-    push(
-        "ntt_forward_batch",
-        time_sweep(budget, sweep, || {
-            let mut p = coeff.duplicate();
-            p.to_eval();
-        }),
-    );
-    push(
-        "ntt_inverse_batch",
-        time_sweep(budget, sweep, || {
-            let mut p = evalp.duplicate();
-            p.to_coeff();
-        }),
-    );
-    push(
-        "hadd",
-        time_sweep(budget, sweep, || {
-            let _ = eval.add(&ct, &ct);
-        }),
-    );
-    push(
-        "keyswitch",
-        time_sweep(budget, sweep, || {
-            let _ = ks.switch(&a, &relin, level);
-        }),
-    );
-    push(
-        "mul_relin",
-        time_sweep(budget, sweep, || {
-            let _ = eval.mul_relin(&ct, &ct, &relin);
-        }),
-    );
-    push(
-        "rescale",
-        time_sweep(budget, sweep, || {
-            let _ = eval.rescale(&ct);
-        }),
-    );
-    push(
-        "automorphism",
-        time_sweep(budget, sweep, || {
-            let _ = evalp.automorphism(5);
-        }),
-    );
+    let mut ntt = time_sweep(
+        budget,
+        sweep,
+        &mut [&mut || coeff.duplicate().to_eval(), &mut || {
+            evalp.duplicate().to_coeff()
+        }],
+    )
+    .into_iter();
+    push("ntt_forward_batch", ntt.next().expect("forward timings"));
+    push("ntt_inverse_batch", ntt.next().expect("inverse timings"));
+    let mut single =
+        |op, f: &mut dyn FnMut()| push(op, time_sweep(budget, sweep, &mut [f]).remove(0));
+    single("hadd", &mut || drop(eval.add(&ct, &ct)));
+    single("keyswitch", &mut || drop(ks.switch(&a, &relin, level)));
+    single("mul_relin", &mut || drop(eval.mul_relin(&ct, &ct, &relin)));
+    single("rescale", &mut || drop(eval.rescale(&ct)));
+    single("automorphism", &mut || drop(evalp.automorphism(5)));
     parpool::set_threads(0);
 }
 
@@ -1104,10 +1086,12 @@ fn main() {
     // tens of milliseconds, so a handful of single-iteration samples is
     // both affordable and (with the median) stable.
     let configs: Vec<(CkksParams, Budget)> = if quick {
+        // check.sh gates the quick rows too; with 3 samples a noisy
+        // neighbour moved the forward/inverse NTT ratio by up to 1.86×.
         vec![(
             CkksParams::test_small(),
             Budget {
-                samples: 3,
+                samples: 9,
                 min_iters: 2,
                 min_millis: 4,
             },

@@ -25,10 +25,28 @@
 //!   lazy Shoup products and reduces once into `[0, q)`.
 //!
 //! Every intermediate value stays below `4q`, which must fit a `u64`, so
-//! [`Modulus::new`] rejects `q ≥ 2^62`. The stage loops walk
+//! [`Modulus::new`] rejects `q ≥ 2^62`. The inverse walks each stage as
 //! `chunks_exact_mut(2t)` / `split_at_mut(t)` zipped with the stage's twiddle
-//! slice, so the butterflies have no bounds checks, and every conditional
+//! slice. The forward makes radix-4 passes instead: each splits every block
+//! into four quarters and applies two stages to them, so it sweeps the limb
+//! half as often; an odd stage count leaves one radix-2 stage at `t = 2`.
+//! Neither has bounds checks in its butterflies, and every conditional
 //! subtraction is a `min` that compiles to a select.
+//!
+//! # Keep Shoup loops out of the SSE2 vectorizer
+//!
+//! Baseline x86-64 (SSE2) has no 64×64→128-bit vector multiply. When LLVM
+//! vectorizes a loop of Shoup or Barrett products it emulates each one with
+//! 32-bit `pmuludq` partial products, which is slower than the scalar
+//! `mul`. The radix-2 forward this module used to have was such a loop:
+//! built with `-C llvm-args=-vectorize-loops=false` it ran at 2^16 in
+//! 0.84 ms instead of 1.39 ms per limb (criterion `--bench ntt`, 55-bit
+//! prime, 2-vCPU Xeon), while the inverse, which LLVM vectorizes too, only
+//! moved from 0.78 to 0.75 ms. The radix-4 pass body is large enough that
+//! LLVM leaves it scalar, and the forward now runs in about 0.7 ms. A
+//! cleanup that shrinks the pass back to one butterfly per iteration, or
+//! splits it into per-stage loops, must check `forward` for `pmuludq` and
+//! time it.
 //!
 //! Besides the transforms, the context exposes the *evaluation-domain Galois
 //! permutation* used by HROT: applying the automorphism `X ↦ X^g` in the
@@ -196,17 +214,43 @@ impl NttContext {
             let v = m.mul_shoup_lazy(y, w, ws);
             (u + v, u + two_q - v)
         };
-        let mut t = self.n;
+        let (root, root_shoup) = (&self.root_powers[..], &self.root_powers_shoup[..]);
+        // The log_n − 1 stages before the fused last one run in radix-4
+        // passes. A pass applies stage s to quarters (0,2) and (1,3) of each
+        // block, then stage 2s to (0,1) and (2,3) with the two halves' own
+        // twiddles, so every element meets the same butterflies in the same
+        // stage order as in a radix-2 walk, and the outputs are bit-identical.
         let mut stage = 1usize;
-        while stage < self.n / 2 {
-            t >>= 1;
-            let w = &self.root_powers[stage..2 * stage];
-            let ws = &self.root_powers_shoup[stage..2 * stage];
-            for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(ws) {
-                let (lo, hi) = block.split_at_mut(t);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    (*x, *y) = butterfly(*x, *y, w, ws);
+        while 4 * stage < self.n {
+            let h = self.n / (4 * stage);
+            let w1 = root[stage..2 * stage]
+                .iter()
+                .zip(&root_shoup[stage..2 * stage]);
+            let w2 = root[2 * stage..4 * stage]
+                .chunks_exact(2)
+                .zip(root_shoup[2 * stage..4 * stage].chunks_exact(2));
+            for ((block, (&w1, &ws1)), (w2, ws2)) in a.chunks_exact_mut(4 * h).zip(w1).zip(w2) {
+                let (lo, hi) = block.split_at_mut(2 * h);
+                let (q0, q1) = lo.split_at_mut(h);
+                let (q2, q3) = hi.split_at_mut(h);
+                let quarters = q0.iter_mut().zip(q1.iter_mut()).zip(q2.iter_mut().zip(q3));
+                for ((x0, x1), (x2, x3)) in quarters {
+                    let (y0, y2) = butterfly(*x0, *x2, w1, ws1);
+                    let (y1, y3) = butterfly(*x1, *x3, w1, ws1);
+                    (*x0, *x1) = butterfly(y0, y1, w2[0], ws2[0]);
+                    (*x2, *x3) = butterfly(y2, y3, w2[1], ws2[1]);
                 }
+            }
+            stage <<= 2;
+        }
+        // An odd number of stages leaves one radix-2 stage (t = 2).
+        if stage < self.n / 2 {
+            let w = root[stage..2 * stage]
+                .iter()
+                .zip(&root_shoup[stage..2 * stage]);
+            for (block, (&w, &ws)) in a.chunks_exact_mut(4).zip(w) {
+                (block[0], block[2]) = butterfly(block[0], block[2], w, ws);
+                (block[1], block[3]) = butterfly(block[1], block[3], w, ws);
             }
             stage <<= 1;
         }
@@ -620,14 +664,19 @@ mod tests {
     }
 
     /// A context at the widest prime `generate_ntt_primes` accepts (62 bits,
-    /// where the `[0, 4q)` headroom is tightest) or at the PIM prime.
+    /// where the `[0, 4q)` headroom is tightest) or at the 28-bit PIM prime.
+    /// The PIM prime admits rings up to 2^15; 2^16 takes a 28-bit prime
+    /// `≡ 1 mod 2^17` instead.
     fn lazy_ctx(log_n: u32, wide: bool) -> NttContext {
-        let n = 1usize << log_n;
+        let two_n = 2u64 << log_n;
         let q = if wide {
-            generate_ntt_primes(62, 1, 2 * n as u64)[0]
-        } else {
+            generate_ntt_primes(62, 1, two_n)[0]
+        } else if (PIM_PRIME - 1).is_multiple_of(two_n) {
             PIM_PRIME
+        } else {
+            generate_ntt_primes(28, 1, two_n)[0]
         };
+        let n = 1usize << log_n;
         NttContext::new(n, Modulus::new(q))
     }
 
@@ -660,9 +709,12 @@ mod tests {
         assert_eq!(got, want, "inverse, n={} q={}", ctx.n(), ctx.modulus());
     }
 
+    /// Covers the paper rings 2^13–2^16 too, so both parities of the
+    /// forward's stage count (with and without the leftover radix-2 stage)
+    /// are pinned at every ring size the library runs.
     #[test]
     fn lazy_kernels_match_reference_on_saturated_inputs() {
-        for log_n in 2..=12 {
+        for log_n in 2..=16 {
             for wide in [true, false] {
                 let ctx = lazy_ctx(log_n, wide);
                 let q = ctx.modulus().value();

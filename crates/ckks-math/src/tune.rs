@@ -159,9 +159,10 @@ impl Profile {
             min_gain: 1.15,
             // [elementwise, ntt, bconv, automorphism]. The NTT and BConv
             // costs are the committed `BENCH_tune.profile` calibration of
-            // the lazy-reduction kernels, about 4× and 2× below the fully
-            // reducing kernels they replaced.
-            per_elem_ns: [0.9, 0.95, 1.3, 0.5],
+            // the lazy-reduction kernels (radix-4 forward NTT), about 7.5×
+            // and 2× below the fully reducing kernels they replaced (5.5
+            // and 3.0).
+            per_elem_ns: [0.9, 0.72, 1.3, 0.5],
         }
     }
 

@@ -95,6 +95,34 @@ if checked == 0:
 print(f"  {checked} multi-thread small-ring rows within {ratio}x (+{slack:.0f} ns) — ok")
 EOF
 
+# Forward/inverse NTT ratio gate: the radix-4 forward runs at the inverse's
+# speed (DESIGN.md §9 "Kernels"); the radix-2 forward it replaced read
+# 1.29–2.54x the inverse in quick runs. bench_json samples the two batches
+# interleaved per round, so host drift lands on both; the change read
+# 0.78–1.00x over 30 quick runs.
+echo "==> forward/inverse NTT ratio gate (BENCH_ckks.json)"
+python3 - <<'EOF'
+import json, sys
+
+max_ratio = 1.2
+with open("BENCH_ckks.json") as f:
+    data = json.load(f)
+
+def p50(op):
+    rows = [r for r in data if r["op"] == op and r["n"] == 1024 and r["threads"] == 1]
+    if len(rows) != 1:
+        sys.exit(f"BENCH_ckks.json: expected one 1-thread {op} row at n=1024")
+    return rows[0]["ns_per_op_p50"]
+
+fwd, inv = p50("ntt_forward_batch"), p50("ntt_inverse_batch")
+if fwd > max_ratio * inv:
+    sys.exit(
+        f"BENCH_ckks.json: ntt_forward_batch {fwd:.0f} ns is {fwd / inv:.2f}x "
+        f"ntt_inverse_batch {inv:.0f} ns at n=1024, 1 thread (limit {max_ratio}x)"
+    )
+print(f"  forward {fwd:.0f} ns / inverse {inv:.0f} ns = {fwd / inv:.2f}x <= {max_ratio}x — ok")
+EOF
+
 echo "==> serving chaos soak (scripts/soak.sh --quick)"
 scripts/soak.sh --quick
 
