@@ -317,7 +317,7 @@ echo "  committed reorders present in the snapshot — ok"
 # saved bytes must equal its hit bytes. The ordered-fleet row must convert
 # the bytes it saves into a virtual-time win: at least as many bytes
 # amortized as the plain overlay, strictly higher virtual_rps, and no new
-# deadline misses.
+# deadline misses. The serving rows' field lists are pinned in order.
 echo "==> evaluation-key conservation gate (BENCH_ckks.json / BENCH_serving.json)"
 python3 - <<'EOF'
 import json, sys
@@ -341,6 +341,41 @@ print(f"  {len(rows)} evk rows conserve bytes; MinKS amortized "
 
 with open("BENCH_serving.json") as f:
     serving = json.load(f)
+# Row schema pin: every scenario's field list, in order, exactly as
+# bench_json writes it. A refactor of the row writer cannot drop, rename
+# or reorder a field without failing here.
+ENGINE = ["scenario", "fault_seed", "workers", "anaheim_threads", "requests"]
+FLEET = ENGINE + ["shards"]
+SHED = ["shed_queue_full", "shed_infeasible", "rerouted", "all_shards_unhealthy"]
+HEALTH = ["faults", "breaker_skips", "drains", "readmits", "dead_banks"]
+EVK = ["evk_hit_bytes", "evk_miss_bytes", "evk_bytes_saved", "batches"]
+WALL = ["virtual_rps", "wall_ms", "wall_rps"]
+schema = {
+    "clean": ENGINE + ["completed", "deadline_misses", "shed_queue_full",
+                       "shed_infeasible", "faults", "breaker_skips",
+                       "transitions", "dead_banks"],
+    "stream-chaos": FLEET + ["completed", "deadline_misses"] + SHED + HEALTH + WALL,
+    "batched-fleet": FLEET + ["tenants", "completed", "deadline_misses"] + SHED
+    + HEALTH + EVK + WALL,
+    "ordered-fleet": FLEET + ["tenants", "completed", "deadline_misses"] + SHED
+    + HEALTH + EVK + ["reorders", "reorder_denied_slack", "evk_saved_ns"] + WALL,
+    "hedge-chaos": FLEET + ["completed", "deadline_misses", "cancelled",
+                            "integrity_failures"] + SHED
+    + ["hedges_launched", "hedges_won", "hedges_wasted", "hedges_suppressed"]
+    + HEALTH + WALL,
+}
+schema["chaos"] = schema["clean"]
+order = ["clean", "chaos", "stream-chaos", "batched-fleet", "ordered-fleet", "hedge-chaos"]
+got = [r["scenario"] for r in serving]
+if got != order:
+    sys.exit(f"BENCH_serving.json: scenarios {got}, expected {order}")
+for r in serving:
+    if list(r) != schema[r["scenario"]]:
+        sys.exit(
+            f"BENCH_serving.json: {r['scenario']} fields {list(r)}, "
+            f"expected {schema[r['scenario']]}"
+        )
+print(f"  {len(serving)} serving rows match the pinned field lists — ok")
 batched = [r for r in serving if r["scenario"] == "batched-fleet"]
 if not batched:
     sys.exit("BENCH_serving.json: no batched-fleet row")
