@@ -138,6 +138,16 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    // Zero would not be a smaller soak: the fleet serves at least one shard
+    // and the invariants need at least one completed request.
+    for (zero, flag) in [
+        (o.requests == Some(0), "--requests"),
+        (o.shards == Some(0), "--shards"),
+    ] {
+        if zero {
+            return Err(format!("{flag} must be at least 1"));
+        }
+    }
     if o.ordered && o.hedge {
         // The ordered-fleet scenario is fault-free by construction; its
         // invariants (>=1 reorder, nonzero lane credit) are not calibrated
@@ -457,6 +467,18 @@ mod tests {
             Some(std::path::Path::new("snap.txt"))
         );
         assert_eq!(o.rss_budget_kb, Some(524_288));
+    }
+
+    #[test]
+    fn rejects_zero_requests_and_zero_shards() {
+        let e = parse_args(&args(&["--requests", "0"])).unwrap_err();
+        assert!(e.contains("--requests must be at least 1"), "{e}");
+        let e = parse_args(&args(&["--stream", "--requests", "0"])).unwrap_err();
+        assert!(e.contains("--requests must be at least 1"), "{e}");
+        let e = parse_args(&args(&["--stream", "--shards", "0", "--requests", "50"])).unwrap_err();
+        assert!(e.contains("--shards must be at least 1"), "{e}");
+        let o = parse_args(&args(&["--stream", "--shards", "1", "--requests", "1"])).unwrap();
+        assert_eq!((o.shards, o.requests), (Some(1), Some(1)));
     }
 
     #[test]
