@@ -20,11 +20,10 @@
 //!
 //! Every timed row is a median over several samples with a warmup pass
 //! (`ns_per_op_p50`; the historical `ns_per_op` mean is kept so existing
-//! readers of the JSON keep working), which keeps the tuner calibration
-//! and the check.sh regression gates from being noise-driven.
+//! readers of the JSON keep working), which keeps the check.sh regression
+//! gates from being noise-driven.
 //!
-//! Usage: `bench_json [--quick] [--trace-out FILE] [--metrics-out FILE]
-//! [--tune-out FILE]`
+//! Usage: `bench_json [--quick] [--trace-out FILE] [--metrics-out FILE]`
 //!
 //! `--quick` shrinks the parameter set and thread sweep so `scripts/check.sh`
 //! can smoke-test the harness in seconds; the default configuration is what
@@ -36,13 +35,6 @@
 //! `--metrics-out FILE` writes the same run's metrics in the Prometheus
 //! text format. Both are virtual-time artifacts: byte-identical for every
 //! `ANAHEIM_THREADS` value.
-//!
-//! `--tune-out FILE` runs the parallelism calibration pass and writes a
-//! `ckks_math::tune` profile (`key = value` text): measured per-op-class
-//! serial costs, pool dispatch overheads, and the host's effective
-//! parallelism. Point `ANAHEIM_PAR_PROFILE` at the file to drive the
-//! serial-vs-parallel tuner with measured numbers instead of the seeded
-//! defaults.
 
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
 use anaheim_core::schedule::RunOptions;
@@ -918,100 +910,7 @@ fn effective_parallelism() -> f64 {
     2.0 * one.as_secs_f64() / two.as_secs_f64()
 }
 
-/// Calibrates a `ckks_math::tune` profile against this host: measures the
-/// serial per-element cost of each op class on a representative shape
-/// (forced-serial so the tuner cannot interfere with its own
-/// measurement), the pool's dispatch/per-job overhead, and the effective
-/// parallelism, then restores the environment profile. The returned
-/// profile is what `--tune-out` writes and `ANAHEIM_PAR_PROFILE` loads.
-fn calibrate_tune_profile(quick: bool, par_eff: f64) -> ckks_math::tune::Profile {
-    use ckks_math::modulus::Modulus;
-    use ckks_math::ntt::NttContext;
-    use ckks_math::poly::Poly;
-    use ckks_math::prime::generate_ntt_primes;
-    use ckks_math::rns::BasisConverter;
-    use ckks_math::tune::{self, Profile};
-    use std::sync::Arc;
-
-    let (log_n, limbs) = if quick { (10usize, 4usize) } else { (12, 8) };
-    let n = 1usize << log_n;
-    let basis: Vec<Arc<NttContext>> = generate_ntt_primes(45, 2 * limbs, 2 * n as u64)
-        .into_iter()
-        .map(|q| Arc::new(NttContext::new(n, Modulus::new(q))))
-        .collect();
-    let (from, to) = basis.split_at(limbs);
-    let coeffs: Vec<i64> = (0..n as i64).map(|i| (i * 37 + 5) % 1001 - 500).collect();
-    let x = Poly::from_coeff_i64(from, &coeffs);
-    let y = Poly::from_coeff_i64(from, &coeffs);
-    let conv = BasisConverter::new(from, to);
-    let budget = Budget {
-        samples: if quick { 3 } else { 5 },
-        min_iters: 3,
-        min_millis: if quick { 2 } else { 15 },
-    };
-
-    // Serial-profile measurements: per-class ns per model work unit.
-    tune::set_profile(Profile::serial());
-    let total = (limbs * n) as f64;
-    let ew = {
-        let mut acc = x.duplicate();
-        time_ns(budget, || acc.add_assign(&y)).p50 / total
-    };
-    let ntt = {
-        let mut p = x.duplicate();
-        time_ns(budget, || {
-            p.to_eval();
-            p.to_coeff();
-        })
-        .p50 / (2.0 * total * log_n as f64)
-    };
-    let bconv = {
-        let refs: Vec<&[u64]> = (0..limbs).map(|i| x.limb(i).data()).collect();
-        // Model form: `to` items of `limbs·n` elements each.
-        time_ns(budget, || {
-            let _ = conv.convert_approx(&refs);
-        })
-        .p50 / (to.len() as f64 * total)
-    };
-    let auto = time_ns(budget, || {
-        let _ = x.automorphism(5);
-    })
-    .p50 / total;
-
-    // Pool overhead: time an empty chunked fan-out at two job counts and
-    // solve `cost(j) = dispatch + j·job` from the pair.
-    parpool::set_threads(8);
-    let overhead = |jobs: usize| {
-        time_ns(
-            Budget {
-                samples: 5,
-                min_iters: 50,
-                min_millis: 1,
-            },
-            || {
-                parpool::run_chunked(jobs, jobs, &|i| {
-                    std::hint::black_box(i);
-                })
-            },
-        )
-        .p50
-    };
-    let (t2, t8) = (overhead(2), overhead(8));
-    let job_ns = ((t8 - t2) / 6.0).max(0.0);
-    let dispatch_ns = (t2 - 2.0 * job_ns).max(0.0);
-    parpool::set_threads(0);
-    tune::reset_profile();
-
-    let mut p = Profile::default_seeded();
-    p.par_eff = par_eff.max(1.0);
-    p.dispatch_ns = dispatch_ns;
-    p.job_ns = job_ns;
-    p.per_elem_ns = [ew, ntt, bconv, auto];
-    p
-}
-
-const USAGE: &str =
-    "usage: bench_json [--quick] [--trace-out FILE] [--metrics-out FILE] [--tune-out FILE]";
+const USAGE: &str = "usage: bench_json [--quick] [--trace-out FILE] [--metrics-out FILE]";
 
 /// Reports a command-line problem on stderr and exits nonzero. Argument
 /// mistakes are operator errors, not harness bugs — no panic, no backtrace.
@@ -1025,7 +924,6 @@ fn main() {
     let mut quick = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut tune_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -1042,12 +940,6 @@ fn main() {
                         .unwrap_or_else(|| usage_error("--metrics-out needs a file path")),
                 )
             }
-            "--tune-out" => {
-                tune_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_error("--tune-out needs a file path")),
-                )
-            }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
@@ -1061,23 +953,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |p| p.get()),
         par_eff
     );
-
-    if let Some(path) = &tune_out {
-        let profile = calibrate_tune_profile(quick, par_eff);
-        std::fs::write(path, profile.to_profile_string())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!(
-            "  wrote {path} (tune profile: par_eff {:.2}, dispatch {:.0} ns, job {:.0} ns, \
-             per-elem ns [ew {:.2}, ntt {:.2}, bconv {:.2}, auto {:.2}])",
-            profile.par_eff,
-            profile.dispatch_ns,
-            profile.job_ns,
-            profile.per_elem_ns[0],
-            profile.per_elem_ns[1],
-            profile.per_elem_ns[2],
-            profile.per_elem_ns[3],
-        );
-    }
 
     // Ring sweep: quick mode keeps the historical smoke shape; full mode
     // covers the small rings the no-regression gate watches (2¹⁰, 2¹²)

@@ -30,16 +30,13 @@
 //!
 //! All model constants live in a [`Profile`]:
 //!
-//! - [`Profile::default_seeded`] — measured defaults (seeded from
-//!   `BENCH_ckks.json` runs), with `par_eff` taken from
-//!   `available_parallelism()`. On a 1-CPU host this resolves to *serial
-//!   everywhere*, which is exactly right.
-//! - `ANAHEIM_PAR_PROFILE=<file>` — loads a calibrated profile emitted by
-//!   `bench_json --tune-out` (see `scripts/bench.sh`), making the tuner
-//!   bench-driven end to end.
-//! - [`set_profile`] / [`reset_profile`] — runtime override, used by the
-//!   calibration pass and by tests ([`Profile::serial`],
-//!   [`Profile::max_parallel`] pin decisions independent of the host).
+//! - [`Profile::default_seeded`] — the one profile every run uses:
+//!   per-class costs seeded from `BENCH_ckks.json` runs, with `par_eff`
+//!   taken from `available_parallelism()`. On a 1-CPU host this resolves
+//!   to *serial everywhere*, which is exactly right.
+//! - [`set_profile`] / [`reset_profile`] — runtime override for tests
+//!   ([`Profile::serial`], [`Profile::max_parallel`] pin decisions
+//!   independent of the host).
 //!
 //! # Determinism
 //!
@@ -69,24 +66,6 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// All classes, in profile-file order.
-    pub const ALL: [OpClass; 4] = [
-        OpClass::Elementwise,
-        OpClass::Ntt,
-        OpClass::BConv,
-        OpClass::Automorphism,
-    ];
-
-    /// The profile-file key stem for this class.
-    pub fn key(self) -> &'static str {
-        match self {
-            OpClass::Elementwise => "elementwise",
-            OpClass::Ntt => "ntt",
-            OpClass::BConv => "bconv",
-            OpClass::Automorphism => "automorphism",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             OpClass::Elementwise => 0,
@@ -141,15 +120,15 @@ pub struct Profile {
     /// Required modeled speedup before fanning out (safety margin against
     /// model error; 1.15 = demand a predicted 15 % win).
     pub min_gain: f64,
-    /// Per-class serial cost per work unit, ns (indexed by the op class's
-    /// position in [`OpClass::ALL`]).
+    /// Per-class serial cost per work unit, ns, in the order
+    /// `[Elementwise, Ntt, BConv, Automorphism]`.
     pub per_elem_ns: [f64; 4],
 }
 
 impl Profile {
     /// Measured defaults: per-class costs seeded from `BENCH_ckks.json`
-    /// microbenchmarks, `par_eff` from the parallelism the OS reports.
-    /// `bench_json --tune-out` replaces all of it with calibrated values.
+    /// microbenchmarks (DESIGN.md §9 says how to re-seed them), `par_eff`
+    /// from the parallelism the OS reports.
     pub fn default_seeded() -> Self {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
@@ -158,16 +137,15 @@ impl Profile {
             job_ns: 2_000.0,
             min_gain: 1.15,
             // [elementwise, ntt, bconv, automorphism]. The NTT and BConv
-            // costs are the committed `BENCH_tune.profile` calibration of
-            // the lazy-reduction kernels (radix-4 forward NTT), about 7.5×
-            // and 2× below the fully reducing kernels they replaced (5.5
-            // and 3.0).
+            // costs are those of the lazy-reduction kernels (radix-4
+            // forward NTT), about 7.5× and 2× below the fully reducing
+            // kernels they replaced (5.5 and 3.0).
             per_elem_ns: [0.9, 0.72, 1.3, 0.5],
         }
     }
 
     /// A profile that forces every decision to serial (par_eff = 1).
-    /// Used by tests and as the degenerate calibration result.
+    /// Used by tests.
     pub fn serial() -> Self {
         Self {
             par_eff: 1.0,
@@ -186,66 +164,6 @@ impl Profile {
             min_gain: 1.0,
             per_elem_ns: [1.0; 4],
         }
-    }
-
-    /// Parses the `key = value` profile format written by
-    /// [`Profile::to_profile_string`] (and `bench_json --tune-out`).
-    /// Unknown keys and malformed values are errors; missing keys keep
-    /// their seeded defaults.
-    pub fn from_profile_str(s: &str) -> Result<Self, String> {
-        let mut p = Self::default_seeded();
-        for (lineno, raw) in s.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let key = key.trim();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad value for {key}: {e}", lineno + 1))?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!(
-                    "line {}: {key} must be finite and non-negative",
-                    lineno + 1
-                ));
-            }
-            match key {
-                "par_eff" => p.par_eff = value.max(1.0),
-                "dispatch_ns" => p.dispatch_ns = value,
-                "job_ns" => p.job_ns = value,
-                "min_gain" => p.min_gain = value.max(1.0),
-                other => {
-                    let class = OpClass::ALL
-                        .iter()
-                        .find(|c| other == format!("{}_per_elem_ns", c.key()))
-                        .ok_or_else(|| format!("line {}: unknown key {other:?}", lineno + 1))?;
-                    p.per_elem_ns[class.index()] = value;
-                }
-            }
-        }
-        Ok(p)
-    }
-
-    /// Serializes into the `key = value` format accepted by
-    /// [`Profile::from_profile_str`] / `ANAHEIM_PAR_PROFILE`.
-    pub fn to_profile_string(&self) -> String {
-        let mut s = String::from("# anaheim parallelism tuning profile v1\n");
-        s.push_str(&format!("par_eff = {:.3}\n", self.par_eff));
-        s.push_str(&format!("dispatch_ns = {:.1}\n", self.dispatch_ns));
-        s.push_str(&format!("job_ns = {:.1}\n", self.job_ns));
-        s.push_str(&format!("min_gain = {:.3}\n", self.min_gain));
-        for c in OpClass::ALL {
-            s.push_str(&format!(
-                "{}_per_elem_ns = {:.4}\n",
-                c.key(),
-                self.per_elem_ns[c.index()]
-            ));
-        }
-        s
     }
 
     /// The modeled serial cost of a batch, ns.
@@ -280,24 +198,11 @@ impl Profile {
     }
 }
 
-/// The process-wide active profile. Loaded once from `ANAHEIM_PAR_PROFILE`
-/// (falling back to [`Profile::default_seeded`]); replaced by
-/// [`set_profile`].
+/// The process-wide active profile: [`Profile::default_seeded`] until
+/// [`set_profile`] replaces it.
 fn active() -> &'static RwLock<Arc<Profile>> {
     static ACTIVE: OnceLock<RwLock<Arc<Profile>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| RwLock::new(Arc::new(load_env_profile())))
-}
-
-fn load_env_profile() -> Profile {
-    match std::env::var("ANAHEIM_PAR_PROFILE") {
-        Ok(path) if !path.trim().is_empty() => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("ANAHEIM_PAR_PROFILE: cannot read {path:?}: {e}"));
-            Profile::from_profile_str(&text)
-                .unwrap_or_else(|e| panic!("ANAHEIM_PAR_PROFILE: {path:?}: {e}"))
-        }
-        _ => Profile::default_seeded(),
-    }
+    ACTIVE.get_or_init(|| RwLock::new(Arc::new(Profile::default_seeded())))
 }
 
 /// The currently active tuning profile.
@@ -305,14 +210,14 @@ pub fn profile() -> Arc<Profile> {
     active().read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Replaces the active profile at runtime (calibration passes, tests).
+/// Replaces the active profile at runtime (tests).
 pub fn set_profile(p: Profile) {
     *active().write().unwrap_or_else(|e| e.into_inner()) = Arc::new(p);
 }
 
-/// Restores the environment-derived profile (undoes [`set_profile`]).
+/// Restores [`Profile::default_seeded`] (undoes [`set_profile`]).
 pub fn reset_profile() {
-    set_profile(load_env_profile());
+    set_profile(Profile::default_seeded());
 }
 
 /// Decides serial vs. chunked-parallel for a batch of `items` tasks of
@@ -440,31 +345,6 @@ mod tests {
             m.decide_with_threads(OpClass::Elementwise, 1, 1 << 20, 8),
             Decision::SERIAL
         );
-    }
-
-    #[test]
-    fn profile_roundtrips_through_text() {
-        let mut p = fixed_profile();
-        p.per_elem_ns = [0.25, 5.5, 3.125, 0.5];
-        let text = p.to_profile_string();
-        let q = Profile::from_profile_str(&text).expect("roundtrip parse");
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn profile_parser_rejects_garbage() {
-        assert!(Profile::from_profile_str("par_eff").is_err());
-        assert!(Profile::from_profile_str("par_eff = banana").is_err());
-        assert!(Profile::from_profile_str("warp_factor = 9").is_err());
-        assert!(Profile::from_profile_str("dispatch_ns = -5").is_err());
-        assert!(Profile::from_profile_str("job_ns = inf").is_err());
-        // Comments, blanks, and partial profiles are fine.
-        let p = Profile::from_profile_str("# hi\n\nntt_per_elem_ns = 7.5\n").expect("partial");
-        assert_eq!(p.per_elem_ns[OpClass::Ntt.index()], 7.5);
-        // par_eff and min_gain clamp to >= 1.
-        let p = Profile::from_profile_str("par_eff = 0.2\nmin_gain = 0.5\n").expect("clamps");
-        assert_eq!(p.par_eff, 1.0);
-        assert_eq!(p.min_gain, 1.0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use ckks_math::rns::rescale_in_place;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
-use crate::evkcache::{EvkCache, EvkId};
 use crate::keys::{galois_for_rotation, EvalKey, KeySet};
 use crate::keyswitch::{HoistedDigits, KeySwitcher};
 use crate::noise::{NoiseModel, NoiseTracker};
@@ -459,51 +458,6 @@ impl<'a> Evaluator<'a> {
         let a = ka.automorphism(g);
         opcount::count_automorphism(2 * level);
         Ciphertext::new(b, a, x.scale(), level)
-    }
-
-    /// HMULT with the relinearization key resolved through an [`EvkCache`],
-    /// so the cache's byte accounting sees the key switch. Both cache
-    /// backings can always produce the relin key.
-    pub fn mul_relin_cached(
-        &self,
-        x: &Ciphertext,
-        y: &Ciphertext,
-        cache: &mut EvkCache,
-    ) -> Ciphertext {
-        let relin = cache
-            .get(self.ctx, EvkId::Relin)
-            .expect("relin key is always resolvable");
-        self.mul_relin(x, y, relin)
-    }
-
-    /// HROT with the rotation key resolved through an [`EvkCache`]. A
-    /// Fetch-mode cache without the key yields a typed
-    /// [`EvalError::MissingRotationKey`]; Regenerate mode derives any
-    /// distance on demand.
-    pub fn rotate_cached(
-        &self,
-        x: &Ciphertext,
-        r: isize,
-        cache: &mut EvkCache,
-    ) -> Result<Ciphertext, EvalError> {
-        let r_norm = r.rem_euclid(self.ctx.slots() as isize);
-        if r_norm == 0 {
-            return Ok(x.clone());
-        }
-        let evk = cache
-            .get(self.ctx, EvkId::Rotation(r_norm))
-            .ok_or(EvalError::MissingRotationKey { distance: r_norm })?;
-        let g = galois_for_rotation(self.ctx.n(), r_norm);
-        Ok(self.apply_galois(x, g, evk))
-    }
-
-    /// Conjugation with the key resolved through an [`EvkCache`].
-    pub fn conjugate_cached(&self, x: &Ciphertext, cache: &mut EvkCache) -> Ciphertext {
-        let g = 2 * self.ctx.n() as u64 - 1;
-        let evk = cache
-            .get(self.ctx, EvkId::Conjugation)
-            .expect("conjugation key is always resolvable");
-        self.apply_galois(x, g, evk)
     }
 
     /// Hoisted rotation: reuses a precomputed decomposition of `x.a()`.

@@ -145,11 +145,6 @@ impl KeySet {
         let r = r.rem_euclid(slots as isize);
         self.rotations.get(&r)
     }
-
-    /// Inserts a rotation key.
-    pub fn add_rotation(&mut self, r: isize, key: EvalKey) {
-        self.rotations.insert(r, key);
-    }
 }
 
 /// Generates all key material for a context.

@@ -21,7 +21,6 @@
 use ckks_math::poly::{Format, Poly};
 
 use crate::context::CkksContext;
-use crate::evkcache::{EvkCache, EvkId};
 use crate::keys::EvalKey;
 use crate::opcount;
 
@@ -164,21 +163,6 @@ impl<'a> KeySwitcher<'a> {
         let hoisted = self.decompose_mod_up(a, level);
         let (b, a2) = self.key_mult(&hoisted, evk);
         self.mod_down_pair(&b, &a2, level)
-    }
-
-    /// [`Self::switch`] with the evaluation key resolved through an
-    /// [`EvkCache`] by identity, so the cache's hit/miss byte accounting
-    /// sees this key switch. Returns `None` when a Fetch-mode cache lacks
-    /// the requested key.
-    pub fn switch_cached(
-        &self,
-        a: &Poly,
-        id: EvkId,
-        cache: &mut EvkCache,
-        level: usize,
-    ) -> Option<(Poly, Poly)> {
-        let evk = cache.get(self.ctx, id)?;
-        Some(self.switch(a, evk, level))
     }
 }
 

@@ -3,8 +3,6 @@
 //!
 //! - encoding via the canonical embedding ([`encoding`]),
 //! - key generation with gadget-decomposed evaluation keys ([`keys`]),
-//! - an evaluation-key working-set cache with seeded runtime regeneration
-//!   ([`evkcache`]),
 //! - the basic functions HADD / PMULT / HMULT / HROT ([`eval`]),
 //! - key switching with ModUp / KeyMult / ModDown and *hoisting*
 //!   ([`keyswitch`]),
@@ -48,7 +46,6 @@ pub mod complex;
 pub mod context;
 pub mod encoding;
 pub mod eval;
-pub mod evkcache;
 pub mod keys;
 pub mod keyswitch;
 pub mod lintrans;
@@ -67,7 +64,6 @@ pub mod prelude {
     pub use crate::complex::Complex;
     pub use crate::context::CkksContext;
     pub use crate::encoding::Encoder;
-    pub use crate::evkcache::{EvkCache, EvkId};
     pub use crate::keys::{KeyGenerator, KeySet, PublicKey, SecretKey};
     pub use crate::params::CkksParams;
     // Filled in as modules land:

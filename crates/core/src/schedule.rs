@@ -797,7 +797,7 @@ impl<'s> Run<'s, '_> {
         let mut backoff_spent = 0.0f64;
         loop {
             let outcome = match self.injector.as_mut() {
-                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, bank.map(|b| b.1)),
+                Some(inj) => exec.execute_with_faults(&spec, inj, bank.map(|b| b.1)),
                 None => exec.execute(&spec),
             };
             let violation = match outcome {

@@ -257,7 +257,8 @@ impl<'a> PimExecutor<'a> {
         }
     }
 
-    /// Executes one kernel under fault injection.
+    /// Executes one kernel under fault injection, scoped to a bank health
+    /// domain.
     ///
     /// The injector perturbs the lockstep schedule (drops/corruptions),
     /// samples bank-cell bit flips, and pins any stuck MMAC lane. When a
@@ -278,23 +279,15 @@ impl<'a> PimExecutor<'a> {
     /// - **Stuck MMAC lane**: only matters for instructions that use the
     ///   lanes; it is a *hard* fault ([`IntegrityReport::is_permanent`]),
     ///   so schedulers should stop retrying on PIM.
+    ///
+    /// Transient faults (bit flips, command perturbations) are sampled from
+    /// the stream as usual and charged to whatever domain ran the kernel,
+    /// but a stuck MMAC lane — a *located* hardware fault — only fires when
+    /// the kernel's `domain` owns the lane. Bank-scoped schedulers use this
+    /// so one sick die group does not poison kernels running on its healthy
+    /// siblings. `domain = None` is the unscoped behaviour (the lane hits
+    /// every kernel).
     pub fn execute_with_faults(
-        &self,
-        spec: &PimKernelSpec,
-        injector: &mut FaultInjector,
-    ) -> Result<PimKernelResult, PimError> {
-        self.execute_with_faults_scoped(spec, injector, None)
-    }
-
-    /// [`execute_with_faults`](Self::execute_with_faults) scoped to a bank
-    /// health domain: transient faults (bit flips, command perturbations)
-    /// are sampled from the stream as usual and charged to whatever domain
-    /// ran the kernel, but a stuck MMAC lane — a *located* hardware fault —
-    /// only fires when the kernel's domain owns the lane. Bank-scoped
-    /// schedulers use this so one sick die group does not poison kernels
-    /// running on its healthy siblings. `domain = None` reproduces the
-    /// unscoped behaviour (the lane hits every kernel).
-    pub fn execute_with_faults_scoped(
         &self,
         spec: &PimKernelSpec,
         injector: &mut FaultInjector,
@@ -335,16 +328,6 @@ impl<'a> PimExecutor<'a> {
         } else {
             Ok(result)
         }
-    }
-
-    /// Executes a sequence of kernels back to back (one PIM kernel launch
-    /// in the Anaheim framework can carry many instructions).
-    pub fn execute_sequence(&self, specs: &[PimKernelSpec]) -> Result<PimKernelResult, PimError> {
-        let mut total = PimKernelResult::default();
-        for s in specs {
-            total.accumulate(&self.execute(s)?);
-        }
-        Ok(total)
     }
 }
 
@@ -514,9 +497,17 @@ mod tests {
             limbs: 8,
             n: 1 << 16,
         };
-        let seq = e.execute_sequence(&[s1, s2]).unwrap();
-        let sum = e.execute(&s1).unwrap().latency_ns + e.execute(&s2).unwrap().latency_ns;
-        assert!((seq.latency_ns - sum).abs() < 1e-9);
+        let (r1, r2) = (e.execute(&s1).unwrap(), e.execute(&s2).unwrap());
+        let mut seq = r1.clone();
+        seq.accumulate(&r2);
+        assert!((seq.latency_ns - (r1.latency_ns + r2.latency_ns)).abs() < 1e-9);
+        assert_eq!(seq.mmac_ops, r1.mmac_ops + r2.mmac_ops);
+        assert_eq!(seq.acts_total, r1.acts_total + r2.acts_total);
+        assert_eq!(seq.bytes_internal, r1.bytes_internal + r2.bytes_internal);
+        assert_eq!(seq.limb_batches, r1.limb_batches + r2.limb_batches);
+        let joules = seq.energy_joules(&dev);
+        let parts = r1.energy_joules(&dev) + r2.energy_joules(&dev);
+        assert!((joules - parts).abs() <= 1e-12 * parts.abs());
     }
 
     #[test]
@@ -536,7 +527,7 @@ mod tests {
         // The owning domain sees the hard fault…
         let mut inj = FaultInjector::new(plan);
         let err = e
-            .execute_with_faults_scoped(&spec, &mut inj, Some(sick))
+            .execute_with_faults(&spec, &mut inj, Some(sick))
             .unwrap_err();
         match err {
             PimError::IntegrityViolation(r) => {
@@ -550,13 +541,13 @@ mod tests {
         for idx in (0..domains).filter(|&i| i != sick.index) {
             let mut inj = FaultInjector::new(plan);
             let healthy = BankDomain::new(idx, domains);
-            e.execute_with_faults_scoped(&spec, &mut inj, Some(healthy))
+            e.execute_with_faults(&spec, &mut inj, Some(healthy))
                 .unwrap_or_else(|err| panic!("domain {idx} must be healthy: {err}"));
         }
 
         // And the unscoped path still hits everything.
         let mut inj = FaultInjector::new(plan);
-        assert!(e.execute_with_faults_scoped(&spec, &mut inj, None).is_err());
+        assert!(e.execute_with_faults(&spec, &mut inj, None).is_err());
     }
 
     #[test]

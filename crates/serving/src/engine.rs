@@ -478,7 +478,7 @@ impl ServingEngine {
     /// of the imposed delay.
     pub(crate) fn select_dispatch(
         &mut self,
-        queue: &AdmissionQueue<Prepared>,
+        queue: &mut AdmissionQueue<Prepared>,
         lanes: &[f64],
         until_ns: f64,
     ) -> Option<(usize, f64, Prepared, bool)> {
@@ -1046,7 +1046,7 @@ mod tests {
         fn prop_projection_and_pop_order_match_dispatch(scenario in arb_scenario()) {
             let (keys, lanes0) = scenario;
             let now = keys.iter().map(|k| k.arrival_ns).fold(0.0, f64::max);
-            let q = AdmissionQueue::new(keys.len());
+            let mut q = AdmissionQueue::new(keys.len());
             for k in &keys {
                 q.submit(*k).unwrap();
             }
@@ -1315,7 +1315,7 @@ mod tests {
                 ordering: None,
                 ..ServingConfig::a100_default(7)
             });
-            let q: AdmissionQueue<Prepared> = AdmissionQueue::new(keys.len());
+            let mut q: AdmissionQueue<Prepared> = AdmissionQueue::new(keys.len());
             for k in &keys {
                 q.submit(fabricated(k, (k.id % 3) as u32, 0.0, &seq)).unwrap();
             }
@@ -1323,7 +1323,7 @@ mod tests {
             let mut lanes = lanes0.clone();
             let mut actual: Vec<u64> = Vec::new();
             while let Some((lane, start, p, reordered)) =
-                e.select_dispatch(&q, &lanes, f64::INFINITY)
+                e.select_dispatch(&mut q, &lanes, f64::INFINITY)
             {
                 prop_assert!(!reordered, "ordering off must never reorder");
                 e.note_batch_dispatch(p.tenant, p.seq.evk_read_bytes(), None);
@@ -1362,7 +1362,7 @@ mod tests {
                 .iter()
                 .map(|k| (k.id, f64::from(slacks[k.id as usize % slacks.len()])))
                 .collect();
-            let q: AdmissionQueue<Prepared> = AdmissionQueue::new(keys.len());
+            let mut q: AdmissionQueue<Prepared> = AdmissionQueue::new(keys.len());
             for k in &keys {
                 q.submit(fabricated(k, (k.id % 3) as u32, granted[&k.id], &seq))
                     .unwrap();
@@ -1383,7 +1383,7 @@ mod tests {
             loop {
                 let before: Vec<u64> = q.keys_in_pop_order().iter().map(|k| k.id).collect();
                 let Some((lane, start, p, reordered)) =
-                    e.select_dispatch(&q, &lanes, f64::INFINITY)
+                    e.select_dispatch(&mut q, &lanes, f64::INFINITY)
                 else {
                     break;
                 };

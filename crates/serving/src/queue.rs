@@ -1,11 +1,8 @@
 //! The bounded, priority-ordered admission queue.
 //!
-//! Thread-safe (a `Mutex` around plain data — no async runtime, per the
-//! workspace's vendored-deps-only rule): multiple std-thread producers may
-//! `submit` concurrently while a consumer pops. The serving engine itself
-//! drains the queue serially in virtual time, which is what keeps soak
-//! runs bit-identical across `ANAHEIM_THREADS`; the locking exists so the
-//! same queue can front real producer threads (see the tests).
+//! Plain data behind `&mut self`: the serving engine fills and drains each
+//! shard's queue serially in virtual time, which is what keeps soak runs
+//! bit-identical across `ANAHEIM_THREADS`.
 //!
 //! Pop order is total and deterministic: priority (descending), then
 //! arrival time, then id. That order is defined exactly once — by the
@@ -17,7 +14,6 @@
 //! `pop`'s).
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::request::{Priority, Rejected};
 
@@ -68,12 +64,12 @@ impl PopKey {
     }
 }
 
-/// A bounded multi-producer admission queue with deterministic pop order.
+/// A bounded admission queue with deterministic pop order.
 #[derive(Debug)]
 pub struct AdmissionQueue<T> {
     // Ids are unique per trace, so `PopKey` (which ends in the id) never
     // collides and the map holds every submitted item.
-    items: Mutex<BTreeMap<PopKey, T>>,
+    items: BTreeMap<PopKey, T>,
     capacity: usize,
 }
 
@@ -81,17 +77,9 @@ impl<T: Queued> AdmissionQueue<T> {
     /// An empty queue holding at most `capacity` requests.
     pub fn new(capacity: usize) -> Self {
         Self {
-            items: Mutex::new(BTreeMap::new()),
+            items: BTreeMap::new(),
             capacity,
         }
-    }
-
-    /// The protected data is plain values and every critical section
-    /// leaves it consistent, so a producer that panicked while holding the
-    /// lock must not cascade into the engine: recover the guard instead of
-    /// unwrapping the poison.
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<PopKey, T>> {
-        self.items.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Capacity the queue was built with.
@@ -101,7 +89,7 @@ impl<T: Queued> AdmissionQueue<T> {
 
     /// Queued requests right now.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.items.len()
     }
 
     /// True when nothing is queued.
@@ -111,29 +99,28 @@ impl<T: Queued> AdmissionQueue<T> {
 
     /// Admits a request, or sheds it with [`Rejected::QueueFull`] when at
     /// capacity. Returns the queue depth after insertion.
-    pub fn submit(&self, item: T) -> Result<usize, Rejected> {
-        let mut items = self.lock();
-        if items.len() >= self.capacity {
+    pub fn submit(&mut self, item: T) -> Result<usize, Rejected> {
+        if self.items.len() >= self.capacity {
             return Err(Rejected::QueueFull);
         }
-        items.insert(PopKey::of(&item), item);
-        Ok(items.len())
+        self.items.insert(PopKey::of(&item), item);
+        Ok(self.items.len())
     }
 
     /// Removes and returns the next request in pop order.
-    pub fn pop(&self) -> Option<T> {
-        self.lock().pop_first().map(|(_, item)| item)
+    pub fn pop(&mut self) -> Option<T> {
+        self.items.pop_first().map(|(_, item)| item)
     }
 
     /// Applies `f` to the head (next to pop) without removing it.
     pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.lock().first_key_value().map(|(_, item)| f(item))
+        self.items.first_key_value().map(|(_, item)| f(item))
     }
 
     /// The scheduling keys of all queued items, in pop order — the input
     /// to the admission-control start-time projection.
     pub fn keys_in_pop_order(&self) -> Vec<QueueKey> {
-        self.lock()
+        self.items
             .values()
             .map(|it| QueueKey {
                 id: it.id(),
@@ -154,7 +141,7 @@ impl<T: Queued> AdmissionQueue<T> {
         window: usize,
         mut f: impl FnMut(usize, &T) -> bool,
     ) -> Option<PopKey> {
-        self.lock()
+        self.items
             .iter()
             .take(window)
             .enumerate()
@@ -168,7 +155,7 @@ impl<T: Queued> AdmissionQueue<T> {
     /// reorder — a pulled-forward job can perturb lane packing for items
     /// far beyond the bypass window, so all of them must absorb it.
     pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        for item in self.lock().values() {
+        for item in self.items.values() {
             f(item);
         }
     }
@@ -177,8 +164,8 @@ impl<T: Queued> AdmissionQueue<T> {
     /// commit half of a reorder: the candidate found by
     /// [`find_in_window`](Self::find_in_window) is taken out of order,
     /// everything else keeps its [`PopKey`] position.
-    pub fn take(&self, key: PopKey) -> Option<T> {
-        self.lock().remove(&key)
+    pub fn take(&mut self, key: PopKey) -> Option<T> {
+        self.items.remove(&key)
     }
 }
 
@@ -214,7 +201,6 @@ impl Queued for QueueKey {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn key(id: u64, priority: Priority, arrival: f64) -> QueueKey {
         QueueKey {
@@ -241,7 +227,7 @@ mod tests {
 
     #[test]
     fn pop_order_is_priority_then_arrival_then_id() {
-        let q = AdmissionQueue::new(8);
+        let mut q = AdmissionQueue::new(8);
         q.submit(key(3, Priority::Batch, 0.0)).unwrap();
         q.submit(key(1, Priority::Interactive, 50.0)).unwrap();
         q.submit(key(2, Priority::Interactive, 10.0)).unwrap();
@@ -253,7 +239,7 @@ mod tests {
 
     #[test]
     fn capacity_sheds_queue_full() {
-        let q = AdmissionQueue::new(2);
+        let mut q = AdmissionQueue::new(2);
         assert_eq!(q.submit(key(1, Priority::Standard, 0.0)), Ok(1));
         assert_eq!(q.submit(key(2, Priority::Standard, 1.0)), Ok(2));
         assert_eq!(
@@ -266,7 +252,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let q: AdmissionQueue<QueueKey> = AdmissionQueue::new(4);
+        let mut q: AdmissionQueue<QueueKey> = AdmissionQueue::new(4);
         assert!(q.peek(|k| k.id).is_none());
         q.submit(key(7, Priority::Batch, 3.0)).unwrap();
         q.submit(key(8, Priority::Interactive, 9.0)).unwrap();
@@ -277,7 +263,7 @@ mod tests {
 
     #[test]
     fn keys_in_pop_order_match_pops() {
-        let q = AdmissionQueue::new(8);
+        let mut q = AdmissionQueue::new(8);
         for (id, p, a) in [
             (1, Priority::Batch, 4.0),
             (2, Priority::Interactive, 9.0),
@@ -292,7 +278,7 @@ mod tests {
 
     #[test]
     fn find_in_window_scans_pop_order_and_take_removes_by_key() {
-        let q = AdmissionQueue::new(8);
+        let mut q = AdmissionQueue::new(8);
         q.submit(key(3, Priority::Batch, 0.0)).unwrap();
         q.submit(key(1, Priority::Interactive, 50.0)).unwrap();
         q.submit(key(2, Priority::Interactive, 10.0)).unwrap();
@@ -341,60 +327,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn poisoned_lock_recovers_instead_of_cascading() {
-        // A producer that panics while holding the lock (here: inside the
-        // peek closure) poisons the mutex; the queue must keep serving.
-        let q = Arc::new(AdmissionQueue::new(4));
-        q.submit(key(1, Priority::Standard, 0.0)).unwrap();
-        let q2 = Arc::clone(&q);
-        let died = std::thread::spawn(move || {
-            q2.peek(|_| -> () { panic!("producer died mid-inspection") })
-        })
-        .join();
-        assert!(died.is_err(), "the producer thread must have panicked");
-        assert_eq!(q.len(), 1, "len must not panic on a poisoned lock");
-        assert_eq!(q.submit(key(2, Priority::Interactive, 1.0)), Ok(2));
-        assert_eq!(q.pop().unwrap().id, 2);
-        assert_eq!(q.pop().unwrap().id, 1);
-    }
-
-    #[test]
-    fn concurrent_producers_never_overfill() {
-        // Multi-tenant submission from std threads: the bound holds under
-        // contention and every submit gets a definitive answer.
-        let q = Arc::new(AdmissionQueue::new(16));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                let mut admitted = 0usize;
-                let mut shed = 0usize;
-                for i in 0..8u64 {
-                    match q.submit(key(t * 100 + i, Priority::Standard, i as f64)) {
-                        Ok(depth) => {
-                            assert!(depth <= 16);
-                            admitted += 1;
-                        }
-                        Err(Rejected::QueueFull) => shed += 1,
-                        Err(other) => panic!("unexpected rejection {other:?}"),
-                    }
-                }
-                (admitted, shed)
-            }));
-        }
-        let (mut admitted, mut shed) = (0, 0);
-        for h in handles {
-            let (a, s) = h.join().unwrap();
-            admitted += a;
-            shed += s;
-        }
-        assert_eq!(admitted + shed, 32);
-        assert_eq!(admitted, 16, "exactly capacity admitted");
-        assert_eq!(q.len(), 16);
-        assert_eq!(shed, 16);
-    }
-
     fn arb_keys() -> impl Strategy<Value = Vec<QueueKey>> {
         // Coarse arrival buckets force ties so the id tie-break is
         // exercised, not just reachable; ids are positions, so unique.
@@ -418,7 +350,7 @@ mod tests {
     proptest! {
         #[test]
         fn prop_pop_sequence_matches_keys_and_oracle(keys in arb_keys()) {
-            let q = AdmissionQueue::new(keys.len());
+            let mut q = AdmissionQueue::new(keys.len());
             for k in &keys {
                 q.submit(*k).unwrap();
             }

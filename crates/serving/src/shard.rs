@@ -536,7 +536,7 @@ impl Shard {
     ) -> Result<(), RunError> {
         while let Some((lane, start, p, reordered)) =
             self.engine
-                .select_dispatch(&self.queue, &self.lanes, until_ns)
+                .select_dispatch(&mut self.queue, &self.lanes, until_ns)
         {
             let rerouted_from = p.rerouted_from;
             let was_probe = self.probe_inflight && self.state == ShardState::Probation;

@@ -2,11 +2,8 @@
 # Microbenchmark driver for the limb-parallel hot path.
 #
 # Builds the `bench_json` binary in release mode and runs it from the repo
-# root so BENCH_ckks.json / BENCH_pim.json land next to this script's parent.
-# Full runs also calibrate and commit BENCH_tune.profile (the measured
-# `ckks_math::tune` parallelism profile — point ANAHEIM_PAR_PROFILE at it);
-# quick runs write the profile to target/ so CI smoke-tests the calibration
-# pass without touching the committed artifact.
+# root so BENCH_ckks.json / BENCH_pim.json / BENCH_serving.json land next
+# to this script's parent.
 #
 # Usage: scripts/bench.sh [--quick]
 #   --quick   small parameters + short thread sweep (CI smoke test)
@@ -16,12 +13,5 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release -p anaheim-bench --bin bench_json"
 cargo build --release -q -p anaheim-bench --bin bench_json
 
-tune_out="BENCH_tune.profile"
-for arg in "$@"; do
-  if [ "$arg" = "--quick" ]; then
-    tune_out="target/tune_quick.profile"
-  fi
-done
-
-echo "==> bench_json $* --tune-out $tune_out"
-./target/release/bench_json "$@" --tune-out "$tune_out"
+echo "==> bench_json $*"
+./target/release/bench_json "$@"

@@ -95,7 +95,7 @@ fn sweep_profiles() -> [(&'static str, Profile); 3] {
 
 /// Runs `f` under the serial profile at 1 thread, then under every
 /// profile × thread-count combination, asserting bit-identical results.
-/// Restores the environment profile afterwards.
+/// Restores the seeded default profile afterwards.
 fn assert_profile_and_thread_invariant<R: PartialEq + std::fmt::Debug>(
     what: &str,
     f: impl Fn() -> R,
