@@ -448,69 +448,87 @@ fn emit_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
     }
 }
 
-/// Runs the serving-layer soak in a clean and a chaos scenario plus the
-/// sharded streaming fleet soak, the batched-fleet and ordered-fleet
-/// soaks (evk batch amortization, with and without batch-aware dispatch
-/// ordering), and the hedge-chaos soak (GPU fault domain + budget
-/// cancellation + hedged re-execution), and emits the
-/// headline counters. The clean/chaos rows are virtual-time results —
+/// Runs the serving-layer soaks and writes their headline counters to
+/// `BENCH_serving.json`, one row per scenario: the single-engine soak in a
+/// clean and a chaos scenario, the sharded streaming fleet soak, the
+/// batched-fleet and ordered-fleet soaks (evk batch amortization, with
+/// and without batch-aware dispatch ordering), and the hedge-chaos soak
+/// (GPU fault domain + budget cancellation + hedged re-execution). Each
+/// soak's invariant checker runs inside `run_soak_stream`, so a row that
+/// prints at all is a row whose scenario fired (≥1 amortized fetch, ≥1
+/// reorder, ≥1 hedge win and cancellation); `scripts/check.sh` gates the
+/// rows against each other. Every field is a virtual-time result —
 /// deterministic for a given seed, so regressions show up as diffs, not
-/// noise. The stream rows additionally carry wall-clock throughput
-/// (`wall_ms`, `wall_rps`), which is machine-dependent and informational
-/// only; every other field is deterministic. Every row records its
-/// provenance — the fault seed plus the lane/shard/thread configuration
-/// that produced it — so a diff in the counters can be replayed exactly.
+/// noise — except the fleet rows' wall-clock throughput (`wall_ms`,
+/// `wall_rps`), which is machine-dependent and informational only. Every
+/// row records its provenance — the fault seed plus the lane/shard/thread
+/// configuration that produced it — so a diff can be replayed exactly.
 fn bench_serving(quick: bool) {
-    use serving::soak::{run_soak_stream, SoakConfig};
-    let threads_env = std::env::var("ANAHEIM_THREADS").unwrap_or_else(|_| "auto".into());
+    use serving::soak::SoakConfig;
     let requests = if quick { 48 } else { 240 };
+    let fleet_requests = if quick { 2_000 } else { 20_000 };
+    let engine = |base: SoakConfig| SoakConfig {
+        requests,
+        // The chaos stuck-lane window is sized for the full trace;
+        // rescale it so the quick run still exercises the breaker.
+        stuck_window: base.stuck_window.map(|(a, b)| {
+            let scale = requests as f64 / base.requests as f64;
+            (
+                (a as f64 * scale) as usize,
+                ((b as f64 * scale) as usize).max((a as f64 * scale) as usize + 4),
+            )
+        }),
+        ..base
+    };
+    let fleet = |base: SoakConfig| SoakConfig {
+        requests: fleet_requests,
+        ..base
+    };
     let scenarios = [
-        ("clean", SoakConfig::clean(2024)),
-        ("chaos", SoakConfig::chaos(2024)),
+        ("clean", engine(SoakConfig::clean(2024))),
+        ("chaos", engine(SoakConfig::chaos(2024))),
+        ("stream-chaos", fleet(SoakConfig::fleet_chaos(2024))),
+        ("batched-fleet", fleet(SoakConfig::batched_fleet(2024))),
+        ("ordered-fleet", fleet(SoakConfig::ordered_fleet(2024))),
+        ("hedge-chaos", fleet(SoakConfig::hedge_chaos(2024))),
     ];
-    let mut s = String::from("[\n");
+    let threads_env = std::env::var("ANAHEIM_THREADS").unwrap_or_else(|_| "auto".into());
     println!("\nServing soak ({requests} requests, seed 2024)");
-    for (name, base) in scenarios.iter() {
-        let cfg = SoakConfig {
-            requests,
-            // The chaos stuck-lane window is sized for the full trace;
-            // rescale it so the quick run still exercises the breaker.
-            stuck_window: base.stuck_window.map(|(a, b)| {
-                let scale = requests as f64 / base.requests as f64;
-                (
-                    (a as f64 * scale) as usize,
-                    ((b as f64 * scale) as usize).max((a as f64 * scale) as usize + 4),
-                )
-            }),
-            ..base.clone()
-        };
-        let out = run_soak_stream(&cfg, None)
-            .unwrap_or_else(|e| panic!("{name} soak invariant violated: {e}"));
-        let sum = out.summary;
-        // The single-engine soak is a one-shard fleet; breaker skips and
-        // transitions come from its registry, which counts every execution.
+    let rows: Vec<String> = scenarios
+        .iter()
+        .map(|(name, cfg)| serving_row(name, cfg, &threads_env))
+        .collect();
+    std::fs::write(
+        "BENCH_serving.json",
+        format!("[\n{}\n]\n", rows.join(",\n")),
+    )
+    .unwrap_or_else(|e| panic!("writing BENCH_serving.json: {e}"));
+}
+
+/// Runs one serving soak, prints its summary and returns its
+/// `BENCH_serving.json` row. A one-shard config is the single-engine
+/// soak: its row takes breaker skips and transitions from the shard's
+/// registry, which counts every execution, and carries no fleet or wall
+/// clock fields. A fleet row adds the tenant and evk fields when batching
+/// is on, the reorder fields when ordering is on, and the cancellation
+/// and hedge fields when hedging is on.
+fn serving_row(name: &str, cfg: &serving::soak::SoakConfig, threads_env: &str) -> String {
+    let wall = Instant::now();
+    let out = serving::soak::run_soak_stream(cfg, None)
+        .unwrap_or_else(|e| panic!("{name} soak invariant violated: {e}"));
+    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+    let sum = out.summary;
+    let mut f: Vec<(&str, String)> = vec![
+        ("scenario", format!("\"{name}\"")),
+        ("fault_seed", cfg.seed.to_string()),
+        ("workers", cfg.workers.to_string()),
+        ("anaheim_threads", format!("\"{threads_env}\"")),
+        ("requests", sum.requests.to_string()),
+    ];
+    if cfg.shards == 1 {
         let health = &out.snapshots[0].health;
         println!("  {name:5} {sum}");
-        s.push_str(&format!(
-            "  {{\"scenario\": \"{}\", \"fault_seed\": {}, \"workers\": {}, \
-             \"anaheim_threads\": \"{}\", \"requests\": {}, \"completed\": {}, \
-             \"deadline_misses\": {}, \"shed_queue_full\": {}, \"shed_infeasible\": {}, \
-             \"faults\": {}, \"breaker_skips\": {}, \"transitions\": {}, \"dead_banks\": {}}},\n",
-            name,
-            cfg.seed,
-            cfg.workers,
-            threads_env,
-            requests,
-            sum.completed,
-            sum.deadline_misses,
-            sum.shed_queue_full,
-            sum.shed_infeasible,
-            sum.faults,
-            health.counters.breaker_skips,
-            health.transitions,
-            sum.dead_banks,
-        ));
-        if *name == "chaos" {
+        if cfg.stuck_window.is_some() {
             for b in &health.banks {
                 println!(
                     "        bank {}: {} ({} trip(s){})",
@@ -521,230 +539,76 @@ fn bench_serving(quick: bool) {
                 );
             }
         }
+        f.extend([
+            ("completed", sum.completed.to_string()),
+            ("deadline_misses", sum.deadline_misses.to_string()),
+            ("shed_queue_full", sum.shed_queue_full.to_string()),
+            ("shed_infeasible", sum.shed_infeasible.to_string()),
+            ("faults", sum.faults.to_string()),
+            ("breaker_skips", health.counters.breaker_skips.to_string()),
+            ("transitions", health.transitions.to_string()),
+            ("dead_banks", sum.dead_banks.to_string()),
+        ]);
+    } else {
+        let wall_rps = sum.requests as f64 / (wall_ms * 1e-3);
+        println!(
+            "  {name} ({} shards, {} tenants) {sum}\n        wall {wall_ms:.0} ms ({wall_rps:.0} req/s)",
+            cfg.shards, cfg.tenants
+        );
+        f.push(("shards", cfg.shards.to_string()));
+        if cfg.batching {
+            f.push(("tenants", cfg.tenants.to_string()));
+        }
+        f.push(("completed", sum.completed.to_string()));
+        f.push(("deadline_misses", sum.deadline_misses.to_string()));
+        if cfg.hedge {
+            f.push(("cancelled", sum.cancelled.to_string()));
+            f.push(("integrity_failures", sum.integrity_failures.to_string()));
+        }
+        f.extend([
+            ("shed_queue_full", sum.shed_queue_full.to_string()),
+            ("shed_infeasible", sum.shed_infeasible.to_string()),
+            ("rerouted", sum.rerouted.to_string()),
+            ("all_shards_unhealthy", sum.all_shards_unhealthy.to_string()),
+        ]);
+        if cfg.hedge {
+            f.extend([
+                ("hedges_launched", sum.hedges_launched.to_string()),
+                ("hedges_won", sum.hedges_won.to_string()),
+                ("hedges_wasted", sum.hedges_wasted.to_string()),
+                ("hedges_suppressed", sum.hedges_suppressed.to_string()),
+            ]);
+        }
+        f.extend([
+            ("faults", sum.faults.to_string()),
+            ("breaker_skips", sum.breaker_skips.to_string()),
+            ("drains", sum.drains.to_string()),
+            ("readmits", sum.readmits.to_string()),
+            ("dead_banks", sum.dead_banks.to_string()),
+        ]);
+        if cfg.batching {
+            f.extend([
+                ("evk_hit_bytes", sum.evk_hit_bytes.to_string()),
+                ("evk_miss_bytes", sum.evk_miss_bytes.to_string()),
+                ("evk_bytes_saved", sum.evk_saved_bytes.to_string()),
+                ("batches", sum.batches.to_string()),
+            ]);
+        }
+        if cfg.ordering {
+            f.extend([
+                ("reorders", sum.reorders.to_string()),
+                ("reorder_denied_slack", sum.reorder_denied_slack.to_string()),
+                ("evk_saved_ns", format!("{:.0}", sum.evk_saved_ns)),
+            ]);
+        }
+        f.extend([
+            ("virtual_rps", format!("{:.1}", sum.virtual_rps())),
+            ("wall_ms", format!("{wall_ms:.1}")),
+            ("wall_rps", format!("{wall_rps:.1}")),
+        ]);
     }
-
-    // The sharded streaming fleet soak: failover counters plus throughput.
-    let stream_cfg = SoakConfig {
-        requests: if quick { 2_000 } else { 20_000 },
-        ..SoakConfig::fleet_chaos(2024)
-    };
-    let wall = Instant::now();
-    let out = run_soak_stream(&stream_cfg, None)
-        .unwrap_or_else(|e| panic!("stream-chaos soak invariant violated: {e}"));
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let sum = out.summary;
-    println!(
-        "  stream-chaos ({} shards) {sum}\n        wall {:.0} ms ({:.0} req/s)",
-        stream_cfg.shards,
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3)
-    );
-    s.push_str(&format!(
-        "  {{\"scenario\": \"stream-chaos\", \"fault_seed\": {}, \"workers\": {}, \
-         \"anaheim_threads\": \"{}\", \"requests\": {}, \"shards\": {}, \
-         \"completed\": {}, \"deadline_misses\": {}, \"shed_queue_full\": {}, \
-         \"shed_infeasible\": {}, \"rerouted\": {}, \"all_shards_unhealthy\": {}, \
-         \"faults\": {}, \"breaker_skips\": {}, \"drains\": {}, \"readmits\": {}, \
-         \"dead_banks\": {}, \"virtual_rps\": {:.1}, \"wall_ms\": {:.1}, \"wall_rps\": {:.1}}},\n",
-        stream_cfg.seed,
-        stream_cfg.workers,
-        threads_env,
-        sum.requests,
-        stream_cfg.shards,
-        sum.completed,
-        sum.deadline_misses,
-        sum.shed_queue_full,
-        sum.shed_infeasible,
-        sum.rerouted,
-        sum.all_shards_unhealthy,
-        sum.faults,
-        sum.breaker_skips,
-        sum.drains,
-        sum.readmits,
-        sum.dead_banks,
-        sum.virtual_rps(),
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3),
-    ));
-
-    // The batched-fleet soak: a small tenant pool over a fault-free
-    // two-shard fleet with same-tenant batch serving on. The invariant
-    // checker already requires ≥1 amortized fetch and that saved bytes
-    // reconcile with shard hit bytes; the row carries the evk hit/miss
-    // split so `scripts/check.sh` can gate conservation
-    // (hit + miss == uncached) and a nonzero saving from the JSON.
-    let batch_cfg = SoakConfig {
-        requests: if quick { 2_000 } else { 20_000 },
-        ..SoakConfig::batched_fleet(2024)
-    };
-    let wall = Instant::now();
-    let out = run_soak_stream(&batch_cfg, None)
-        .unwrap_or_else(|e| panic!("batched-fleet soak invariant violated: {e}"));
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let sum = out.summary;
-    println!(
-        "  batched-fleet ({} shards, {} tenants) {sum}\n        wall {:.0} ms ({:.0} req/s)",
-        batch_cfg.shards,
-        batch_cfg.tenants,
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3)
-    );
-    s.push_str(&format!(
-        "  {{\"scenario\": \"batched-fleet\", \"fault_seed\": {}, \"workers\": {}, \
-         \"anaheim_threads\": \"{}\", \"requests\": {}, \"shards\": {}, \"tenants\": {}, \
-         \"completed\": {}, \"deadline_misses\": {}, \"shed_queue_full\": {}, \
-         \"shed_infeasible\": {}, \"rerouted\": {}, \"all_shards_unhealthy\": {}, \
-         \"faults\": {}, \"breaker_skips\": {}, \"drains\": {}, \"readmits\": {}, \
-         \"dead_banks\": {}, \"evk_hit_bytes\": {}, \"evk_miss_bytes\": {}, \
-         \"evk_bytes_saved\": {}, \"batches\": {}, \"virtual_rps\": {:.1}, \
-         \"wall_ms\": {:.1}, \"wall_rps\": {:.1}}},\n",
-        batch_cfg.seed,
-        batch_cfg.workers,
-        threads_env,
-        sum.requests,
-        batch_cfg.shards,
-        batch_cfg.tenants,
-        sum.completed,
-        sum.deadline_misses,
-        sum.shed_queue_full,
-        sum.shed_infeasible,
-        sum.rerouted,
-        sum.all_shards_unhealthy,
-        sum.faults,
-        sum.breaker_skips,
-        sum.drains,
-        sum.readmits,
-        sum.dead_banks,
-        sum.evk_hit_bytes,
-        sum.evk_miss_bytes,
-        sum.evk_saved_bytes,
-        sum.batches,
-        sum.virtual_rps(),
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3),
-    ));
-
-    // The ordered-fleet soak: the batched-fleet trace with batch-aware
-    // dispatch ordering on — the engine pulls same-tenant work forward
-    // under the slack budget and credits each amortized evk fetch back to
-    // the lane as virtual time. The invariant checker already requires ≥1
-    // reorder and a nonzero lane credit; `scripts/check.sh` additionally
-    // gates `evk_bytes_saved` ≥ the batched-fleet row's and `virtual_rps`
-    // ≥ the batched-fleet row's from this JSON.
-    let ordered_cfg = SoakConfig {
-        requests: if quick { 2_000 } else { 20_000 },
-        ..SoakConfig::ordered_fleet(2024)
-    };
-    let wall = Instant::now();
-    let out = run_soak_stream(&ordered_cfg, None)
-        .unwrap_or_else(|e| panic!("ordered-fleet soak invariant violated: {e}"));
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let sum = out.summary;
-    println!(
-        "  ordered-fleet ({} shards, {} tenants) {sum}\n        wall {:.0} ms ({:.0} req/s)",
-        ordered_cfg.shards,
-        ordered_cfg.tenants,
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3)
-    );
-    s.push_str(&format!(
-        "  {{\"scenario\": \"ordered-fleet\", \"fault_seed\": {}, \"workers\": {}, \
-         \"anaheim_threads\": \"{}\", \"requests\": {}, \"shards\": {}, \"tenants\": {}, \
-         \"completed\": {}, \"deadline_misses\": {}, \"shed_queue_full\": {}, \
-         \"shed_infeasible\": {}, \"rerouted\": {}, \"all_shards_unhealthy\": {}, \
-         \"faults\": {}, \"breaker_skips\": {}, \"drains\": {}, \"readmits\": {}, \
-         \"dead_banks\": {}, \"evk_hit_bytes\": {}, \"evk_miss_bytes\": {}, \
-         \"evk_bytes_saved\": {}, \"batches\": {}, \"reorders\": {}, \
-         \"reorder_denied_slack\": {}, \"evk_saved_ns\": {:.0}, \"virtual_rps\": {:.1}, \
-         \"wall_ms\": {:.1}, \"wall_rps\": {:.1}}},\n",
-        ordered_cfg.seed,
-        ordered_cfg.workers,
-        threads_env,
-        sum.requests,
-        ordered_cfg.shards,
-        ordered_cfg.tenants,
-        sum.completed,
-        sum.deadline_misses,
-        sum.shed_queue_full,
-        sum.shed_infeasible,
-        sum.rerouted,
-        sum.all_shards_unhealthy,
-        sum.faults,
-        sum.breaker_skips,
-        sum.drains,
-        sum.readmits,
-        sum.dead_banks,
-        sum.evk_hit_bytes,
-        sum.evk_miss_bytes,
-        sum.evk_saved_bytes,
-        sum.batches,
-        sum.reorders,
-        sum.reorder_denied_slack,
-        sum.evk_saved_ns,
-        sum.virtual_rps(),
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3),
-    ));
-
-    // The hedge-chaos soak: the GPU fault domain (stream stalls + transfer
-    // bit-flips) on top of the fleet storm, with deadline-budget
-    // cancellation and hedged re-execution on. The invariant checker
-    // inside `run_soak_stream` already requires ≥1 hedge launch, ≥1 hedge
-    // win, and ≥1 cancellation for this config — a row that prints at all
-    // is a row whose hedging actually fired.
-    let hedge_cfg = SoakConfig {
-        requests: if quick { 2_000 } else { 20_000 },
-        ..SoakConfig::hedge_chaos(2024)
-    };
-    let wall = Instant::now();
-    let out = run_soak_stream(&hedge_cfg, None)
-        .unwrap_or_else(|e| panic!("hedge-chaos soak invariant violated: {e}"));
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let sum = out.summary;
-    println!(
-        "  hedge-chaos ({} shards) {sum}\n        wall {:.0} ms ({:.0} req/s)",
-        hedge_cfg.shards,
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3)
-    );
-    s.push_str(&format!(
-        "  {{\"scenario\": \"hedge-chaos\", \"fault_seed\": {}, \"workers\": {}, \
-         \"anaheim_threads\": \"{}\", \"requests\": {}, \"shards\": {}, \
-         \"completed\": {}, \"deadline_misses\": {}, \"cancelled\": {}, \
-         \"integrity_failures\": {}, \"shed_queue_full\": {}, \"shed_infeasible\": {}, \
-         \"rerouted\": {}, \"all_shards_unhealthy\": {}, \"hedges_launched\": {}, \
-         \"hedges_won\": {}, \"hedges_wasted\": {}, \"hedges_suppressed\": {}, \
-         \"faults\": {}, \"breaker_skips\": {}, \"drains\": {}, \"readmits\": {}, \
-         \"dead_banks\": {}, \"virtual_rps\": {:.1}, \"wall_ms\": {:.1}, \"wall_rps\": {:.1}}}\n",
-        hedge_cfg.seed,
-        hedge_cfg.workers,
-        threads_env,
-        sum.requests,
-        hedge_cfg.shards,
-        sum.completed,
-        sum.deadline_misses,
-        sum.cancelled,
-        sum.integrity_failures,
-        sum.shed_queue_full,
-        sum.shed_infeasible,
-        sum.rerouted,
-        sum.all_shards_unhealthy,
-        sum.hedges_launched,
-        sum.hedges_won,
-        sum.hedges_wasted,
-        sum.hedges_suppressed,
-        sum.faults,
-        sum.breaker_skips,
-        sum.drains,
-        sum.readmits,
-        sum.dead_banks,
-        sum.virtual_rps(),
-        wall_ms,
-        sum.requests as f64 / (wall_ms * 1e-3),
-    ));
-    s.push_str("]\n");
-    std::fs::write("BENCH_serving.json", s)
-        .unwrap_or_else(|e| panic!("writing BENCH_serving.json: {e}"));
+    let fields: Vec<String> = f.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("  {{{}}}", fields.join(", "))
 }
 
 /// Evaluates the analytic scheduler on the fused+offloaded Bootstrap
