@@ -419,10 +419,14 @@ print(f"  ordered-fleet: {o['reorders']} reorders ({o['reorder_denied_slack']} d
       f"{b['virtual_rps']}, misses {o['deadline_misses']} <= {b['deadline_misses']} — ok")
 EOF
 
-# Documentation integrity gate: every relative markdown link resolves, and
+# Documentation integrity gate: every relative markdown link resolves,
 # every telemetry metric name declared in `core::telemetry::names` is
-# documented in docs/METRICS.md — new metrics cannot land undocumented.
-echo "==> documentation integrity gate (markdown links + metric names)"
+# documented in docs/METRICS.md — new metrics cannot land undocumented —
+# and every `ANAHEIM_*` environment variable the user docs name is read
+# through `std::env::var` under crates/ or vendor/, so a deleted knob
+# cannot stay documented. ROADMAP.md and CHANGES.md are history, and
+# perfbench/ documents its own harness, so neither is scanned for names.
+echo "==> documentation integrity gate (markdown links + metric names + env vars)"
 python3 - <<'EOF'
 import os, re, sys
 
@@ -455,6 +459,25 @@ missing = sorted(n for n in names if n not in metrics_doc)
 if missing:
     sys.exit("docs/METRICS.md: undocumented metrics: " + ", ".join(missing))
 print(f"  {len(names)} telemetry metric names documented in docs/METRICS.md — ok")
+
+read_vars = set()
+for top in ("crates", "vendor"):
+    for root, _, files in os.walk(top):
+        for name in files:
+            if name.endswith(".rs"):
+                text = open(os.path.join(root, name)).read()
+                read_vars |= set(re.findall(r'env::var\(\s*"(ANAHEIM_[A-Z_]+)"', text))
+env_docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+env_docs += [os.path.join("docs", f) for f in sorted(os.listdir("docs")) if f.endswith(".md")]
+unread = sorted(
+    f"{doc}: {var}"
+    for doc in env_docs
+    for var in set(re.findall(r"ANAHEIM_[A-Z_]+", open(doc).read()))
+    if var not in read_vars
+)
+if unread:
+    sys.exit("documented env vars that no code reads: " + ", ".join(unread))
+print(f"  documented ANAHEIM_* env vars all read by code ({', '.join(sorted(read_vars))}) — ok")
 EOF
 
 echo "All checks passed."
