@@ -6,6 +6,13 @@
 //! (NTT butterflies, element-wise multiply-accumulate) avoid 128-bit
 //! division.
 
+/// Products of two residues one `u128` sums before it must reduce: every
+/// residue is below 2^62, so 15 products (each below 2^124) plus one
+/// carried residue stay below 2^128. BConv and the fused MAC
+/// ([`crate::poly::Poly::fused_mac_assign`]) reduce once per block of this
+/// many products.
+pub(crate) const LAZY_PRODUCTS: usize = 15;
+
 /// A prime modulus `q < 2^62` with precomputed reduction constants.
 ///
 /// # Example
@@ -86,11 +93,13 @@ impl Modulus {
         let qhat = hi_hi + (mid >> 64) + ((carry as u128) << 64);
         let mut r = (a - qhat * self.q as u128) as u64;
         // Keep the loop: it almost never iterates, so it predicts well. Two
-        // `sub_if_ge` selects in its place made `Poly::mac_assign` slower
-        // (about 275 → 315 µs per 2^16 limb on a 2-vCPU Xeon), and a
-        // branch-free body is what lets LLVM vectorize a MAC loop into
-        // `pmuludq` emulation of the 128-bit products (see the `ntt` module
-        // doc).
+        // `sub_if_ge` selects in its place made the per-product MAC loop
+        // that `Poly::fused_mac_assign` replaced slower (about 275 → 315 µs
+        // per 2^16 limb on a 2-vCPU Xeon). In the fused MAC, which reduces
+        // once per 15 products, the two measured the same (2.0 ns per
+        // product at 2^9, 3.6–3.7 at 2^16, 1 thread). A branch-free body is
+        // also what lets LLVM vectorize a MAC loop into `pmuludq` emulation
+        // of the 128-bit products (see the `ntt` module doc).
         while r >= self.q {
             r -= self.q;
         }

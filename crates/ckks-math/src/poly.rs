@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crate::modulus::Modulus;
+use crate::modulus::{Modulus, LAZY_PRODUCTS};
 use crate::ntt::NttContext;
 use crate::pool;
 use crate::tune::{self, OpClass};
@@ -56,6 +56,48 @@ where
         parpool::par_map_chunked(items, d.jobs, f)
     } else {
         items.iter().enumerate().map(|(i, x)| f(i, x)).collect()
+    }
+}
+
+/// `dst[k] = (dst[k] + Σ_t a_t[k] · b_t[k]) mod m` over the `terms` rows
+/// `row(t) = (a_t, b_t)`, with one Barrett reduction per block of
+/// [`LAZY_PRODUCTS`] products instead of one per product. Each block
+/// carries the previous residue in `dst`. Rows are cut to `dst`'s length
+/// on the stack before the coefficient loop, as BConv's accumulation does.
+fn mac_rows<'a>(
+    m: &Modulus,
+    terms: usize,
+    row: impl Fn(usize) -> (&'a [u64], &'a [u64]),
+    dst: &mut [u64],
+) {
+    let n = dst.len();
+    let mut rows: [(&[u64], &[u64]); LAZY_PRODUCTS] = [(&[], &[]); LAZY_PRODUCTS];
+    for start in (0..terms).step_by(LAZY_PRODUCTS) {
+        let len = LAZY_PRODUCTS.min(terms - start);
+        for (t, slot) in rows[..len].iter_mut().enumerate() {
+            let (a, b) = row(start + t);
+            *slot = (&a[..n], &b[..n]);
+        }
+        let rows = &rows[..len];
+        for (k, d) in dst.iter_mut().enumerate() {
+            let mut acc = *d as u128;
+            for (a, b) in rows {
+                acc += a[k] as u128 * b[k] as u128;
+            }
+            *d = m.reduce_u128(acc);
+        }
+    }
+}
+
+/// The per-product-reducing MAC that [`mac_rows`] replaced, reducing with
+/// `%` so it shares no reduction code with it. Test oracle only.
+#[cfg(test)]
+fn mac_rows_reference(m: &Modulus, rows: &[(&[u64], &[u64])], dst: &mut [u64]) {
+    let q = m.value() as u128;
+    for (a, b) in rows {
+        for ((d, &x), &y) in dst.iter_mut().zip(a.iter()).zip(b.iter()) {
+            *d = ((*d as u128 + x as u128 * y as u128) % q) as u64;
+        }
     }
 }
 
@@ -454,7 +496,8 @@ impl Poly {
         });
     }
 
-    /// Fused multiply-accumulate `self += a * b` (evaluation domain).
+    /// Fused multiply-accumulate `self += a * b` (evaluation domain): the
+    /// one-term [`Self::fused_mac_assign`].
     ///
     /// `b` may carry more limbs than `self` and `a`; only its leading
     /// `self.num_limbs()` limbs are read. A plaintext over `Q‖P` thus also
@@ -465,29 +508,57 @@ impl Poly {
     /// Panics if any operand is in the coefficient domain, if `a` and
     /// `self` differ in basis, or if `b`'s leading limbs do not match it.
     pub fn mac_assign(&mut self, a: &Poly, b: &Poly) {
+        self.fused_mac_assign(&[(a, b)], |i| i);
+    }
+
+    /// Fused inner product `self += Σ_j a_j · b_j` (evaluation domain),
+    /// where limb `i` of `self` reads limb `i` of every `a_j` and limb
+    /// `map(i)` of every `b_j`. This is `PAccum` (§VI-B): KeyMult reads
+    /// the evaluation key's `Q_ℓ‖P` limbs in place through `map`, and a
+    /// BSGS giant group sums all its plaintext products in one pass.
+    ///
+    /// Each output word sums its products in a `u128` and Barrett-reduces
+    /// once per 15 products, carrying the residue into the next block, so
+    /// the result equals reducing after every product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand is in the coefficient domain, if an `a_j`
+    /// differs from `self` in basis, or if limb `map(i)` of a `b_j` is
+    /// missing or has another modulus than limb `i` of `self`.
+    pub fn fused_mac_assign(
+        &mut self,
+        terms: &[(&Poly, &Poly)],
+        map: impl Fn(usize) -> usize + Sync,
+    ) {
         assert_eq!(self.format, Format::Eval, "MAC requires Eval");
-        self.assert_compatible(a);
-        assert_eq!(b.format, Format::Eval, "domain mismatch");
-        assert!(b.num_limbs() >= self.num_limbs(), "limb count mismatch");
-        for (x, y) in self.limbs.iter().zip(&b.limbs) {
-            assert_eq!(
-                x.ctx.modulus().value(),
-                y.ctx.modulus().value(),
-                "modulus mismatch"
-            );
+        for (a, b) in terms {
+            self.assert_compatible(a);
+            assert_eq!(b.format, Format::Eval, "domain mismatch");
+            for (i, x) in self.limbs.iter().enumerate() {
+                let y = b.limbs.get(map(i)).expect("limb count mismatch");
+                assert_eq!(
+                    x.ctx.modulus().value(),
+                    y.ctx.modulus().value(),
+                    "modulus mismatch"
+                );
+            }
         }
         let n = self.n();
-        for_each_tuned(OpClass::Elementwise, n, &mut self.limbs, |i, dst| {
-            let m = *dst.ctx.modulus();
-            for ((d, &u), &v) in dst
-                .data
-                .iter_mut()
-                .zip(&a.limbs[i].data)
-                .zip(&b.limbs[i].data)
-            {
-                *d = m.reduce_u128(u as u128 * v as u128 + *d as u128);
-            }
-        });
+        for_each_tuned(
+            OpClass::Elementwise,
+            n * terms.len(),
+            &mut self.limbs,
+            |i, dst| {
+                let j = map(i);
+                mac_rows(
+                    dst.ctx.modulus(),
+                    terms.len(),
+                    |t| (&terms[t].0.limbs[i].data, &terms[t].1.limbs[j].data),
+                    &mut dst.data,
+                );
+            },
+        );
     }
 
     /// Multiplies each limb by a per-limb scalar (already reduced).
@@ -613,9 +684,14 @@ mod tests {
     use super::*;
     use crate::modulus::Modulus;
     use crate::prime::generate_ntt_primes;
+    use proptest::prelude::*;
 
     fn basis(n: usize, l: usize) -> Vec<Arc<NttContext>> {
-        generate_ntt_primes(45, l, 2 * n as u64)
+        basis_bits(n, l, 45)
+    }
+
+    fn basis_bits(n: usize, l: usize, bits: u32) -> Vec<Arc<NttContext>> {
+        generate_ntt_primes(bits, l, 2 * n as u64)
             .into_iter()
             .map(|q| Arc::new(NttContext::new(n, Modulus::new(q))))
             .collect()
@@ -773,6 +849,121 @@ mod tests {
         want.mac_assign(&x, &y_short);
         for (l, w) in got.limbs().zip(want.limbs()) {
             assert_eq!(l.data(), w.data());
+        }
+    }
+
+    /// The largest prime below 2^62, the widest residue a [`Modulus`] takes.
+    const LARGEST_62_BIT_PRIME: u64 = (1 << 62) - 57;
+    /// The 28-bit prime of the PIM functional model (`≡ 1 mod 2^16`).
+    const PIM_PRIME: u64 = 268369921;
+    /// Term counts that end on, and cross, each 15-product block boundary.
+    const BLOCK_TERM_COUNTS: [usize; 6] = [1, 2, 15, 16, 31, 40];
+
+    /// An evaluation-domain polynomial whose every residue is `q − 1`, so
+    /// every product is the largest a limb allows.
+    fn saturated(basis: &[Arc<NttContext>]) -> Poly {
+        let limbs = basis
+            .iter()
+            .map(|c| Limb::from_data(c.clone(), vec![c.modulus().value() - 1; c.n()]))
+            .collect();
+        Poly::from_limbs(limbs, Format::Eval)
+    }
+
+    /// Runs `fused_mac_assign` on saturated operands at each term count —
+    /// the accumulator and every `a_j` over `basis`, every `b_j` over
+    /// `b_basis` read through `map` — and compares each limb with the
+    /// per-product reference.
+    fn check_saturated(
+        basis: &[Arc<NttContext>],
+        b_basis: &[Arc<NttContext>],
+        map: impl Fn(usize) -> usize + Sync + Copy,
+    ) {
+        let (acc, a, b) = (saturated(basis), saturated(basis), saturated(b_basis));
+        for terms in BLOCK_TERM_COUNTS {
+            let mut got = acc.clone();
+            got.fused_mac_assign(&vec![(&a, &b); terms], map);
+            for (i, limb) in got.limbs().enumerate() {
+                let rows = vec![(a.limb(i).data(), b.limb(map(i)).data()); terms];
+                let mut want = acc.limb(i).data().to_vec();
+                mac_rows_reference(limb.ctx().modulus(), &rows, &mut want);
+                assert_eq!(limb.data(), want.as_slice(), "{terms} terms, limb {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_mac_matches_reference_on_saturated_inputs() {
+        let n = 64;
+        let mut wide = basis_bits(n, 3, 62);
+        let pim = Arc::new(NttContext::new(n, Modulus::new(PIM_PRIME)));
+        check_saturated(
+            &[wide[0].clone(), pim.clone()],
+            &[wide[0].clone(), pim],
+            |i| i,
+        );
+        // Key-style limb map: the accumulator is `q0 ‖ p`, the operand
+        // `q0 ‖ q1 ‖ p`, so limb 1 reads limb 2.
+        let p = wide.pop().expect("three primes");
+        let map = |i: usize| if i < 1 { i } else { i + 1 };
+        check_saturated(
+            &[wide[0].clone(), p.clone()],
+            &[wide[0].clone(), wide[1].clone(), p],
+            map,
+        );
+    }
+
+    /// The saturated check at the DRAM-resident ring 2^16, bit-exact at 1, 2
+    /// and 8 threads.
+    #[test]
+    #[ignore = "N=2^16; run with --ignored (release profile recommended)"]
+    fn fused_mac_matches_reference_on_saturated_inputs_at_2_16() {
+        let b = basis_bits(1 << 16, 4, 62);
+        for threads in [1usize, 2, 8] {
+            parpool::set_threads(threads);
+            check_saturated(&b, &b, |i| i);
+        }
+        parpool::set_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "modulus mismatch")]
+    fn fused_mac_rejects_a_modulus_mismatch_through_map() {
+        let b = basis(8, 2);
+        let x = Poly::zero(&b, Format::Eval);
+        let mut acc = Poly::zero(&b, Format::Eval);
+        acc.fused_mac_assign(&[(&x, &x)], |i| 1 - i);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fused_mac_matches_per_product_reference(
+            log_n in 2u32..=12,
+            terms in 1usize..=40,
+            wide in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let n = 1usize << log_n;
+            let m = Modulus::new(if wide { LARGEST_62_BIT_PRIME } else { PIM_PRIME });
+            let q = m.value();
+            let mut state = seed;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 1) % q
+            };
+            let mut row = || (0..n).map(|_| next()).collect::<Vec<u64>>();
+            let init = row();
+            let ab: Vec<(Vec<u64>, Vec<u64>)> = (0..terms).map(|_| (row(), row())).collect();
+            let rows: Vec<(&[u64], &[u64])> =
+                ab.iter().map(|(a, b)| (a.as_slice(), b.as_slice())).collect();
+            let mut got = init.clone();
+            mac_rows(&m, terms, |t| rows[t], &mut got);
+            let mut want = init;
+            mac_rows_reference(&m, &rows, &mut want);
+            prop_assert_eq!(got, want);
         }
     }
 

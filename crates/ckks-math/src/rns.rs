@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::modulus::Modulus;
+use crate::modulus::{Modulus, LAZY_PRODUCTS};
 use crate::ntt::NttContext;
 use crate::poly::{for_each_tuned, map_tuned, Format, Limb, Poly};
 use crate::pool;
@@ -373,18 +373,13 @@ impl BasisConverter {
     }
 }
 
-/// Source limbs one `u128` accumulator sums before it must reduce: every
-/// residue is below 2^62, so 15 products (each below 2^124) plus the
-/// carried residue stay below 2^128.
-const BCONV_BLOCK: usize = 15;
-
 /// `out[k] = Σ_i v[i][k] · hats[i] mod m`, with one Barrett reduction per
-/// block of [`BCONV_BLOCK`] source limbs instead of one per product. Each
+/// block of [`LAZY_PRODUCTS`] source limbs instead of one per product. Each
 /// block after the first carries the previous block's residue in `out`.
 fn accumulate(m: &Modulus, v: &[Vec<u64>], hats: &[u64], out: &mut [u64]) {
     let n = out.len();
-    let mut rows: [&[u64]; BCONV_BLOCK] = [&[]; BCONV_BLOCK];
-    let blocks = v.chunks(BCONV_BLOCK).zip(hats.chunks(BCONV_BLOCK));
+    let mut rows: [&[u64]; LAZY_PRODUCTS] = [&[]; LAZY_PRODUCTS];
+    let blocks = v.chunks(LAZY_PRODUCTS).zip(hats.chunks(LAZY_PRODUCTS));
     for (b, (vs, hs)) in blocks.enumerate() {
         // The block's rows as plain slices on the stack, cut to the
         // output's length.

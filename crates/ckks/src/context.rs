@@ -241,12 +241,14 @@ impl CkksContext {
     }
 
     /// Extracts the prefix of a full-basis key polynomial matching the active
-    /// level: limbs `[0, level) ∪ P`-limbs, preserving the domain.
+    /// level: limbs `[0, level) ∪ P`-limbs, preserving the domain. A test
+    /// oracle for KeyMult, which reads these limbs in place.
     ///
     /// # Panics
     ///
     /// Panics if `poly` is not over the full basis.
-    pub fn key_prefix(&self, poly: &Poly, level: usize) -> Poly {
+    #[cfg(test)]
+    pub(crate) fn key_prefix(&self, poly: &Poly, level: usize) -> Poly {
         let full = self.max_level() + self.params.alpha;
         assert_eq!(poly.num_limbs(), full, "expected a full-basis polynomial");
         let mut limbs = Vec::with_capacity(level + self.params.alpha);

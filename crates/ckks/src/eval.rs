@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use ckks_math::poly::Poly;
+use ckks_math::poly::{Format, Poly};
 use ckks_math::rns::rescale_in_place;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
@@ -382,8 +382,8 @@ impl<'a> Evaluator<'a> {
         let level = x.level();
         // Tensor: (d0, d1, d2) = (b1·b2, b1·a2 + a1·b2, a1·a2).
         let d0 = x.b().multiplied(y.b());
-        let mut d1 = x.b().multiplied(y.a());
-        d1.mac_assign(x.a(), y.b());
+        let mut d1 = Poly::zero(self.ctx.basis_q(level), Format::Eval);
+        d1.fused_mac_assign(&[(x.b(), y.a()), (x.a(), y.b())], |i| i);
         let d2 = x.a().multiplied(y.a());
         opcount::count_ew(4 * level);
         // Relinearize d2 down to (b, a).

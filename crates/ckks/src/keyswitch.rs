@@ -129,16 +129,25 @@ impl<'a> KeySwitcher<'a> {
             "evk digit count too small"
         );
         let basis = self.ctx.basis_qp(level);
+        // The key lives over the full `Q‖P` basis: limb `i` of the `Q_ℓ‖P`
+        // accumulator reads key limb `i` below `ℓ` and the matching `P`
+        // limb above it, in place.
+        let max_level = self.ctx.max_level();
+        let key_limb = |i: usize| if i < level { i } else { max_level + i - level };
+        let (terms_b, terms_a): (Vec<_>, Vec<_>) = hoisted
+            .digits
+            .iter()
+            .enumerate()
+            .map(|(j, d)| {
+                let (kb, ka) = evk.digit(j);
+                ((d, kb), (d, ka))
+            })
+            .unzip();
         let mut acc_b = Poly::zero(&basis, Format::Eval);
         let mut acc_a = Poly::zero(&basis, Format::Eval);
-        for (j, d) in hoisted.digits.iter().enumerate() {
-            let (kb, ka) = evk.digit(j);
-            let kb = self.ctx.key_prefix(kb, level);
-            let ka = self.ctx.key_prefix(ka, level);
-            acc_b.mac_assign(d, &kb);
-            acc_a.mac_assign(d, &ka);
-            opcount::count_ew(2 * d.num_limbs());
-        }
+        acc_b.fused_mac_assign(&terms_b, key_limb);
+        acc_a.fused_mac_assign(&terms_a, key_limb);
+        opcount::count_ew(2 * hoisted.digits.len() * basis.len());
         (acc_b, acc_a)
     }
 
@@ -222,6 +231,41 @@ mod tests {
             max_err.log2()
         );
         assert!(max_err > 0.0, "some error must exist (sanity)");
+    }
+
+    /// KeyMult reads the key's `Q_ℓ‖P` limbs in place; the path it
+    /// replaced copied them out per digit (`key_prefix`) and ran one MAC per
+    /// digit. Both must agree bit for bit at every level, including the
+    /// levels whose decomposition has fewer digits than the key.
+    #[test]
+    fn key_mult_matches_the_prefix_copy_path_at_every_level() {
+        let ctx = CkksContext::new(CkksParams::test_small());
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut kg = KeyGenerator::new(&ctx, &mut rng);
+        let sk = kg.gen_secret();
+        let relin = kg.gen_relin(&sk);
+        let ks = KeySwitcher::new(&ctx);
+        let mut fewer_digits = false;
+        for level in 1..=ctx.max_level() {
+            let a = ckks_math::sampling::uniform(&mut rng, ctx.basis_q(level), Format::Eval);
+            let hoisted = ks.decompose_mod_up(&a, level);
+            fewer_digits |= hoisted.digits().len() < relin.num_digits();
+            let (got_b, got_a) = ks.key_mult(&hoisted, &relin);
+            let basis = ctx.basis_qp(level);
+            let mut want_b = Poly::zero(&basis, Format::Eval);
+            let mut want_a = Poly::zero(&basis, Format::Eval);
+            for (j, d) in hoisted.digits().iter().enumerate() {
+                let (kb, ka) = relin.digit(j);
+                want_b.mac_assign(d, &ctx.key_prefix(kb, level));
+                want_a.mac_assign(d, &ctx.key_prefix(ka, level));
+            }
+            for (got, want) in [(&got_b, &want_b), (&got_a, &want_a)] {
+                for (g, w) in got.limbs().zip(want.limbs()) {
+                    assert_eq!(g.data(), w.data(), "level {level}");
+                }
+            }
+        }
+        assert!(fewer_digits, "no level hoisted fewer digits than the key");
     }
 
     #[test]

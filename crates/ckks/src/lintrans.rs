@@ -473,16 +473,21 @@ impl PreparedTransform {
             let (mut ib, mut ia) = if group.terms.is_empty() {
                 (zero_q(), zero_q())
             } else {
+                // One fused PMAC pass per channel over all the group's
+                // terms; the `Q` channel reads the plaintexts' `Q` prefix.
+                let channel = |c: usize| -> Vec<(&Poly, &Poly)> {
+                    group
+                        .terms
+                        .iter()
+                        .map(|(baby, pt)| (&babies[*baby][c], pt))
+                        .collect()
+                };
                 let mut acc0 = Poly::zero(&basis_qp, Format::Eval);
                 let mut acc1 = Poly::zero(&basis_qp, Format::Eval);
                 let mut acc_b = zero_q();
-                for (baby, pt) in &group.terms {
-                    let [kb, ka, b] = &babies[*baby];
-                    acc0.mac_assign(kb, pt);
-                    acc1.mac_assign(ka, pt);
-                    acc_b.mac_assign(b, pt);
-                }
-                // One fused PMAC per limb per channel.
+                acc0.fused_mac_assign(&channel(0), |i| i);
+                acc1.fused_mac_assign(&channel(1), |i| i);
+                acc_b.fused_mac_assign(&channel(2), |i| i);
                 opcount::count_ew(group.terms.len() * (2 * qp + level));
                 // Single hoisted ModDown for the whole giant group.
                 opcount::count_keyswitch();

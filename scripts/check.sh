@@ -29,6 +29,9 @@ ANAHEIM_THREADS=8 cargo test -q --test parallel_equivalence
 # profiles as well (release: these rings are too slow in debug).
 echo "==> parallel equivalence, paper rings (release, --ignored)"
 cargo test -q --release --test parallel_equivalence -- --ignored
+# The fused MAC kernel on saturated inputs at N=2^16 against its
+# per-product reference, at 1, 2 and 8 threads.
+cargo test -q --release -p ckks-math --lib fused_mac -- --ignored
 
 echo "==> trace determinism (ANAHEIM_THREADS=1)"
 ANAHEIM_THREADS=1 cargo test -q --test trace_determinism
