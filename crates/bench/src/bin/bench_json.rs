@@ -290,25 +290,7 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
             .find(|(o, _)| *o == op)
             .map(|(_, c)| *c)
             .unwrap_or_default();
-        for (&threads, t) in sweep.iter().zip(&timings) {
-            records.push(Record {
-                op,
-                n,
-                limbs: level,
-                threads,
-                ns_per_op: t.mean,
-                ns_per_op_p50: t.p50,
-                samples: t.samples,
-                extras: vec![
-                    ("ntt_limbs", c.ntt_limbs),
-                    ("intt_limbs", c.intt_limbs),
-                    ("bconv_limb_products", c.bconv_limb_products),
-                    ("ew_limb_ops", c.ew_limb_ops),
-                    ("automorphism_limbs", c.automorphism_limbs),
-                    ("keyswitches", c.keyswitches),
-                ],
-            })
-        }
+        push_sweep(records, op, (n, level), sweep, &timings, c);
     };
     let mut ntt = time_sweep(
         budget,
@@ -327,6 +309,81 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
     single("mul_relin", &mut || drop(eval.mul_relin(&ct, &ct, &relin)));
     single("rescale", &mut || drop(eval.rescale(&ct)));
     single("automorphism", &mut || drop(evalp.automorphism(5)));
+    parpool::set_threads(0);
+}
+
+/// One record per sweep point of a CKKS `op` over a ring of `n` words and
+/// `limbs` limbs, each carrying the op's measured counts.
+fn push_sweep(
+    records: &mut Vec<Record>,
+    op: &'static str,
+    (n, limbs): (usize, usize),
+    sweep: &[usize],
+    timings: &[Timing],
+    c: opcount::OpCounts,
+) {
+    for (&threads, t) in sweep.iter().zip(timings) {
+        records.push(Record {
+            op,
+            n,
+            limbs,
+            threads,
+            ns_per_op: t.mean,
+            ns_per_op_p50: t.p50,
+            samples: t.samples,
+            extras: vec![
+                ("ntt_limbs", c.ntt_limbs),
+                ("intt_limbs", c.intt_limbs),
+                ("bconv_limb_products", c.bconv_limb_products),
+                ("ew_limb_ops", c.ew_limb_ops),
+                ("automorphism_limbs", c.automorphism_limbs),
+                ("keyswitches", c.keyswitches),
+            ],
+        })
+    }
+}
+
+/// The warm `bootstrap_demo` bootstrap (N=2⁹, 16 levels, sparse secret,
+/// `BootstrapConfig::sparse_default`): the end-to-end op above the
+/// keyswitch rows, whose halves and giant groups fan out at the ciphertext
+/// level. Its rows sit under the check.sh small-ring gate.
+fn bench_bootstrap(budget: Budget, sweep: &[usize], records: &mut Vec<Record>) {
+    let ctx = CkksContext::new(
+        CkksParams::builder()
+            .log_n(9)
+            .levels(16)
+            .alpha(4)
+            .scale_bits(42)
+            .q0_bits(50)
+            .p_bits(55)
+            .hamming_weight(16)
+            .build(),
+    );
+    let bts = Bootstrapper::new(&ctx, BootstrapConfig::sparse_default());
+    let mut rng = StdRng::seed_from_u64(9);
+    let keys = KeyGenerator::new(&ctx, &mut rng).generate(&bts.required_rotations());
+    let enc = Encoder::new(&ctx);
+    let eval = Evaluator::new(&ctx);
+    let msg: Vec<Complex> = (0..ctx.slots())
+        .map(|i| Complex::new((i as f64 * 0.37).sin() * 0.4, 0.0))
+        .collect();
+    let ct = keys.public.encrypt(&enc.encode(&msg, 1), &mut rng);
+    let mut boot = || drop(bts.bootstrap(&eval, &enc, &ct, &keys));
+    // The first call encodes the transforms' plaintexts; count a warm one.
+    boot();
+    opcount::reset();
+    boot();
+    let counts = opcount::snapshot();
+    opcount::reset();
+    let timings = time_sweep(budget, sweep, &mut [&mut boot]).remove(0);
+    push_sweep(
+        records,
+        "bootstrap",
+        (ctx.n(), ctx.max_level()),
+        sweep,
+        &timings,
+        counts,
+    );
     parpool::set_threads(0);
 }
 
@@ -907,6 +964,16 @@ fn main() {
         );
         bench_ckks(params, budget, sweep, &mut ckks_records);
     }
+    println!("  ckks bootstrap: n=2^9 levels=16 alpha=4 (bootstrap_demo)");
+    bench_bootstrap(
+        Budget {
+            samples: if quick { 5 } else { 9 },
+            min_iters: 1,
+            min_millis: 0,
+        },
+        sweep,
+        &mut ckks_records,
+    );
     print_summary("CKKS", &ckks_records);
 
     let mut pim_records = Vec::new();

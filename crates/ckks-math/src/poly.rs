@@ -314,6 +314,11 @@ impl Poly {
         &mut self.limbs
     }
 
+    /// Consumes the polynomial, returning its limbs.
+    pub fn into_limbs(self) -> Vec<Limb> {
+        self.limbs
+    }
+
     /// The RNS basis (prime contexts) of this polynomial.
     pub fn basis(&self) -> Vec<Arc<NttContext>> {
         self.limbs.iter().map(|l| l.ctx.clone()).collect()

@@ -26,6 +26,16 @@
 //! `threads` pool jobs ([`parpool::run_chunked`]), so pool overhead is paid
 //! per *chunk*, not per limb.
 //!
+//! # Ciphertext-level fan-out
+//!
+//! A few callers hold jobs far coarser than a limb batch: the two halves of
+//! a bootstrap stage, or the giant groups of a BSGS transform.
+//! [`decide_tasks`] runs them all at once when their capped speedup
+//! `min(jobs, par_eff)` at least matches the modeled speedup of a one-level
+//! NTT batch inside them; each job then runs under [`run_inline`], so its
+//! own limb batches stay serial. At 2 threads that always holds; at an
+//! 8-way host two jobs over N=2¹⁶ limbs lose to the limb level.
+//!
 //! # Profiles
 //!
 //! All model constants live in a [`Profile`]:
@@ -45,6 +55,7 @@
 //! so results and op counts are bit-identical across thread counts and
 //! profiles (`tests/parallel_equivalence.rs` sweeps both).
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The work classes the cost model distinguishes. Each class has its own
@@ -171,6 +182,41 @@ impl Profile {
         items as f64 * class.unit_work(elems_per_item) * self.per_elem_ns[class.index()]
     }
 
+    /// The modeled speedup of a batch over its serial loop: 1 when the
+    /// model keeps it serial.
+    fn speedup(&self, class: OpClass, items: usize, elems_per_item: usize, threads: usize) -> f64 {
+        match self.model(class, items, elems_per_item, threads) {
+            Some((_, serial, parallel)) if serial > parallel * self.min_gain => serial / parallel,
+            _ => 1.0,
+        }
+    }
+
+    /// The ciphertext-level rule: fan `tasks` independent jobs out (each
+    /// running its limb batches inline) when their capped speedup
+    /// `min(min(tasks, threads), par_eff)` at least matches the modeled
+    /// speedup of the limb batch inside them, a one-level NTT batch of
+    /// `limbs` limbs of `n` words. A job lasts many such batches, so the
+    /// pool's dispatch cost is left out of its side. Otherwise the jobs run
+    /// one after the other and their limb batches fan out.
+    pub fn decide_tasks_with_threads(
+        &self,
+        tasks: usize,
+        limbs: usize,
+        n: usize,
+        threads: usize,
+    ) -> Decision {
+        if threads <= 1 || tasks < 2 {
+            return Decision::SERIAL;
+        }
+        let jobs = tasks.min(threads);
+        let speedup_cap = (jobs as f64).min(self.par_eff);
+        if speedup_cap > 1.0 && speedup_cap >= self.speedup(OpClass::Ntt, limbs, n, threads) {
+            Decision { jobs }
+        } else {
+            Decision::SERIAL
+        }
+    }
+
     /// Applies the cost model for a batch of `items` tasks of
     /// `elems_per_item` residues each at the given thread count.
     pub fn decide_with_threads(
@@ -180,21 +226,34 @@ impl Profile {
         elems_per_item: usize,
         threads: usize,
     ) -> Decision {
+        match self.model(class, items, elems_per_item, threads) {
+            Some((jobs, serial, parallel)) if serial > parallel * self.min_gain => {
+                Decision { jobs }
+            }
+            _ => Decision::SERIAL,
+        }
+    }
+
+    /// The fan-out a batch would get: its chunk count and its modeled
+    /// serial and parallel ns, or `None` when it cannot fan out at all.
+    fn model(
+        &self,
+        class: OpClass,
+        items: usize,
+        elems_per_item: usize,
+        threads: usize,
+    ) -> Option<(usize, f64, f64)> {
         if threads <= 1 || items < 2 {
-            return Decision::SERIAL;
+            return None;
         }
         let jobs = items.min(threads);
         let speedup_cap = (jobs as f64).min(self.par_eff);
         if speedup_cap <= 1.0 {
-            return Decision::SERIAL;
+            return None;
         }
         let serial = self.serial_ns(class, items, elems_per_item);
         let parallel = serial / speedup_cap + self.dispatch_ns + jobs as f64 * self.job_ns;
-        if serial > parallel * self.min_gain {
-            Decision { jobs }
-        } else {
-            Decision::SERIAL
-        }
+        Some((jobs, serial, parallel))
     }
 }
 
@@ -220,15 +279,55 @@ pub fn reset_profile() {
     set_profile(Profile::default_seeded());
 }
 
+thread_local! {
+    /// Set while this thread runs a task of a ciphertext-level fan-out.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` as one task of a ciphertext-level fan-out: every [`decide`]
+/// and [`decide_tasks`] inside it is serial, so the task's limb batches
+/// run inline on whichever thread runs the task. This also covers the
+/// calling thread, which takes a share of the tasks itself and would
+/// otherwise reach `parpool::run`'s in-flight check (the pool lock) on
+/// every limb batch.
+pub fn run_inline<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_TASK.set(self.0);
+        }
+    }
+    let _restore = Restore(IN_TASK.replace(true));
+    f()
+}
+
+/// True where fan-out is already taken: on a pool worker, or inside a
+/// [`run_inline`] task.
+fn nested() -> bool {
+    parpool::is_worker() || IN_TASK.get()
+}
+
 /// Decides serial vs. chunked-parallel for a batch of `items` tasks of
 /// `elems_per_item` residues each, using the active profile and the current
-/// `parpool` thread count. Inside a pool worker the decision is always
-/// serial (the pool is single-job; nested sections degrade anyway).
+/// `parpool` thread count. Inside a pool worker or a [`run_inline`] task
+/// the decision is always serial (the pool is single-job; nested sections
+/// degrade anyway).
 pub fn decide(class: OpClass, items: usize, elems_per_item: usize) -> Decision {
-    if parpool::is_worker() {
+    if nested() {
         return Decision::SERIAL;
     }
     profile().decide_with_threads(class, items, elems_per_item, parpool::num_threads())
+}
+
+/// Decides where `tasks` independent ciphertext-level jobs run: all at
+/// once, each inline ([`Decision::parallel`], see
+/// [`Profile::decide_tasks_with_threads`]), or one after the other with
+/// their `limbs`-limb batches of `n`-word rings fanning out instead.
+pub fn decide_tasks(tasks: usize, limbs: usize, n: usize) -> Decision {
+    if nested() {
+        return Decision::SERIAL;
+    }
+    profile().decide_tasks_with_threads(tasks, limbs, n, parpool::num_threads())
 }
 
 #[cfg(test)]
@@ -297,6 +396,52 @@ mod tests {
             p.decide_with_threads(OpClass::Ntt, 2, 1 << 16, 8),
             Decision { jobs: 2 }
         );
+    }
+
+    #[test]
+    fn task_level_is_pinned_at_bootstrap_and_paper_rings() {
+        let p = fixed_profile();
+        let two_halves = |limbs, n, threads| p.decide_tasks_with_threads(2, limbs, n, threads);
+        // At 2 threads the two halves of a bootstrap stage fan out at the
+        // N=2^9 bootstrap ring and at the paper's N=2^16 ring alike: no limb
+        // batch beats a speedup of 2 there.
+        assert_eq!(two_halves(16, 1 << 9, 2), Decision { jobs: 2 });
+        assert_eq!(two_halves(24, 1 << 16, 2), Decision { jobs: 2 });
+        // At 8 threads with par_eff 8 a 2^16 limb batch models ~8x, which
+        // two jobs cannot match: the limb level keeps the fan-out.
+        assert_eq!(two_halves(24, 1 << 16, 8), Decision::SERIAL);
+        // Sixteen giant groups fill all eight threads and match it again.
+        assert_eq!(
+            p.decide_tasks_with_threads(16, 24, 1 << 16, 8),
+            Decision { jobs: 8 }
+        );
+        // One thread, one task or no effective parallelism: serial.
+        assert_eq!(two_halves(16, 1 << 9, 1), Decision::SERIAL);
+        assert_eq!(
+            p.decide_tasks_with_threads(1, 16, 1 << 9, 8),
+            Decision::SERIAL
+        );
+        assert_eq!(
+            Profile::serial().decide_tasks_with_threads(2, 16, 1 << 9, 8),
+            Decision::SERIAL
+        );
+    }
+
+    #[test]
+    fn run_inline_keeps_nested_decisions_serial() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        parpool::set_threads(8);
+        set_profile(Profile::max_parallel());
+        assert!(decide(OpClass::Ntt, 64, 1 << 14).parallel());
+        assert!(decide_tasks(16, 8, 1 << 14).parallel());
+        run_inline(|| {
+            assert!(!decide(OpClass::Ntt, 64, 1 << 14).parallel());
+            assert!(!decide_tasks(16, 8, 1 << 14).parallel());
+        });
+        // The flag is restored on exit.
+        assert!(decide(OpClass::Ntt, 64, 1 << 14).parallel());
+        reset_profile();
+        parpool::set_threads(0);
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! `z = E0·(w0 + i·w1)`. Multiplying by `i` is the exact monomial product
 //! [`Evaluator::mul_by_i`], which costs no level.
 //!
+//! **Concurrent halves.** `U0·x` and `U0c·x̄` are independent, and so are
+//! the two EvalMods; each pair runs as one two-job join where the
+//! `ckks_math::tune` model prefers that to fanning out the limb batches
+//! inside them (always at 2 threads). Each job runs its own limb batches
+//! inline, and the result is bit-identical to running the halves in turn.
+//!
 //! The linear transforms here are evaluated as *dense* DFT matrices via
 //! double-hoisted BSGS. Each transform's plaintext diagonals are encoded
 //! once per level, on the first bootstrap that needs them (the paper
@@ -44,9 +50,11 @@ use crate::complex::Complex;
 use crate::context::CkksContext;
 use crate::encoding::Encoder;
 use crate::eval::Evaluator;
+use crate::fanout;
 use crate::keys::KeySet;
 use crate::lintrans::{LinearTransform, PreparedTransform};
 use ckks_math::poly::Poly;
+use ckks_math::tune;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -289,6 +297,13 @@ impl<'a> Bootstrapper<'a> {
             .sum()
     }
 
+    /// Where the two independent halves of a stage starting from `ct` run:
+    /// concurrently, or one after the other with their limb batches fanning
+    /// out ([`tune::decide_tasks`]).
+    fn halves(&self, ct: &Ciphertext) -> tune::Decision {
+        tune::decide_tasks(2, ct.level(), self.ctx.n())
+    }
+
     /// ModRaise: reinterpret a level-1 ciphertext modulo the full chain.
     /// The returned ciphertext is at `max_level` with its scale *declared*
     /// as `q_0` (the standard trick making the slot values
@@ -350,17 +365,26 @@ impl<'a> Bootstrapper<'a> {
         // matrices carry θ = Δ/q0, so re-declaring the scale by ×θ lands the
         // values t_k at scale ≈ Δ. With u = U0·x and v = U0c·x̄, the lower
         // half is u + v and the upper half i·(v − u).
-        let conj = ev.conjugate(&raised, keys);
-        let u = self.cts_u0.eval(ev, enc, &raised, keys, n1);
-        let v = self.cts_u0c.eval(ev, enc, &conj, keys, n1);
+        let halves = self.halves(&raised);
+        let (u, v) = fanout::join(
+            halves,
+            || self.cts_u0.eval(ev, enc, &raised, keys, n1),
+            || {
+                let conj = ev.conjugate(&raised, keys);
+                self.cts_u0c.eval(ev, enc, &conj, keys, n1)
+            },
+        );
         let mut c0 = ev.rescale(&ev.add(&u, &v));
         c0.set_scale(c0.scale() * theta);
         let mut c1 = ev.mul_by_i(&ev.rescale(&ev.sub(&v, &u)));
         c1.set_scale(c1.scale() * theta);
 
         // 3. EvalMod on both halves.
-        let w0 = self.eval_mod.eval_homomorphic(ev, &c0, &keys.relin);
-        let w1 = self.eval_mod.eval_homomorphic(ev, &c1, &keys.relin);
+        let (w0, w1) = fanout::join(
+            self.halves(&c0),
+            || self.eval_mod.eval_homomorphic(ev, &c0, &keys.relin),
+            || self.eval_mod.eval_homomorphic(ev, &c1, &keys.relin),
+        );
 
         // 4. SlotToCoeff: E0·w0 + E1·w1 = E0·(w0 + i·w1).
         let (w0, w1) = ev.align_levels(&w0, &w1);
@@ -410,12 +434,17 @@ impl<'a> Bootstrapper<'a> {
         let im2 = ev.mul_by_i(&ev.sub(&conj, &cur)); // i·(−2i·Im(w)) = 2·Im(w)
 
         // 4. EvalMod on the doubled values.
-        let w_re = self
-            .eval_mod_doubled
-            .eval_homomorphic(ev, &re2, &keys.relin);
-        let w_im = self
-            .eval_mod_doubled
-            .eval_homomorphic(ev, &im2, &keys.relin);
+        let (w_re, w_im) = fanout::join(
+            self.halves(&re2),
+            || {
+                self.eval_mod_doubled
+                    .eval_homomorphic(ev, &re2, &keys.relin)
+            },
+            || {
+                self.eval_mod_doubled
+                    .eval_homomorphic(ev, &im2, &keys.relin)
+            },
+        );
 
         // 5. Recombine: w' = w_re + i·w_im.
         let (w_re, w_im) = ev.align_levels(&w_re, &w_im);

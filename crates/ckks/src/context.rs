@@ -169,37 +169,47 @@ impl CkksContext {
         self.gadget[digit][prime_idx]
     }
 
-    /// ModUp of one decomposition digit: takes the digit's limbs (coefficient
-    /// domain) at `level` and produces a coefficient-domain polynomial over
-    /// the full active `Q_level ‖ P` basis.
+    /// ModUp of one decomposition digit at `level`: `coeff` and `eval` are
+    /// the same polynomial over `Q_level` in the coefficient and the
+    /// evaluation domain. Returns the digit over the full active
+    /// `Q_level ‖ P` basis in the evaluation domain.
     ///
-    /// Residues on the source primes are copied through untouched; the rest
-    /// are produced by approximate basis conversion (§II-B BConv).
+    /// The digit's own residues are copied from `eval`; the rest are
+    /// produced by approximate basis conversion of `coeff`'s digit limbs
+    /// (§II-B BConv), and only those converted limbs are forward
+    /// transformed.
     ///
     /// # Panics
     ///
-    /// Panics if the limb data does not match the digit structure.
-    pub fn mod_up(&self, level: usize, digit: usize, digit_limbs: &[&[u64]]) -> Poly {
+    /// Panics if either polynomial is in the wrong domain or has other than
+    /// `level` limbs.
+    pub fn mod_up(&self, level: usize, digit: usize, coeff: &Poly, eval: &Poly) -> Poly {
+        assert_eq!(
+            coeff.format(),
+            Format::Coeff,
+            "expected a Coeff digit source"
+        );
+        assert_eq!(eval.format(), Format::Eval, "expected an Eval pass-through");
+        assert_eq!(coeff.num_limbs(), level, "limb count must equal level");
+        assert_eq!(eval.num_limbs(), level, "limb count must equal level");
         let range = self.digit_range(level, digit);
-        assert_eq!(digit_limbs.len(), range.len(), "digit limb count mismatch");
+        let digit_limbs: Vec<&[u64]> = range.clone().map(|i| coeff.limb(i).data()).collect();
         let conv = self.mod_up_converter(level, digit);
-        let converted = conv.convert_approx(digit_limbs);
+        let mut converted = Poly::from_limbs(conv.convert_approx(&digit_limbs), Format::Coeff);
+        converted.to_eval();
         // Assemble: active Q primes in order, then P primes.
+        let mut converted = converted.into_limbs().into_iter();
         let mut limbs: Vec<Limb> = Vec::with_capacity(level + self.params.alpha);
-        let mut conv_iter = converted.into_iter();
         for i in 0..level {
-            if range.contains(&i) {
-                limbs.push(Limb::from_slice(
-                    self.q_ctxs[i].clone(),
-                    digit_limbs[i - range.start],
-                ));
+            limbs.push(if range.contains(&i) {
+                eval.limb(i).clone()
             } else {
-                limbs.push(conv_iter.next().expect("converter output exhausted"));
-            }
+                converted.next().expect("converter output exhausted")
+            });
         }
-        limbs.extend(conv_iter);
+        limbs.extend(converted);
         assert_eq!(limbs.len(), level + self.params.alpha);
-        Poly::from_limbs(limbs, Format::Coeff)
+        Poly::from_limbs(limbs, Format::Eval)
     }
 
     fn mod_up_converter(&self, level: usize, digit: usize) -> Arc<BasisConverter> {
@@ -409,11 +419,13 @@ mod tests {
         let c = ctx();
         let level = 4;
         let n = c.n();
-        // A small-value polynomial living in digit 0 (primes 0..2).
+        // A small-value polynomial over Q_4; digit 0 is primes 0..2.
         let vals: Vec<i64> = (0..n as i64).map(|i| (i % 97) - 48).collect();
-        let digit_poly = Poly::from_coeff_i64(&c.basis_q(level)[0..2], &vals);
-        let refs: Vec<&[u64]> = (0..2).map(|i| digit_poly.limb(i).data()).collect();
-        let up = c.mod_up(level, 0, &refs);
+        let coeff = Poly::from_coeff_i64(c.basis_q(level), &vals);
+        let mut eval = coeff.duplicate();
+        eval.to_eval();
+        let mut up = c.mod_up(level, 0, &coeff, &eval);
+        up.to_coeff();
         assert_eq!(up.num_limbs(), level + 2);
         // Source-prime residues pass through untouched; the rest equal the
         // value plus u·Q_digit for a small u ∈ [0, #source_limbs].

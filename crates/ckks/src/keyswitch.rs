@@ -21,6 +21,7 @@
 use ckks_math::poly::{Format, Poly};
 
 use crate::context::CkksContext;
+use crate::fanout;
 use crate::keys::EvalKey;
 use crate::opcount;
 
@@ -71,49 +72,22 @@ impl<'a> KeySwitcher<'a> {
         coeff.to_coeff();
         opcount::count_intt(level);
         // Digits are independent: let the tuner decide whether to fan them
-        // out as chunked pool jobs. Each task routes its op counts into a
-        // shared sink which is folded back into this thread's counters
-        // after the join, so totals match a serial run exactly. Nested
-        // per-limb parallelism inside a digit degrades to inline-serial on
-        // the workers (the pool is single-job). A digit's dominant work is
-        // the `level + α − |digit|` forward NTTs of its ModUp, so the batch
-        // is costed as NTT-class over that many rings.
+        // out as chunked pool jobs (counted and run inline, see
+        // `crate::fanout`). A digit's dominant work is the
+        // `level + α − |digit|` forward NTTs of its ModUp, so the batch is
+        // costed as NTT-class over that many rings.
         let num = self.ctx.num_digits(level);
         let alpha = self.ctx.params().alpha;
         let digit_ids: Vec<usize> = (0..num).collect();
-        let sink = opcount::SharedCounts::new();
         let decision =
             ckks_math::tune::decide(ckks_math::tune::OpClass::Ntt, num, (level + alpha) * a.n());
-        let digits = if decision.parallel() {
-            parpool::par_map_chunked(&digit_ids, decision.jobs, |_, &j| {
-                sink.record(|| self.digit_mod_up(a, &coeff, level, j))
-            })
-        } else {
-            digit_ids
-                .iter()
-                .map(|&j| sink.record(|| self.digit_mod_up(a, &coeff, level, j)))
-                .collect()
-        };
-        sink.fold_into_local();
+        let digits = fanout::map(decision, &digit_ids, |&j| {
+            let digit_len = self.ctx.digit_range(level, j).len();
+            opcount::count_bconv(digit_len, level + alpha - digit_len);
+            opcount::count_ntt(level + alpha - digit_len);
+            self.ctx.mod_up(level, j, &coeff, a)
+        });
         HoistedDigits { digits, level }
-    }
-
-    /// ModUp of digit `j`: BConv the digit's limbs to `Q_ℓ ‖ P`, NTT the
-    /// converted limbs, and pass the source limbs through unchanged.
-    fn digit_mod_up(&self, a: &Poly, coeff: &Poly, level: usize, j: usize) -> Poly {
-        let alpha = self.ctx.params().alpha;
-        let range = self.ctx.digit_range(level, j);
-        let slices: Vec<&[u64]> = range.clone().map(|i| coeff.limb(i).data()).collect();
-        opcount::count_bconv(range.len(), level + alpha - range.len());
-        opcount::count_ntt(level + alpha - range.len());
-        let mut up = self.ctx.mod_up(level, j, &slices);
-        up.to_eval();
-        // The source-digit limbs are already known in the evaluation
-        // domain; copy them through instead of re-transforming.
-        for i in range {
-            *up.limb_mut(i) = a.limb(i).clone();
-        }
-        up
     }
 
     /// Phase 2: inner product with an evaluation key, producing an

@@ -58,6 +58,13 @@ pub mod serial;
 pub mod slots;
 pub mod specialfft;
 
+mod fanout;
+
+/// Serializes the tests that change the process-wide `parpool` width or
+/// `tune` profile.
+#[cfg(test)]
+static POOL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Convenience re-exports for typical use.
 pub mod prelude {
     pub use crate::ciphertext::{Ciphertext, Plaintext};

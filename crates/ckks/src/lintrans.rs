@@ -23,11 +23,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ckks_math::poly::{Format, Poly};
+use ckks_math::tune;
 
 use crate::ciphertext::Ciphertext;
 use crate::complex::Complex;
 use crate::encoding::Encoder;
 use crate::eval::Evaluator;
+use crate::fanout;
 use crate::keys::{galois_for_rotation, KeySet};
 use crate::opcount;
 
@@ -428,7 +430,9 @@ impl PreparedTransform {
     /// KeyMult pair and `ct.b` permuted once by `σ_b`; three fused PMACs per
     /// diagonal (`Q‖P` pair, `Q` channel reading the first `level` limbs of
     /// the same plaintext); one ModDown and one giant rotation per group.
-    /// Output scale is `ct.scale · Δ`; rescale afterwards.
+    /// The groups are independent and run concurrently where
+    /// [`tune::decide_tasks`] says so. Output scale is `ct.scale · Δ`;
+    /// rescale afterwards.
     ///
     /// # Panics
     ///
@@ -468,8 +472,8 @@ impl PreparedTransform {
                 .collect()
         };
 
-        let mut out: Option<Ciphertext> = None;
-        for group in &self.groups {
+        // One giant group: its PMACs, its ModDown and its giant rotation.
+        let eval_group = |group: &PreparedGroup| -> Ciphertext {
             let (mut ib, mut ia) = if group.terms.is_empty() {
                 (zero_q(), zero_q())
             } else {
@@ -503,17 +507,33 @@ impl PreparedTransform {
                 opcount::count_ew(2 * level);
             }
             let inner = Ciphertext::new(ib, ia, ct.scale() * self.scale, level);
-            let rotated = if group.giant == 0 {
+            if group.giant == 0 {
                 inner
             } else {
                 ev.rotate(&inner, group.giant as isize, keys)
-            };
-            out = Some(match out {
-                None => rotated,
-                Some(acc) => ev.add(&acc, &rotated),
-            });
-        }
-        out.unwrap_or_else(|| Ciphertext::new(zero_q(), zero_q(), ct.scale() * self.scale, level))
+            }
+        };
+        let sum = |groups: &[PreparedGroup]| -> Option<Ciphertext> {
+            groups
+                .iter()
+                .map(eval_group)
+                .reduce(|acc, g| ev.add(&acc, &g))
+        };
+
+        // The groups are independent: fan them out as contiguous runs, each
+        // summed in group order, and add the run sums in run order. Modular
+        // addition is exact, so every split gives the same bits and the same
+        // `groups − 1` additions.
+        let groups = self.groups.len();
+        let decision = tune::decide_tasks(groups, level, ctx.n());
+        let runs: Vec<&[PreparedGroup]> = (0..decision.jobs)
+            .map(|r| &self.groups[r * groups / decision.jobs..(r + 1) * groups / decision.jobs])
+            .collect();
+        fanout::map(decision, &runs, |run| sum(run))
+            .into_iter()
+            .flatten()
+            .reduce(|acc, run| ev.add(&acc, &run))
+            .unwrap_or_else(|| Ciphertext::new(zero_q(), zero_q(), ct.scale() * self.scale, level))
     }
 }
 
@@ -824,6 +844,54 @@ mod tests {
         assert_prepared_matches_oracle(&[3, 5, 17], 8, 4, 1);
         // One diagonal per giant group, each the group's base (b = 0).
         assert_prepared_matches_oracle(&[0, 8, 40], 8, 2, 2);
+    }
+
+    /// The giant groups fan out where the tuner says so; neither the split
+    /// into runs nor the thread count may change a bit or a count.
+    #[test]
+    fn prepared_eval_is_thread_and_profile_invariant() {
+        use ckks_math::tune::Profile;
+        let (ctx, keys) = oracle_fixture();
+        let enc = Encoder::new(ctx);
+        let ev = Evaluator::new(ctx);
+        let mut rng = StdRng::seed_from_u64(77);
+        // Eight giant groups of n1 = 8; groups 16, 24, 32 and 96 have no
+        // base diagonal.
+        let idxs = [0, 1, 5, 8, 13, 19, 27, 33, 40, 42, 47, 64, 99, 101];
+        let t = random_transform(ctx.slots(), &idxs, &mut rng);
+        let x: Vec<Complex> = (0..ctx.slots())
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let level = ctx.max_level();
+        let ct = keys.public.encrypt(&enc.encode(&x, level), &mut rng);
+        let prepared = t.prepare(&enc, level, 8);
+        let run = || {
+            let before = opcount::snapshot();
+            let out = prepared.eval(&ev, &ct, keys);
+            (limbs(&out), opcount::snapshot().since(&before))
+        };
+
+        let _guard = crate::POOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        tune::set_profile(Profile::serial());
+        parpool::set_threads(1);
+        let want = run();
+        for (name, profile) in [
+            ("serial", Profile::serial()),
+            ("max_parallel", Profile::max_parallel()),
+        ] {
+            tune::set_profile(profile);
+            for threads in [1usize, 2, 8] {
+                parpool::set_threads(threads);
+                assert!(
+                    run() == want,
+                    "prepared BSGS diverged under {name} at {threads} threads"
+                );
+            }
+        }
+        tune::reset_profile();
+        parpool::set_threads(0);
     }
 
     proptest::proptest! {

@@ -14,9 +14,11 @@
 //! Parallel sections route through a [`SharedCounts`] sink: code that fans
 //! work out to the `parpool` workers wraps each task in
 //! [`SharedCounts::record`] (so counts land in a shared atomic pot instead
-//! of a worker's thread-locals) and calls
-//! [`SharedCounts::fold_into_local`] after the join. Counts are sums, so
-//! the folded totals are identical to a serial run for any thread count.
+//! of a worker's thread-locals) and calls [`SharedCounts::fold`] after the
+//! join. The fold goes where a count made at that point would go, so sinks
+//! nest: a ModUp's digit sink inside a fanned-out bootstrap half folds into
+//! the half's sink, even on a pool worker. Counts are sums, so the folded
+//! totals are identical to a serial run for any thread count.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,29 +68,41 @@ impl SharedCounts {
         f()
     }
 
-    /// Drains the pot into the calling thread's counters. Call once, after
-    /// all recorded tasks have joined.
-    pub fn fold_into_local(&self) {
-        NTT_LIMBS.set(NTT_LIMBS.get() + self.ntt.swap(0, Ordering::Relaxed));
-        INTT_LIMBS.set(INTT_LIMBS.get() + self.intt.swap(0, Ordering::Relaxed));
-        BCONV_LIMB_PRODUCTS.set(BCONV_LIMB_PRODUCTS.get() + self.bconv.swap(0, Ordering::Relaxed));
-        EW_LIMB_OPS.set(EW_LIMB_OPS.get() + self.ew.swap(0, Ordering::Relaxed));
-        AUTOMORPHISM_LIMBS
-            .set(AUTOMORPHISM_LIMBS.get() + self.automorphism.swap(0, Ordering::Relaxed));
-        KEYSWITCHES.set(KEYSWITCHES.get() + self.keyswitch.swap(0, Ordering::Relaxed));
+    /// Drains the pot into the counts of the calling thread: into the sink
+    /// routing it, if one does, else into its thread-locals. Call once,
+    /// after all recorded tasks have joined.
+    pub fn fold(&self) {
+        let take = |a: &AtomicU64| a.swap(0, Ordering::Relaxed);
+        add(&NTT_LIMBS, |s| &s.ntt, take(&self.ntt));
+        add(&INTT_LIMBS, |s| &s.intt, take(&self.intt));
+        add(&BCONV_LIMB_PRODUCTS, |s| &s.bconv, take(&self.bconv));
+        add(&EW_LIMB_OPS, |s| &s.ew, take(&self.ew));
+        add(
+            &AUTOMORPHISM_LIMBS,
+            |s| &s.automorphism,
+            take(&self.automorphism),
+        );
+        add(&KEYSWITCHES, |s| &s.keyswitch, take(&self.keyswitch));
     }
 }
 
-/// Adds `v` to the sink if one is installed on this thread; returns false
-/// when the count should go to the plain thread-locals instead.
-fn sink_add(pick: impl Fn(&SharedCounts) -> &AtomicU64, v: u64) -> bool {
-    SINK.with(|s| match &*s.borrow() {
+/// Adds `v` to the sink routing this thread if one is installed, else to
+/// the thread-local counter `local`.
+fn add(
+    local: &'static std::thread::LocalKey<Cell<u64>>,
+    pick: impl Fn(&SharedCounts) -> &AtomicU64,
+    v: u64,
+) {
+    let routed = SINK.with(|s| match &*s.borrow() {
         Some(sink) => {
             pick(sink).fetch_add(v, Ordering::Relaxed);
             true
         }
         None => false,
-    })
+    });
+    if !routed {
+        local.set(local.get() + v);
+    }
 }
 
 /// A snapshot of all counters.
@@ -166,40 +180,31 @@ pub fn reset() {
 }
 
 pub(crate) fn count_ntt(limbs: usize) {
-    if !sink_add(|s| &s.ntt, limbs as u64) {
-        NTT_LIMBS.set(NTT_LIMBS.get() + limbs as u64);
-    }
+    add(&NTT_LIMBS, |s| &s.ntt, limbs as u64);
 }
 
 pub(crate) fn count_intt(limbs: usize) {
-    if !sink_add(|s| &s.intt, limbs as u64) {
-        INTT_LIMBS.set(INTT_LIMBS.get() + limbs as u64);
-    }
+    add(&INTT_LIMBS, |s| &s.intt, limbs as u64);
 }
 
 pub(crate) fn count_bconv(source_limbs: usize, target_limbs: usize) {
-    let v = (source_limbs * target_limbs) as u64;
-    if !sink_add(|s| &s.bconv, v) {
-        BCONV_LIMB_PRODUCTS.set(BCONV_LIMB_PRODUCTS.get() + v);
-    }
+    add(
+        &BCONV_LIMB_PRODUCTS,
+        |s| &s.bconv,
+        (source_limbs * target_limbs) as u64,
+    );
 }
 
 pub(crate) fn count_ew(limb_ops: usize) {
-    if !sink_add(|s| &s.ew, limb_ops as u64) {
-        EW_LIMB_OPS.set(EW_LIMB_OPS.get() + limb_ops as u64);
-    }
+    add(&EW_LIMB_OPS, |s| &s.ew, limb_ops as u64);
 }
 
 pub(crate) fn count_automorphism(limbs: usize) {
-    if !sink_add(|s| &s.automorphism, limbs as u64) {
-        AUTOMORPHISM_LIMBS.set(AUTOMORPHISM_LIMBS.get() + limbs as u64);
-    }
+    add(&AUTOMORPHISM_LIMBS, |s| &s.automorphism, limbs as u64);
 }
 
 pub(crate) fn count_keyswitch() {
-    if !sink_add(|s| &s.keyswitch, 1) {
-        KEYSWITCHES.set(KEYSWITCHES.get() + 1);
-    }
+    add(&KEYSWITCHES, |s| &s.keyswitch, 1);
 }
 
 #[cfg(test)]
@@ -248,13 +253,62 @@ mod tests {
             assert_eq!(h.join().unwrap(), 0, "worker thread-locals unperturbed");
         }
         assert_eq!(snapshot().since(&before).ntt_limbs, 0, "not folded yet");
-        sink.fold_into_local();
+        sink.fold();
         let d = snapshot().since(&before);
         assert_eq!(d.ntt_limbs, 12);
         assert_eq!(d.ew_limb_ops, 8);
         // A second fold is a no-op (the pot drains on fold).
-        sink.fold_into_local();
+        sink.fold();
         assert_eq!(snapshot().since(&before).ntt_limbs, 12);
+    }
+
+    #[test]
+    fn nested_sinks_on_a_pool_worker_lose_no_counts() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        use std::time::{Duration, Instant};
+        let _guard = crate::POOL_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        parpool::set_threads(2);
+        let before = snapshot();
+        let outer = SharedCounts::new();
+        let on_worker = AtomicBool::new(false);
+        let mut rounds = 0u64;
+        // A pool busy with another test's job runs the section inline on
+        // this thread, so repeat until a pool worker has run a task: each
+        // task waits briefly for the other to start, which a worker does.
+        while !on_worker.load(Ordering::Relaxed) {
+            assert!(rounds < 1000, "no task ever ran on a pool worker");
+            rounds += 1;
+            let started = AtomicUsize::new(0);
+            parpool::run(2, &|_| {
+                started.fetch_add(1, Ordering::Relaxed);
+                let t0 = Instant::now();
+                while started.load(Ordering::Relaxed) < 2
+                    && t0.elapsed() < Duration::from_millis(10)
+                {
+                    std::hint::spin_loop();
+                }
+                outer.record(|| {
+                    let inner = SharedCounts::new();
+                    inner.record(|| {
+                        count_ntt(3);
+                        count_bconv(2, 5);
+                    });
+                    inner.fold();
+                    count_ew(1);
+                    if parpool::is_worker() {
+                        on_worker.store(true, Ordering::Relaxed);
+                    }
+                });
+            });
+        }
+        outer.fold();
+        let d = snapshot().since(&before);
+        assert_eq!(d.ntt_limbs, 2 * 3 * rounds);
+        assert_eq!(d.bconv_limb_products, 2 * 10 * rounds);
+        assert_eq!(d.ew_limb_ops, 2 * rounds);
+        parpool::set_threads(0);
     }
 
     #[test]

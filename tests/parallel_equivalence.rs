@@ -288,15 +288,26 @@ fn bootstrap_shaped_circuit_is_thread_invariant() {
 }
 
 #[test]
-#[ignore = "a full N=2^9 bootstrap; run with --ignored (release profile recommended)"]
+#[ignore = "full N=2^9 bootstraps; run with --ignored (release profile recommended)"]
 fn bootstrap_is_thread_invariant_whatever_width_prepared_it() {
-    // The bootstrap_demo ring. A Bootstrapper encodes its transforms' plaintexts
-    // on its first call, so each instance below prepares at one width and is
-    // then used at another.
+    // The bootstrap_demo ring with the dense transforms, and the deeper
+    // chain the fftIter-decomposed transforms need.
+    for (levels, config) in [
+        (16, BootstrapConfig::sparse_default()),
+        (26, BootstrapConfig::decomposed(3, 3)),
+    ] {
+        assert_bootstrap_thread_invariant(levels, config);
+    }
+}
+
+/// A Bootstrapper encodes its transforms' plaintexts on its first call, so
+/// each instance below prepares at one width and is then used at another.
+fn assert_bootstrap_thread_invariant(levels: usize, config: BootstrapConfig) {
+    let what = format!("{levels}-level bootstrap, fft_iter {:?}", config.fft_iter);
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_n(9)
-            .levels(16)
+            .levels(levels)
             .alpha(4)
             .scale_bits(42)
             .q0_bits(50)
@@ -304,7 +315,6 @@ fn bootstrap_is_thread_invariant_whatever_width_prepared_it() {
             .hamming_weight(16)
             .build(),
     );
-    let config = BootstrapConfig::sparse_default();
     let mut rng = StdRng::seed_from_u64(9);
     let rotations = Bootstrapper::new(&ctx, config.clone()).required_rotations();
     let keys = KeyGenerator::new(&ctx, &mut rng).generate(&rotations);
@@ -332,14 +342,14 @@ fn bootstrap_is_thread_invariant_whatever_width_prepared_it() {
     for threads in [2usize, 8] {
         assert!(
             run(&narrow_first, threads) == want,
-            "bootstrap prepared at 1 thread diverged at {threads} threads"
+            "{what} prepared at 1 thread diverged at {threads} threads"
         );
     }
     let wide_first = Bootstrapper::new(&ctx, config);
     for threads in [8usize, 1] {
         assert!(
             run(&wide_first, threads) == want,
-            "bootstrap prepared at 8 threads diverged at {threads} threads"
+            "{what} prepared at 8 threads diverged at {threads} threads"
         );
     }
     parpool::set_threads(0);
