@@ -345,8 +345,8 @@ fn push_sweep(
 
 /// The warm `bootstrap_demo` bootstrap (N=2⁹, 16 levels, sparse secret,
 /// `BootstrapConfig::sparse_default`): the end-to-end op above the
-/// keyswitch rows, whose halves and giant groups fan out at the ciphertext
-/// level. Its rows sit under the check.sh small-ring gate.
+/// keyswitch rows, whose halves fan out at the ciphertext level. Its rows
+/// sit under the check.sh small-ring gate.
 fn bench_bootstrap(budget: Budget, sweep: &[usize], records: &mut Vec<Record>) {
     let ctx = CkksContext::new(
         CkksParams::builder()

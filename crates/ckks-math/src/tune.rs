@@ -28,13 +28,13 @@
 //!
 //! # Ciphertext-level fan-out
 //!
-//! A few callers hold jobs far coarser than a limb batch: the two halves of
-//! a bootstrap stage, or the giant groups of a BSGS transform.
-//! [`decide_tasks`] runs them all at once when their capped speedup
-//! `min(jobs, par_eff)` at least matches the modeled speedup of a one-level
-//! NTT batch inside them; each job then runs under [`run_inline`], so its
-//! own limb batches stay serial. At 2 threads that always holds; at an
-//! 8-way host two jobs over N=2¹⁶ limbs lose to the limb level.
+//! Some callers hold jobs far coarser than a limb batch, such as the two
+//! halves of a bootstrap stage.
+//! [`decide_tasks`] runs them all at once whenever the host can run more
+//! than one (`threads > 1`, `par_eff > 1`) and the caller is not already
+//! inside a fan-out; each job then runs under [`run_inline`], so its own
+//! limb batches stay serial. A job lasts many limb batches, so the pool's
+//! dispatch cost does not enter the rule.
 //!
 //! # Profiles
 //!
@@ -182,38 +182,16 @@ impl Profile {
         items as f64 * class.unit_work(elems_per_item) * self.per_elem_ns[class.index()]
     }
 
-    /// The modeled speedup of a batch over its serial loop: 1 when the
-    /// model keeps it serial.
-    fn speedup(&self, class: OpClass, items: usize, elems_per_item: usize, threads: usize) -> f64 {
-        match self.model(class, items, elems_per_item, threads) {
-            Some((_, serial, parallel)) if serial > parallel * self.min_gain => serial / parallel,
-            _ => 1.0,
-        }
-    }
-
-    /// The ciphertext-level rule: fan `tasks` independent jobs out (each
-    /// running its limb batches inline) when their capped speedup
-    /// `min(min(tasks, threads), par_eff)` at least matches the modeled
-    /// speedup of the limb batch inside them, a one-level NTT batch of
-    /// `limbs` limbs of `n` words. A job lasts many such batches, so the
-    /// pool's dispatch cost is left out of its side. Otherwise the jobs run
-    /// one after the other and their limb batches fan out.
-    pub fn decide_tasks_with_threads(
-        &self,
-        tasks: usize,
-        limbs: usize,
-        n: usize,
-        threads: usize,
-    ) -> Decision {
-        if threads <= 1 || tasks < 2 {
+    /// The ciphertext-level rule: fan `tasks` independent jobs out as
+    /// `min(tasks, threads)` pool jobs (each running its limb batches
+    /// inline) unless there is one thread, one task, or no effective
+    /// parallelism.
+    pub fn decide_tasks_with_threads(&self, tasks: usize, threads: usize) -> Decision {
+        if threads <= 1 || tasks < 2 || self.par_eff <= 1.0 {
             return Decision::SERIAL;
         }
-        let jobs = tasks.min(threads);
-        let speedup_cap = (jobs as f64).min(self.par_eff);
-        if speedup_cap > 1.0 && speedup_cap >= self.speedup(OpClass::Ntt, limbs, n, threads) {
-            Decision { jobs }
-        } else {
-            Decision::SERIAL
+        Decision {
+            jobs: tasks.min(threads),
         }
     }
 
@@ -226,34 +204,21 @@ impl Profile {
         elems_per_item: usize,
         threads: usize,
     ) -> Decision {
-        match self.model(class, items, elems_per_item, threads) {
-            Some((jobs, serial, parallel)) if serial > parallel * self.min_gain => {
-                Decision { jobs }
-            }
-            _ => Decision::SERIAL,
-        }
-    }
-
-    /// The fan-out a batch would get: its chunk count and its modeled
-    /// serial and parallel ns, or `None` when it cannot fan out at all.
-    fn model(
-        &self,
-        class: OpClass,
-        items: usize,
-        elems_per_item: usize,
-        threads: usize,
-    ) -> Option<(usize, f64, f64)> {
         if threads <= 1 || items < 2 {
-            return None;
+            return Decision::SERIAL;
         }
         let jobs = items.min(threads);
         let speedup_cap = (jobs as f64).min(self.par_eff);
         if speedup_cap <= 1.0 {
-            return None;
+            return Decision::SERIAL;
         }
         let serial = self.serial_ns(class, items, elems_per_item);
         let parallel = serial / speedup_cap + self.dispatch_ns + jobs as f64 * self.job_ns;
-        Some((jobs, serial, parallel))
+        if serial > parallel * self.min_gain {
+            Decision { jobs }
+        } else {
+            Decision::SERIAL
+        }
     }
 }
 
@@ -321,13 +286,14 @@ pub fn decide(class: OpClass, items: usize, elems_per_item: usize) -> Decision {
 
 /// Decides where `tasks` independent ciphertext-level jobs run: all at
 /// once, each inline ([`Decision::parallel`], see
-/// [`Profile::decide_tasks_with_threads`]), or one after the other with
-/// their `limbs`-limb batches of `n`-word rings fanning out instead.
-pub fn decide_tasks(tasks: usize, limbs: usize, n: usize) -> Decision {
+/// [`Profile::decide_tasks_with_threads`]), or one after the other, using
+/// the active profile and the current `parpool` thread count. Inside a
+/// pool worker or a [`run_inline`] task the decision is always serial.
+pub fn decide_tasks(tasks: usize) -> Decision {
     if nested() {
         return Decision::SERIAL;
     }
-    profile().decide_tasks_with_threads(tasks, limbs, n, parpool::num_threads())
+    profile().decide_tasks_with_threads(tasks, parpool::num_threads())
 }
 
 #[cfg(test)]
@@ -399,30 +365,18 @@ mod tests {
     }
 
     #[test]
-    fn task_level_is_pinned_at_bootstrap_and_paper_rings() {
+    fn task_level_fans_out_whenever_the_host_can() {
         let p = fixed_profile();
-        let two_halves = |limbs, n, threads| p.decide_tasks_with_threads(2, limbs, n, threads);
-        // At 2 threads the two halves of a bootstrap stage fan out at the
-        // N=2^9 bootstrap ring and at the paper's N=2^16 ring alike: no limb
-        // batch beats a speedup of 2 there.
-        assert_eq!(two_halves(16, 1 << 9, 2), Decision { jobs: 2 });
-        assert_eq!(two_halves(24, 1 << 16, 2), Decision { jobs: 2 });
-        // At 8 threads with par_eff 8 a 2^16 limb batch models ~8x, which
-        // two jobs cannot match: the limb level keeps the fan-out.
-        assert_eq!(two_halves(24, 1 << 16, 8), Decision::SERIAL);
-        // Sixteen giant groups fill all eight threads and match it again.
-        assert_eq!(
-            p.decide_tasks_with_threads(16, 24, 1 << 16, 8),
-            Decision { jobs: 8 }
-        );
+        // The two halves of a bootstrap stage fan out at 2 threads and
+        // take two of 8 threads; sixteen tasks fill all eight.
+        assert_eq!(p.decide_tasks_with_threads(2, 2), Decision { jobs: 2 });
+        assert_eq!(p.decide_tasks_with_threads(2, 8), Decision { jobs: 2 });
+        assert_eq!(p.decide_tasks_with_threads(16, 8), Decision { jobs: 8 });
         // One thread, one task or no effective parallelism: serial.
-        assert_eq!(two_halves(16, 1 << 9, 1), Decision::SERIAL);
+        assert_eq!(p.decide_tasks_with_threads(2, 1), Decision::SERIAL);
+        assert_eq!(p.decide_tasks_with_threads(1, 8), Decision::SERIAL);
         assert_eq!(
-            p.decide_tasks_with_threads(1, 16, 1 << 9, 8),
-            Decision::SERIAL
-        );
-        assert_eq!(
-            Profile::serial().decide_tasks_with_threads(2, 16, 1 << 9, 8),
+            Profile::serial().decide_tasks_with_threads(2, 8),
             Decision::SERIAL
         );
     }
@@ -433,10 +387,10 @@ mod tests {
         parpool::set_threads(8);
         set_profile(Profile::max_parallel());
         assert!(decide(OpClass::Ntt, 64, 1 << 14).parallel());
-        assert!(decide_tasks(16, 8, 1 << 14).parallel());
+        assert!(decide_tasks(16).parallel());
         run_inline(|| {
             assert!(!decide(OpClass::Ntt, 64, 1 << 14).parallel());
-            assert!(!decide_tasks(16, 8, 1 << 14).parallel());
+            assert!(!decide_tasks(16).parallel());
         });
         // The flag is restored on exit.
         assert!(decide(OpClass::Ntt, 64, 1 << 14).parallel());

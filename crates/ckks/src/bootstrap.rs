@@ -24,10 +24,10 @@
 //! [`Evaluator::mul_by_i`], which costs no level.
 //!
 //! **Concurrent halves.** `U0·x` and `U0c·x̄` are independent, and so are
-//! the two EvalMods; each pair runs as one two-job join where the
-//! `ckks_math::tune` model prefers that to fanning out the limb batches
-//! inside them (always at 2 threads). Each job runs its own limb batches
-//! inline, and the result is bit-identical to running the halves in turn.
+//! the two EvalMods; each pair runs as one two-job join wherever the host
+//! has a second thread (`ckks_math::tune::decide_tasks`). Each job runs its
+//! own limb batches inline, and the result is bit-identical to running the
+//! halves in turn.
 //!
 //! The linear transforms here are evaluated as *dense* DFT matrices via
 //! double-hoisted BSGS. Each transform's plaintext diagonals are encoded
@@ -297,13 +297,6 @@ impl<'a> Bootstrapper<'a> {
             .sum()
     }
 
-    /// Where the two independent halves of a stage starting from `ct` run:
-    /// concurrently, or one after the other with their limb batches fanning
-    /// out ([`tune::decide_tasks`]).
-    fn halves(&self, ct: &Ciphertext) -> tune::Decision {
-        tune::decide_tasks(2, ct.level(), self.ctx.n())
-    }
-
     /// ModRaise: reinterpret a level-1 ciphertext modulo the full chain.
     /// The returned ciphertext is at `max_level` with its scale *declared*
     /// as `q_0` (the standard trick making the slot values
@@ -365,9 +358,8 @@ impl<'a> Bootstrapper<'a> {
         // matrices carry θ = Δ/q0, so re-declaring the scale by ×θ lands the
         // values t_k at scale ≈ Δ. With u = U0·x and v = U0c·x̄, the lower
         // half is u + v and the upper half i·(v − u).
-        let halves = self.halves(&raised);
         let (u, v) = fanout::join(
-            halves,
+            tune::decide_tasks(2),
             || self.cts_u0.eval(ev, enc, &raised, keys, n1),
             || {
                 let conj = ev.conjugate(&raised, keys);
@@ -381,7 +373,7 @@ impl<'a> Bootstrapper<'a> {
 
         // 3. EvalMod on both halves.
         let (w0, w1) = fanout::join(
-            self.halves(&c0),
+            tune::decide_tasks(2),
             || self.eval_mod.eval_homomorphic(ev, &c0, &keys.relin),
             || self.eval_mod.eval_homomorphic(ev, &c1, &keys.relin),
         );
@@ -435,7 +427,7 @@ impl<'a> Bootstrapper<'a> {
 
         // 4. EvalMod on the doubled values.
         let (w_re, w_im) = fanout::join(
-            self.halves(&re2),
+            tune::decide_tasks(2),
             || {
                 self.eval_mod_doubled
                     .eval_homomorphic(ev, &re2, &keys.relin)

@@ -1,6 +1,5 @@
 //! Counted fan-out of coarse, independent jobs: the two halves of a
-//! bootstrap stage, the giant groups of a BSGS transform, the digits of a
-//! ModUp.
+//! bootstrap stage, the digits of a ModUp.
 //!
 //! A parallel [`join`] or [`map`] runs each job under
 //! [`tune::run_inline`], so the job's own limb batches stay serial on

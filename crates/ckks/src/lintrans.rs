@@ -23,13 +23,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ckks_math::poly::{Format, Poly};
-use ckks_math::tune;
 
 use crate::ciphertext::Ciphertext;
 use crate::complex::Complex;
 use crate::encoding::Encoder;
 use crate::eval::Evaluator;
-use crate::fanout;
 use crate::keys::{galois_for_rotation, KeySet};
 use crate::opcount;
 
@@ -430,9 +428,7 @@ impl PreparedTransform {
     /// KeyMult pair and `ct.b` permuted once by `σ_b`; three fused PMACs per
     /// diagonal (`Q‖P` pair, `Q` channel reading the first `level` limbs of
     /// the same plaintext); one ModDown and one giant rotation per group.
-    /// The groups are independent and run concurrently where
-    /// [`tune::decide_tasks`] says so. Output scale is `ct.scale · Δ`;
-    /// rescale afterwards.
+    /// Output scale is `ct.scale · Δ`; rescale afterwards.
     ///
     /// # Panics
     ///
@@ -472,8 +468,8 @@ impl PreparedTransform {
                 .collect()
         };
 
-        // One giant group: its PMACs, its ModDown and its giant rotation.
-        let eval_group = |group: &PreparedGroup| -> Ciphertext {
+        let mut out: Option<Ciphertext> = None;
+        for group in &self.groups {
             let (mut ib, mut ia) = if group.terms.is_empty() {
                 (zero_q(), zero_q())
             } else {
@@ -507,33 +503,17 @@ impl PreparedTransform {
                 opcount::count_ew(2 * level);
             }
             let inner = Ciphertext::new(ib, ia, ct.scale() * self.scale, level);
-            if group.giant == 0 {
+            let rotated = if group.giant == 0 {
                 inner
             } else {
                 ev.rotate(&inner, group.giant as isize, keys)
-            }
-        };
-        let sum = |groups: &[PreparedGroup]| -> Option<Ciphertext> {
-            groups
-                .iter()
-                .map(eval_group)
-                .reduce(|acc, g| ev.add(&acc, &g))
-        };
-
-        // The groups are independent: fan them out as contiguous runs, each
-        // summed in group order, and add the run sums in run order. Modular
-        // addition is exact, so every split gives the same bits and the same
-        // `groups − 1` additions.
-        let groups = self.groups.len();
-        let decision = tune::decide_tasks(groups, level, ctx.n());
-        let runs: Vec<&[PreparedGroup]> = (0..decision.jobs)
-            .map(|r| &self.groups[r * groups / decision.jobs..(r + 1) * groups / decision.jobs])
-            .collect();
-        fanout::map(decision, &runs, |run| sum(run))
-            .into_iter()
-            .flatten()
-            .reduce(|acc, run| ev.add(&acc, &run))
-            .unwrap_or_else(|| Ciphertext::new(zero_q(), zero_q(), ct.scale() * self.scale, level))
+            };
+            out = Some(match out {
+                None => rotated,
+                Some(acc) => ev.add(&acc, &rotated),
+            });
+        }
+        out.unwrap_or_else(|| Ciphertext::new(zero_q(), zero_q(), ct.scale() * self.scale, level))
     }
 }
 
@@ -846,11 +826,11 @@ mod tests {
         assert_prepared_matches_oracle(&[0, 8, 40], 8, 2, 2);
     }
 
-    /// The giant groups fan out where the tuner says so; neither the split
-    /// into runs nor the thread count may change a bit or a count.
+    /// Neither the thread count nor the profile may change a bit or a
+    /// count of a prepared BSGS transform.
     #[test]
     fn prepared_eval_is_thread_and_profile_invariant() {
-        use ckks_math::tune::Profile;
+        use ckks_math::tune::{self, Profile};
         let (ctx, keys) = oracle_fixture();
         let enc = Encoder::new(ctx);
         let ev = Evaluator::new(ctx);
