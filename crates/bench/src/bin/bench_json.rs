@@ -16,7 +16,9 @@
 //! CKKS records carry the measured op-count breakdown (`ntt_limbs`,
 //! `bconv_limb_products`, …, from `ckks::opcount`); the PIM record
 //! carries the analytic per-iteration `mmac_ops` and `bytes_internal` of
-//! the PAccum fleet.
+//! the PAccum fleet. `BENCH_pim.json` also times the simulator's own host
+//! cost: one PIM kernel's timing, and the paper bootstrap's prepare and
+//! schedule.
 //!
 //! Every timed row is a median over several samples with a warmup pass
 //! (`ns_per_op_p50`; the historical `ns_per_op` mean is kept so existing
@@ -719,6 +721,91 @@ fn bench_schedule(ckks_records: &mut Vec<Record>, pim_records: &mut Vec<Record>)
     }
 }
 
+/// Host wall-clock cost of the simulator plane, layer by layer: one PIM
+/// kernel's timing (`pim_kernel_host`: the row's figures time a reused
+/// executor, whose table already holds the shape; `miss_ns_p50` times a
+/// fresh executor, which schedules and times the shape first), and the
+/// paper bootstrap on A100 near-bank through `Anaheim::prepare`
+/// (`boot_prepare_host`) and `Anaheim::run_prepared`
+/// (`boot_schedule_host`). Single-threaded model code, so `threads` is 1.
+fn bench_sim_host(quick: bool, records: &mut Vec<Record>) {
+    use anaheim_core::build::Builder;
+    use anaheim_core::params::ParamSet;
+    use pim::{PimDeviceConfig, PimExecutor, PimInstruction, PimKernelSpec};
+
+    let kernel_budget = Budget {
+        samples: if quick { 5 } else { 9 },
+        min_iters: 100,
+        min_millis: if quick { 2 } else { 20 },
+    };
+    let dev = PimDeviceConfig::a100_near_bank();
+    let spec = PimKernelSpec {
+        instr: PimInstruction::PAccum(4),
+        limbs: 54,
+        n: 1 << 16,
+    };
+    let miss = time_ns(kernel_budget, || {
+        std::hint::black_box(
+            PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned).execute(&spec),
+        )
+        .expect("PAccum<4> runs on the A100 near-bank device");
+    });
+    let exec = PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned);
+    let hit = time_ns(kernel_budget, || {
+        std::hint::black_box(exec.execute(&spec))
+            .expect("PAccum<4> runs on the A100 near-bank device");
+    });
+    println!(
+        "\nSimulator host time\n  {:22} {:>10.1} ns hit, {:.1} ns miss",
+        "pim_kernel_host", hit.p50, miss.p50
+    );
+    records.push(Record {
+        op: "pim_kernel_host",
+        n: spec.n,
+        limbs: spec.limbs,
+        threads: 1,
+        ns_per_op: hit.mean,
+        ns_per_op_p50: hit.p50,
+        samples: hit.samples,
+        extras: vec![("miss_ns_p50", miss.p50.round() as u64)],
+    });
+
+    // One sample per prepared sequence: `prepare` rewrites the sequence,
+    // so each sample builds a fresh one outside the timed region.
+    let params = ParamSet::paper_default();
+    let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
+    let samples = if quick { 5 } else { 9 };
+    let (mut prepare_ns, mut schedule_ns) = (Vec::new(), Vec::new());
+    for _ in 0..=samples {
+        let mut seq = Builder::new(params.clone()).bootstrap();
+        let t0 = Instant::now();
+        rt.prepare(&mut seq);
+        let t1 = Instant::now();
+        rt.run_prepared(&seq)
+            .unwrap_or_else(|e| panic!("prepared Bootstrap run failed: {e}"));
+        prepare_ns.push((t1 - t0).as_nanos() as f64);
+        schedule_ns.push(t1.elapsed().as_nanos() as f64);
+    }
+    for (op, mut ns) in [
+        ("boot_prepare_host", prepare_ns),
+        ("boot_schedule_host", schedule_ns),
+    ] {
+        ns.remove(0); // warmup
+        let t = Timing::from_means(ns);
+        println!("  {op:22} {:>10.3} ms", t.p50 / 1e6);
+        records.push(Record {
+            op,
+            n: 1 << params.log_n,
+            limbs: params.l_max,
+            threads: 1,
+            ns_per_op: t.mean,
+            ns_per_op_p50: t.p50,
+            samples: t.samples,
+            extras: Vec::new(),
+        });
+    }
+}
+
 /// Evaluation-key DRAM-traffic model (the `docs/KEYS.md` trajectory):
 /// replays every `Evk` read of a built sequence through the A100's
 /// object-granularity L2 ([`gpu::L2Cache`], 40 MB) and reports the
@@ -981,6 +1068,7 @@ fn main() {
     print_summary("PIM", &pim_records);
 
     bench_schedule(&mut ckks_records, &mut pim_records);
+    bench_sim_host(quick, &mut pim_records);
     bench_evk_traffic(&mut ckks_records);
     write_json("BENCH_ckks.json", &ckks_records);
     write_json("BENCH_pim.json", &pim_records);

@@ -1,6 +1,7 @@
 //! Figure and table generators.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use anaheim_core::build::{Builder, LinTransStyle};
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
@@ -729,6 +730,366 @@ pub fn table3() -> Vec<(String, PimDeviceConfig)> {
             )
         })
         .collect()
+}
+
+// ---------------------------------------------------------------- Text
+
+/// Renders one figure or table as the text the `figures` binary prints.
+pub type Render = fn() -> String;
+
+/// Every figure and table in the `figures` binary's `all` order: its
+/// command-line name and the renderer of its text.
+pub const FIGURES: [(&str, Render); 12] = [
+    ("table3", render_table3),
+    ("fig1", render_fig1),
+    ("fig2a", render_fig2a),
+    ("fig2b", render_fig2b),
+    ("fig2c", render_fig2c),
+    ("fig3", render_fig3),
+    ("fig4a", render_fig4a),
+    ("fig4b", render_fig4b),
+    ("fig8", render_fig8),
+    ("fig9", render_fig9),
+    ("fig10", render_fig10),
+    ("table5", render_table5),
+];
+
+/// Writes a figure's title rule.
+fn hr(out: &mut String, title: &str) {
+    let _ = writeln!(
+        out,
+        "\n=== {title} {}",
+        "=".repeat(66usize.saturating_sub(title.len()))
+    );
+}
+
+/// Table III as text.
+pub fn render_table3() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Table III: Anaheim configurations");
+    for (line, _) in table3() {
+        let _ = writeln!(out, "  {line}");
+    }
+    out
+}
+
+/// Fig. 1 as text.
+pub fn render_fig1() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Fig. 1 (table): CoeffToSlot under Base / Hoisting / MinKS",
+    );
+    let _ = writeln!(
+        out,
+        "  {:10} {:>10} {:>14} {:>12} {:>12}",
+        "algorithm", "evks (GB)", "plaintexts(GB)", "#(I)NTT", "keyswitches"
+    );
+    for r in fig1_table() {
+        let _ = writeln!(
+            out,
+            "  {:10} {:>10.2} {:>14.2} {:>12} {:>12}",
+            r.algorithm, r.evk_gb, r.plaintext_gb, r.ntt_limbs, r.keyswitches
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: hoisting cuts #(I)NTT ~2.47x; MinKS needs ~4x fewer evks"
+    );
+    out
+}
+
+/// Fig. 2a as text.
+pub fn render_fig2a() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Fig. 2a: basic CKKS functions x libraries (A100 model)",
+    );
+    let _ = writeln!(
+        out,
+        "  {:8} {:>10} {:>12} {:>12}",
+        "function", "Phantom", "100x", "Cheddar"
+    );
+    let rows = fig2a();
+    for f in ["HADD", "PMULT", "HMULT", "HROT"] {
+        let t = |lib: &str| {
+            rows.iter()
+                .find(|r| r.function == f && r.library == lib)
+                .map(|r| r.time_us)
+                .unwrap_or(f64::NAN)
+        };
+        let _ = writeln!(
+            out,
+            "  {:8} {:>9.1}us {:>11.1}us {:>11.1}us",
+            f,
+            t("Phantom"),
+            t("100x"),
+            t("Cheddar")
+        );
+    }
+    out
+}
+
+/// Fig. 2b as text.
+pub fn render_fig2b() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Fig. 2b: T_boot,eff vs decomposition number D");
+    let _ = writeln!(
+        out,
+        "  {:12} {:>3} {:>14} {:>16}",
+        "GPU", "D", "T_boot,eff", "elementwise"
+    );
+    for r in fig2b() {
+        let _ = match r.t_boot_eff_ms {
+            Some(t) => writeln!(
+                out,
+                "  {:12} {:>3} {:>11.2} ms {:>15.0}%",
+                r.gpu,
+                r.d,
+                t,
+                100.0 * r.elementwise_share
+            ),
+            None => writeln!(out, "  {:12} {:>3} {:>14} {:>16}", r.gpu, r.d, "OoM", "-"),
+        };
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: EW 45-48% (A100), 68-69% (4090); OoM at large D on 4090"
+    );
+    out
+}
+
+/// Fig. 2c as text.
+pub fn render_fig2c() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Fig. 2c: T_boot,eff under Base / Hoist / MinKS (A100, D=4)",
+    );
+    for r in fig2c() {
+        let _ = writeln!(
+            out,
+            "  {:8} {:>8.2} ms  (element-wise {:>4.0}%)",
+            r.algorithm,
+            r.t_boot_eff_ms,
+            100.0 * r.elementwise_share
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: Hoist clearly fastest; MinKS ~ Base on GPUs"
+    );
+    out
+}
+
+/// Fig. 3 as text.
+pub fn render_fig3() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Fig. 3: T_boot,eff vs fftIter (A100)");
+    for r in fig3() {
+        let _ = match r.t_boot_eff_ms {
+            Some(t) => writeln!(
+                out,
+                "  fftIter {:?}: {:>8.2} ms  (element-wise {:>4.0}%)",
+                r.fft_iter,
+                t,
+                100.0 * r.elementwise_share
+            ),
+            None => writeln!(out, "  fftIter {:?}: OoM", r.fft_iter),
+        };
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: the default 4/3 mix wins; fftIter=6 loses via L_eff"
+    );
+    out
+}
+
+/// Fig. 4a as text.
+pub fn render_fig4a() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Fig. 4a: linear transform (K=8) Gantt charts");
+    for (name, report) in fig4a() {
+        let _ = writeln!(out, "\n  [{name}] {}", report.summary_line());
+        out.push_str(&report.render_gantt(100));
+    }
+    out
+}
+
+/// Fig. 4b as text.
+pub fn render_fig4b() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Fig. 4b: bootstrapping DRAM access & energy");
+    let _ = writeln!(
+        out,
+        "  {:32} {:>10} {:>10} {:>12}",
+        "config", "GPU (GB)", "PIM (GB)", "energy (J)"
+    );
+    for r in fig4b() {
+        let _ = writeln!(
+            out,
+            "  {:32} {:>10.2} {:>10.2} {:>12.3}",
+            r.config, r.gpu_dram_gb, r.pim_dram_gb, r.dram_energy_j
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: PIM slashes GPU-side DRAM ~6x; DRAM energy ~2.9x"
+    );
+    out
+}
+
+/// Fig. 8 as text.
+pub fn render_fig8() -> String {
+    let mut out = String::new();
+    hr(&mut out, "Fig. 8: workload speedup / energy / EDP gains");
+    let _ = writeln!(
+        out,
+        "  {:16} {:26} {:>8} {:>8} {:>8} {:>10}",
+        "workload", "config", "speedup", "energy", "EDP", "time"
+    );
+    for r in fig8() {
+        let _ = match (r.speedup, r.energy_gain, r.edp_gain, r.time_ms) {
+            (Some(s), Some(e), Some(d), Some(t)) => writeln!(
+                out,
+                "  {:16} {:26} {:>7.2}x {:>7.2}x {:>7.2}x {:>8.1}ms",
+                r.workload, r.config, s, e, d, t
+            ),
+            _ => writeln!(
+                out,
+                "  {:16} {:26} {:>8} {:>8} {:>8} {:>10}",
+                r.workload, r.config, "OoM", "-", "-", "-"
+            ),
+        };
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: speedups 1.06-1.74x, EDP gains 1.62-3.14x, R20/R18 OoM on 4090"
+    );
+    out
+}
+
+/// Fig. 9 as text.
+pub fn render_fig9() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Fig. 9: PIM instruction microbenchmark vs buffer size B",
+    );
+    let rows = fig9();
+    let devices: Vec<&str> = {
+        let mut v: Vec<&str> = rows.iter().map(|r| r.device).collect();
+        v.dedup();
+        v
+    };
+    for dev in devices {
+        let _ = writeln!(
+            out,
+            "\n  [{dev}] speedup over GPU (columns: B = 4, 8, 16, 32, 64)"
+        );
+        let mut seen = std::collections::BTreeSet::new();
+        for r in rows.iter().filter(|r| r.device == dev) {
+            if !seen.insert(r.instruction.clone()) {
+                continue;
+            }
+            let line: Vec<String> = [4usize, 8, 16, 32, 64]
+                .iter()
+                .map(|b| {
+                    rows.iter()
+                        .find(|x| {
+                            x.device == dev && x.instruction == r.instruction && x.buffer == *b
+                        })
+                        .and_then(|x| x.speedup)
+                        .map(|s| format!("{s:5.2}x"))
+                        .unwrap_or_else(|| "   n/s".into())
+                })
+                .collect();
+            let _ = writeln!(out, "    {:12} {}", r.instruction, line.join(" "));
+        }
+    }
+    let _ = writeln!(
+        out,
+        "\n  paper shape: 1.65-10.3x at default B; PAccum/CAccum highest; saturates with B"
+    );
+    out
+}
+
+/// Fig. 10 as text.
+pub fn render_fig10() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Fig. 10: fusion & layout sensitivity (times in ms)",
+    );
+    let rows = fig10();
+    let configs: Vec<&str> = {
+        let mut v: Vec<&str> = Vec::new();
+        for r in &rows {
+            if !v.contains(&r.config) {
+                v.push(r.config);
+            }
+        }
+        v
+    };
+    let _ = write!(out, "  {:16}", "workload");
+    for c in &configs {
+        let _ = write!(out, " {c:>16}");
+    }
+    let _ = writeln!(out);
+    let mut seen = std::collections::BTreeSet::new();
+    for r in &rows {
+        if !seen.insert(r.workload) {
+            continue;
+        }
+        let _ = write!(out, "  {:16}", r.workload);
+        for c in &configs {
+            let t = rows
+                .iter()
+                .find(|x| x.workload == r.workload && x.config == *c)
+                .and_then(|x| x.time_ms);
+            let _ = match t {
+                Some(t) => write!(out, " {t:>14.1}ms"),
+                None => write!(out, " {:>16}", "OoM"),
+            };
+        }
+        let _ = writeln!(out);
+    }
+    let _ = writeln!(
+        out,
+        "  paper shape: fusions help both sides; w/o CP roughly doubles PIM EW time"
+    );
+    out
+}
+
+/// Table V as text.
+pub fn render_table5() -> String {
+    let mut out = String::new();
+    hr(
+        &mut out,
+        "Table V: absolute workload times (ms; * = this reproduction)",
+    );
+    let _ = writeln!(
+        out,
+        "  {:28} {:>10} {:>10} {:>10} {:>10}",
+        "system", "Boot", "HELR", "ResNet20", "Sort"
+    );
+    let p = |v: Option<f64>| match v {
+        Some(t) => format!("{t:.1}"),
+        None => "-".into(),
+    };
+    for r in table5() {
+        let _ = writeln!(
+            out,
+            "  {:28} {:>10} {:>10} {:>10} {:>10}",
+            format!("{}{}", r.system, if r.measured { " *" } else { "" }),
+            p(r.boot_ms),
+            p(r.helr_ms),
+            p(r.resnet20_ms),
+            p(r.sort_ms)
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -225,6 +225,7 @@ impl<'a> Scheduler<'a> {
             tel: opts.telemetry,
             budget_ns: opts.budget_ns,
             tl: Timeline::new(pipelined),
+            pim: self.pim.map(|(dev, layout)| PimExecutor::new(dev, layout)),
         }
         .schedule(seq)
     }
@@ -620,13 +621,14 @@ struct Run<'s, 'r> {
     tel: Option<&'r mut Telemetry>,
     budget_ns: Option<f64>,
     tl: Timeline,
+    /// One executor for the whole run, so each kernel shape is timed once.
+    pim: Option<PimExecutor<'s>>,
 }
 
 impl<'s> Run<'s, '_> {
     /// The PIM executor; PIM ops are routed only when there is a device.
-    fn exec(&self) -> PimExecutor<'s> {
-        let (dev, layout) = self.sched.pim.expect("PIM ops need a PIM device");
-        PimExecutor::new(dev, layout)
+    fn exec(&self) -> &PimExecutor<'s> {
+        self.pim.as_ref().expect("PIM ops need a PIM device")
     }
 
     fn over_budget(&self, now: f64) -> bool {
@@ -791,11 +793,11 @@ impl<'s> Run<'s, '_> {
                 (Some((bank, BankDomain::new(bank, domains))), decision)
             }
         };
-        let exec = self.exec();
         let mut cursor = start;
         let mut retries = 0u32;
         let mut backoff_spent = 0.0f64;
         loop {
+            let exec = self.pim.as_ref().expect("PIM ops need a PIM device");
             let outcome = match self.injector.as_mut() {
                 Some(inj) => exec.execute_with_faults(&spec, inj, bank.map(|b| b.1)),
                 None => exec.execute(&spec),

@@ -15,13 +15,22 @@
 //! engine; custom-HBM units serve several banks each, so their row switches
 //! overlap with streaming from sibling banks and only the streaming time
 //! (at 4× external bandwidth) remains exposed (§VII-B).
+//!
+//! A kernel's per-limb schedule, ACT/PRE count and latency depend only on
+//! the device, the layout, the instruction and `N`; the limb count merely
+//! scales them. Each executor therefore times a `(instruction, N)` shape
+//! once and keeps the clean result in a private table.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use dram::energy::{AccessDestination, EnergyAccount};
 use dram::engine::{BankCommand, LockstepEngine};
 
 use crate::device::{PimDeviceConfig, PimVariant};
 use crate::error::{IntegrityReport, PimError};
-use crate::fault::{BankDomain, FaultInjector};
+use crate::fault::{BankDomain, CommandFaults, FaultInjector};
 use crate::isa::PimInstruction;
 use crate::layout::LayoutPolicy;
 
@@ -74,17 +83,42 @@ impl PimKernelResult {
     }
 }
 
+/// The clean timing of one limb of a kernel shape.
+#[derive(Debug)]
+struct LimbTiming {
+    /// The per-bank lockstep schedule (what fault injection perturbs).
+    sched: Vec<BankCommand>,
+    /// ACT/PRE pairs the schedule carries.
+    acts_per_bank: u64,
+    /// The schedule's latency on the device.
+    per_limb_ns: f64,
+}
+
+/// Clean per-limb timings by `(instruction, N)`, errors included.
+type TimingTable = HashMap<(PimInstruction, usize), Result<Rc<LimbTiming>, PimError>>;
+
 /// Executes PIM kernels for a device configuration and layout policy.
+///
+/// The executor keeps the clean per-limb timing of every `(instruction, N)`
+/// shape it has executed, errors included, so a shape is scheduled and
+/// timed once per executor. The table is private to the executor: it
+/// borrows one device and one layout, so its keys cannot collide across
+/// devices.
 #[derive(Debug, Clone)]
 pub struct PimExecutor<'a> {
     dev: &'a PimDeviceConfig,
     layout: LayoutPolicy,
+    table: RefCell<TimingTable>,
 }
 
 impl<'a> PimExecutor<'a> {
     /// Binds a device and layout.
     pub fn new(dev: &'a PimDeviceConfig, layout: LayoutPolicy) -> Self {
-        Self { dev, layout }
+        Self {
+            dev,
+            layout,
+            table: RefCell::default(),
+        }
     }
 
     /// The device in use.
@@ -123,27 +157,45 @@ impl<'a> PimExecutor<'a> {
     /// the configured buffer size (`G = 0`), mirroring the hardware
     /// restriction of §VII-C.
     pub fn execute(&self, spec: &PimKernelSpec) -> Result<PimKernelResult, PimError> {
-        let (sched, acts_per_bank) = self.build_limb_schedule(spec)?;
-        let per_limb_ns = self.time_limb(spec, &sched, acts_per_bank)?;
-        Ok(self.account(spec, acts_per_bank, per_limb_ns))
+        let t = self.limb_timing(spec)?;
+        Ok(self.account(spec, t.acts_per_bank, t.per_limb_ns))
+    }
+
+    /// The clean per-limb timing of `spec`'s shape, from the table or
+    /// computed and stored on first use.
+    fn limb_timing(&self, spec: &PimKernelSpec) -> Result<Rc<LimbTiming>, PimError> {
+        self.table
+            .borrow_mut()
+            .entry((spec.instr, spec.n))
+            .or_insert_with(|| {
+                let (sched, acts_per_bank) = self.build_limb_schedule(spec.instr, spec.n)?;
+                let per_limb_ns = self.time_limb(spec.instr, spec.n, &sched, acts_per_bank)?;
+                Ok(Rc::new(LimbTiming {
+                    sched,
+                    acts_per_bank,
+                    per_limb_ns,
+                }))
+            })
+            .clone()
     }
 
     /// Builds the per-bank lockstep schedule for ONE limb, plus the ACT/PRE
     /// pairs it carries.
     fn build_limb_schedule(
         &self,
-        spec: &PimKernelSpec,
+        instr: PimInstruction,
+        n: usize,
     ) -> Result<(Vec<BankCommand>, u64), PimError> {
-        let profile = spec.instr.profile();
+        let profile = instr.profile();
         let b = self.dev.buffer_entries;
         let g = profile.chunk_granularity(b);
         if g < 1 {
             return Err(PimError::Unsupported {
-                mnemonic: spec.instr.mnemonic(),
+                mnemonic: instr.mnemonic(),
                 buffer_entries: b,
             });
         }
-        let c = self.chunks_per_bank_per_limb(spec.n);
+        let c = self.chunks_per_bank_per_limb(n);
         let iters = c.div_ceil(g);
 
         let mut sched: Vec<BankCommand> = Vec::new();
@@ -197,12 +249,13 @@ impl<'a> PimExecutor<'a> {
     /// Times the per-limb schedule on the device's microarchitecture.
     fn time_limb(
         &self,
-        spec: &PimKernelSpec,
+        instr: PimInstruction,
+        n: usize,
         sched: &[BankCommand],
         acts_per_bank: u64,
     ) -> Result<f64, PimError> {
-        let profile = spec.instr.profile();
-        let c = self.chunks_per_bank_per_limb(spec.n);
+        let profile = instr.profile();
+        let c = self.chunks_per_bank_per_limb(n);
         let chunks_per_bank_limb =
             c as u64 * (profile.total_reads() + profile.total_writes()) as u64;
         Ok(match self.dev.variant {
@@ -269,7 +322,8 @@ impl<'a> PimExecutor<'a> {
     ///
     /// Fault semantics:
     ///
-    /// - **Dropped/corrupted commands**: the perturbed schedule is timed on
+    /// - **Dropped/corrupted commands**: a copy of the clean schedule is
+    ///   perturbed (only when the plan can perturb commands) and timed on
     ///   the lockstep engine; if it violates the DRAM protocol (a dropped
     ///   ACT), the bank aborts and the wasted cost falls back to the clean
     ///   schedule's latency (a conservative bound on the aborted attempt).
@@ -293,28 +347,28 @@ impl<'a> PimExecutor<'a> {
         injector: &mut FaultInjector,
         domain: Option<BankDomain>,
     ) -> Result<PimKernelResult, PimError> {
-        let (clean, acts_per_bank) = self.build_limb_schedule(spec)?;
-        let clean_ns = self.time_limb(spec, &clean, acts_per_bank)?;
+        let clean = self.limb_timing(spec)?;
 
-        let mut perturbed = clean.clone();
-        let cmd_faults = injector.perturb_commands(&mut perturbed);
+        let mut cmd_faults = CommandFaults::default();
+        let mut attempt_ns = clean.per_limb_ns;
+        if injector.perturbs_commands() {
+            let mut perturbed = clean.sched.clone();
+            cmd_faults = injector.perturb_commands(&mut perturbed);
+            if cmd_faults.any() {
+                // A protocol violation aborts the stream mid-kernel; charge
+                // the clean latency as an upper bound on the wasted time.
+                attempt_ns = self
+                    .time_limb(spec.instr, spec.n, &perturbed, clean.acts_per_bank)
+                    .unwrap_or(clean.per_limb_ns);
+            }
+        }
         let bit_flip = injector.sample_kernel_bit_flip();
         let stuck = injector
             .stuck_lane()
             .filter(|_| spec.instr.mmac_ops_per_element() > 0)
             .filter(|&lane| domain.is_none_or(|d| d.owns_lane(lane)));
 
-        let attempt_ns = if cmd_faults.any() {
-            match self.time_limb(spec, &perturbed, acts_per_bank) {
-                Ok(ns) => ns,
-                // Protocol violation: the stream aborts mid-kernel; charge
-                // the clean latency as an upper bound on the wasted time.
-                Err(_) => clean_ns,
-            }
-        } else {
-            clean_ns
-        };
-        let result = self.account(spec, acts_per_bank, attempt_ns);
+        let result = self.account(spec, clean.acts_per_bank, attempt_ns);
 
         if cmd_faults.any() || bit_flip || stuck.is_some() {
             Err(PimError::IntegrityViolation(Box::new(IntegrityReport {
@@ -548,6 +602,80 @@ mod tests {
         // And the unscoped path still hits everything.
         let mut inj = FaultInjector::new(plan);
         assert!(e.execute_with_faults(&spec, &mut inj, None).is_err());
+    }
+
+    /// Asserts two kernel outcomes are equal, with `latency_ns` bit-equal.
+    fn assert_same(a: &Result<PimKernelResult, PimError>, b: &Result<PimKernelResult, PimError>) {
+        assert_eq!(a, b);
+        let bits = |r: &Result<PimKernelResult, PimError>| match r {
+            Ok(r) => Some(r.latency_ns.to_bits()),
+            Err(PimError::IntegrityViolation(v)) => Some(v.wasted.latency_ns.to_bits()),
+            Err(_) => None,
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn reused_executor_matches_fresh_executor() {
+        // Every Table II shape on every device and layout, at the default
+        // buffer and at B = 4 (where some shapes are unsupported): the
+        // second and third call on one executor read its table and must
+        // return exactly what a fresh executor computes.
+        let mut unsupported = 0;
+        for base in PimDeviceConfig::all() {
+            for dev in [base.clone(), base.with_buffer_entries(4)] {
+                for layout in [LayoutPolicy::ColumnPartitioned, LayoutPolicy::Contiguous] {
+                    let reused = PimExecutor::new(&dev, layout);
+                    for instr in PimInstruction::table2(4) {
+                        for limbs in [1, 7, 54] {
+                            for n in [1 << 12, 1 << 16] {
+                                let spec = PimKernelSpec { instr, limbs, n };
+                                let fresh = PimExecutor::new(&dev, layout).execute(&spec);
+                                unsupported += usize::from(fresh.is_err());
+                                for _ in 0..3 {
+                                    assert_same(&reused.execute(&spec), &fresh);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unsupported > 0, "B = 4 must leave some shape unsupported");
+    }
+
+    #[test]
+    fn reused_executor_draws_the_same_fault_stream() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        let dev = PimDeviceConfig::a100_near_bank();
+        let reused = nb_exec(&dev);
+        let specs: Vec<PimKernelSpec> = PimInstruction::table2(4)
+            .into_iter()
+            .cycle()
+            .take(60)
+            .enumerate()
+            .map(|(i, instr)| PimKernelSpec {
+                instr,
+                limbs: [1, 7, 54][i % 3],
+                n: 1 << 16,
+            })
+            .collect();
+        for plan in [
+            FaultPlan::none().with_seed(7).with_cmd_drops(0.01),
+            FaultPlan::none().with_seed(7).with_bank_flips(0.3),
+        ] {
+            let mut inj_reused = FaultInjector::new(plan);
+            let mut inj_fresh = FaultInjector::new(plan);
+            let mut faults = 0;
+            for spec in &specs {
+                let a = reused.execute_with_faults(spec, &mut inj_reused, None);
+                let b = nb_exec(&dev).execute_with_faults(spec, &mut inj_fresh, None);
+                assert_same(&a, &b);
+                assert_eq!(inj_reused.stats(), inj_fresh.stats());
+                faults += usize::from(a.is_err());
+            }
+            assert!(faults > 0, "{plan:?} must fire on some kernel");
+        }
     }
 
     #[test]

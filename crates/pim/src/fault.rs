@@ -396,10 +396,17 @@ impl FaultInjector {
         }
     }
 
+    /// Whether [`perturb_commands`](Self::perturb_commands) can touch a
+    /// schedule. When it cannot, it draws nothing from the stream either, so
+    /// callers may skip it (and the schedule copy it would perturb).
+    pub fn perturbs_commands(&self) -> bool {
+        !(self.plan.cmd_drop_prob <= 0.0 && self.plan.cmd_corrupt_prob <= 0.0)
+    }
+
     /// Drops/corrupts entries of a lockstep bank-command schedule in place.
     pub fn perturb_commands(&mut self, cmds: &mut Vec<BankCommand>) -> CommandFaults {
         let mut faults = CommandFaults::default();
-        if self.plan.cmd_drop_prob <= 0.0 && self.plan.cmd_corrupt_prob <= 0.0 {
+        if !self.perturbs_commands() {
             return faults;
         }
         let mut i = 0;

@@ -48,6 +48,19 @@ ANAHEIM_THREADS=8 cargo test -q --test serving_contract
 echo "==> bench smoke (scripts/bench.sh --quick)"
 scripts/bench.sh --quick
 
+# The release figures binary must print the committed figures_output.txt
+# byte for byte: the figures are model outputs, so any drift is a model
+# change that has to regenerate the file and explain itself.
+echo "==> figures output (release figures binary vs figures_output.txt)"
+cargo build --release -q -p anaheim-bench --bin figures
+if ./target/release/figures | cmp -s - figures_output.txt; then
+  echo "  figures output byte-identical to figures_output.txt — ok"
+else
+  echo "FAIL: figures output differs from figures_output.txt" >&2
+  diff figures_output.txt <(./target/release/figures) | head -20 >&2
+  exit 1
+fi
+
 # Small-ring no-regression gate: below the paper's operating point the
 # tuner must keep multi-thread rows from losing to the single-thread
 # baseline (the pre-tuner hot path was up to 2.5x slower at n=1024 with 4
