@@ -445,7 +445,7 @@ fn bench_pim(quick: bool, sweep: &[usize], records: &mut Vec<Record>) {
         parpool::set_threads(threads);
         let t = time_ns(budget, || {
             let results = for_each_bank_parallel(&mut banks, |_, bank| {
-                paccum_alg1(bank, &mont, k, 16, &pg_p, &pg_ab, &pg_out)
+                paccum_alg1(bank, &mont, k, 16, &pg_p, &pg_ab, &pg_out, None)
             });
             assert!(results.iter().all(|r| r.is_ok()));
         });

@@ -14,9 +14,9 @@ use pim::layout::LayoutPolicy;
 use crate::error::RunError;
 use crate::health::RetryPolicy;
 use crate::ir::OpSequence;
-use crate::passes::{fuse, offload_measured, FusionConfig};
+use crate::passes::{fuse, offload, FusionConfig};
 use crate::report::ExecutionReport;
-use crate::schedule::{footprint_bytes, RunOptions, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
+use crate::schedule::{RunOptions, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
 
 /// Whether the PIM devices participate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,32 +145,6 @@ impl AnaheimConfig {
             ..Self::a100_baseline()
         }
     }
-
-    /// The three Anaheim configurations evaluated in Fig. 8.
-    pub fn anaheim_all() -> Vec<AnaheimConfig> {
-        vec![
-            Self::a100_near_bank(),
-            Self::a100_custom_hbm(),
-            Self::rtx4090_near_bank(),
-        ]
-    }
-}
-
-/// Result of a capacity check (§VIII-B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityCheck {
-    /// The workload fits in GPU DRAM.
-    Fits {
-        /// Estimated footprint in bytes.
-        footprint: u64,
-    },
-    /// Out of memory: the RTX 4090 cases of Fig. 8 / Table V.
-    OutOfMemory {
-        /// Estimated footprint in bytes.
-        footprint: u64,
-        /// Device capacity in bytes.
-        capacity: u64,
-    },
 }
 
 /// The Anaheim runtime.
@@ -195,20 +169,6 @@ impl Anaheim {
     /// The GPU performance model built from the configuration.
     pub fn model(&self) -> &GpuModel {
         &self.model
-    }
-
-    /// Checks whether a sequence's data fits the device (§VIII-B).
-    pub fn check_capacity(&self, seq: &OpSequence) -> CapacityCheck {
-        let footprint = footprint_bytes(seq);
-        let capacity = self.config.gpu.dram_capacity_bytes as u64;
-        if footprint <= capacity {
-            CapacityCheck::Fits { footprint }
-        } else {
-            CapacityCheck::OutOfMemory {
-                footprint,
-                capacity,
-            }
-        }
     }
 
     /// Runs a sequence with default [`RunOptions`]: [`prepare`s](Self::prepare)
@@ -243,13 +203,7 @@ impl Anaheim {
     pub fn prepare(&self, seq: &mut OpSequence) {
         fuse(seq, &self.config.fusion);
         if let Some(dev) = self.pim_device() {
-            offload_measured(
-                seq,
-                &self.model,
-                dev,
-                self.config.layout,
-                crate::schedule::TRANSITION_NS,
-            );
+            offload(seq, &self.model, dev, self.config.layout);
         }
     }
 
@@ -367,17 +321,6 @@ mod tests {
             100.0 * f_4090,
             100.0 * f_a100
         );
-    }
-
-    #[test]
-    fn capacity_check_flags_oversized_workloads() {
-        let mut b = Builder::new(ParamSet::paper_default());
-        let seq = b.bootstrap();
-        let a100 = Anaheim::new(AnaheimConfig::a100_baseline());
-        assert!(matches!(
-            a100.check_capacity(&seq),
-            CapacityCheck::Fits { .. }
-        ));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! - **ExtraFuse** (§VII-D): GPU-only producer/consumer element-wise chain
 //!   fusion (e.g. the ModDown fusion of 100x \[38\]) applied to the baseline
 //!   that keeps everything on the GPU.
-//! - **Offload** (§V-A,C): assigns every element-wise block to PIM and
-//!   inserts the user-controlled L2→DRAM write-backs required for
-//!   coherence before PIM consumes GPU-produced data.
+//! - **Offload** (§V-A,C): moves a run of element-wise ops to PIM when the
+//!   device model runs it faster there than the GPU roofline does, counting
+//!   the GPU↔PIM handoffs and write-backs, and inserts the user-controlled
+//!   L2→DRAM write-backs required for coherence before PIM consumes
+//!   GPU-produced data.
 
 use std::collections::{HashMap, HashSet};
 
@@ -23,6 +25,7 @@ use pim::isa::PimInstruction;
 use pim::layout::LayoutPolicy;
 
 use crate::ir::{Executor, FuseTag, Op, OpKind, OpSequence};
+use crate::schedule::TRANSITION_NS;
 
 /// Which fusions to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,50 +240,18 @@ fn fuse_chains(seq: &mut OpSequence) {
     }
 }
 
-/// The offload cost policy: an element-wise run moves to PIM only when the
-/// internal-bandwidth gain beats the transition and write-back overheads
-/// (§V-B: "blocks ... that require only a small amount of preparatory DRAM
-/// write-backs").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OffloadPolicy {
-    /// External DRAM bandwidth in GB/s (= bytes/ns).
-    pub ext_bw_gbps: f64,
-    /// PIM internal bandwidth increase (Table III "BW incr.").
-    pub bw_increase: f64,
-    /// GPU↔PIM transition cost in ns.
-    pub transition_ns: f64,
-}
-
-impl OffloadPolicy {
-    /// Offload everything eligible regardless of cost (for ablations).
-    pub fn aggressive() -> Self {
-        Self {
-            ext_bw_gbps: f64::INFINITY,
-            bw_increase: f64::INFINITY,
-            transition_ns: 0.0,
-        }
-    }
-
-    /// Derives the policy from device parameters.
-    pub fn from_parts(ext_bw_gbps: f64, bw_increase: f64, transition_ns: f64) -> Self {
-        Self {
-            ext_bw_gbps,
-            bw_increase,
-            transition_ns,
-        }
-    }
-}
-
-/// Device-accurate offload: decides per element-wise run by *executing*
-/// the candidate PIM kernels through the device model and comparing with
-/// the GPU roofline, including transition and write-back costs — the
-/// measurement-driven decision a real framework would make.
-pub fn offload_measured(
+/// Offload (§V-A,C): decides per maximal run of element-wise ops by
+/// *executing* the candidate PIM kernels through the device model and
+/// comparing with the GPU roofline. The PIM side pays two
+/// [`TRANSITION_NS`] handoffs plus the write-back of every input the run
+/// reads from a non-element-wise (GPU) op. A run moves to PIM only when
+/// every kernel in it is supported and the PIM side is faster; then the
+/// coherence write-backs are inserted.
+pub fn offload(
     seq: &mut OpSequence,
     gpu: &GpuModel,
     dev: &PimDeviceConfig,
     layout: LayoutPolicy,
-    transition_ns: f64,
 ) -> OffloadStats {
     let n = seq.params.n();
     let exec = PimExecutor::new(dev, layout);
@@ -299,7 +270,7 @@ pub fn offload_measured(
         }
         let mut j = i;
         let mut gpu_ns = 0.0f64;
-        let mut pim_ns = 2.0 * transition_ns;
+        let mut pim_ns = 2.0 * TRANSITION_NS;
         let mut flush = 0u64;
         let mut flushed_ids = HashSet::new();
         let mut supported = true;
@@ -328,58 +299,6 @@ pub fn offload_measured(
         }
         pim_ns += flush as f64 / bw;
         if supported && pim_ns < gpu_ns {
-            for op in &mut seq.ops[i..j] {
-                op.executor = Executor::Pim;
-                stats.offloaded_ops += 1;
-            }
-        }
-        i = j;
-    }
-    insert_writebacks(seq, &mut stats);
-    stats
-}
-
-/// Offload: move profitable element-wise runs to PIM and insert coherence
-/// write-backs for GPU-produced inputs of PIM kernels.
-pub fn offload(seq: &mut OpSequence, policy: &OffloadPolicy) -> OffloadStats {
-    let mut stats = OffloadStats::default();
-    // Which object ids were last written by a non-element-wise (GPU) op?
-    // Those reads force a coherence write-back when offloaded.
-    let mut gpu_written: HashMap<u64, u64> = HashMap::new(); // id → bytes
-
-    // Pass 1: find maximal runs of element-wise ops and offload each run
-    // iff the bandwidth gain beats transitions + write-backs.
-    let len = seq.ops.len();
-    let mut i = 0;
-    while i < len {
-        if !seq.ops[i].pim_eligible() {
-            for w in &seq.ops[i].writes {
-                gpu_written.insert(w.id, w.bytes);
-            }
-            i += 1;
-            continue;
-        }
-        let mut j = i;
-        let mut traffic = 0u64;
-        let mut flush = 0u64;
-        let mut flushed_ids = HashSet::new();
-        while j < len && seq.ops[j].pim_eligible() {
-            traffic += seq.ops[j].bytes_read() + seq.ops[j].bytes_written();
-            for r in &seq.ops[j].reads {
-                if let Some(&bytes) = gpu_written.get(&r.id) {
-                    if flushed_ids.insert(r.id) {
-                        flush += bytes;
-                    }
-                }
-            }
-            j += 1;
-        }
-        let t = traffic as f64;
-        let gpu_ns = t / policy.ext_bw_gbps;
-        let pim_ns = t / (policy.ext_bw_gbps * policy.bw_increase);
-        let overhead_ns = 2.0 * policy.transition_ns + flush as f64 / policy.ext_bw_gbps;
-        let profitable = policy.ext_bw_gbps.is_infinite() || gpu_ns > pim_ns + overhead_ns;
-        if profitable {
             for op in &mut seq.ops[i..j] {
                 op.executor = Executor::Pim;
                 stats.offloaded_ops += 1;
@@ -430,6 +349,11 @@ mod tests {
     use super::*;
     use crate::build::{Builder, LinTransStyle};
     use crate::params::ParamSet;
+    use gpu::config::{GpuConfig, LibraryProfile};
+
+    fn a100() -> GpuModel {
+        GpuModel::new(GpuConfig::a100_80gb(), LibraryProfile::cheddar())
+    }
 
     fn lt_seq(reorder: bool) -> OpSequence {
         let mut b = Builder::new(ParamSet::paper_default());
@@ -514,7 +438,8 @@ mod tests {
     fn offload_marks_ew_and_inserts_writebacks() {
         let mut seq = lt_seq(true);
         fuse(&mut seq, &FusionConfig::full());
-        let stats = offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let dev = PimDeviceConfig::a100_near_bank();
+        let stats = offload(&mut seq, &a100(), &dev, LayoutPolicy::ColumnPartitioned);
         assert!(stats.offloaded_ops > 0);
         assert!(stats.writeback_bytes > 0, "ModUp outputs must be flushed");
         // Every Ew op is on PIM; NTT/BConv/Aut stay on the GPU.
@@ -531,5 +456,44 @@ mod tests {
         // ModUp(a) digits (≈ D polynomials) plus small extras, far less
         // than the evk/plaintext traffic PIM eliminates.
         assert!(stats.writeback_bytes < seq.stream_bytes());
+    }
+
+    #[test]
+    fn unsupported_kernel_keeps_its_whole_run_on_the_gpu() {
+        let params = ParamSet::custom(6, 19, 1);
+        let level = params.l_max;
+        let mut seq = Builder::new(params).lintrans(level, 2, LinTransStyle::Hoisting, true);
+        fuse(&mut seq, &FusionConfig::full());
+        let layout = LayoutPolicy::ColumnPartitioned;
+        let dev = PimDeviceConfig::a100_near_bank();
+        // PAccum⟨19⟩ needs G = ⌊B/(K+2)⌋ ≥ 1 buffer entries per slot.
+        let spec = PimKernelSpec {
+            instr: PimInstruction::PAccum(19),
+            limbs: 20,
+            n: seq.params.n(),
+        };
+        assert!(matches!(
+            PimExecutor::new(&dev, layout).execute(&spec),
+            Err(pim::error::PimError::Unsupported { .. })
+        ));
+        let paccum_executor = |s: &OpSequence| {
+            s.ops
+                .iter()
+                .find(|o| matches!(o.kind, OpKind::Ew { instr, .. } if instr == spec.instr))
+                .map(|o| o.executor)
+        };
+
+        let mut b16 = seq.clone();
+        let stats = offload(&mut b16, &a100(), &dev, layout);
+        assert_eq!(stats, OffloadStats::default());
+        assert!(b16.ops.iter().all(|o| o.executor == Executor::Gpu));
+        assert_eq!(b16.ops.len(), seq.ops.len(), "no write-back inserted");
+
+        // At B = 32 the same run is supported and PIM wins it, so at B = 16
+        // the unsupported kernel, not the cost comparison, kept it on the GPU.
+        let mut b32 = seq.clone();
+        let stats = offload(&mut b32, &a100(), &dev.with_buffer_entries(32), layout);
+        assert_eq!(paccum_executor(&b32), Some(Executor::Pim));
+        assert!(stats.offloaded_ops > 1 && stats.writeback_bytes > 0);
     }
 }

@@ -45,7 +45,7 @@ use pim::layout::LayoutPolicy;
 
 use crate::error::RunError;
 use crate::health::{BreakerTransition, HealthRegistry, PathDecision, RetryPolicy};
-use crate::ir::{Executor, ObjKind, Op, OpKind, OpSequence};
+use crate::ir::{Executor, Op, OpKind, OpSequence};
 use crate::report::{ExecutionReport, GanttSegment};
 use crate::telemetry::Telemetry;
 
@@ -941,32 +941,12 @@ fn note_transition(
     }
 }
 
-/// Estimates the DRAM footprint of a sequence: peak live data
-/// (evk + plaintext + ciphertext objects), used for the OoM checks of
-/// §VIII-B.
-pub fn footprint_bytes(seq: &OpSequence) -> u64 {
-    let mut seen = std::collections::HashSet::new();
-    let mut total = 0u64;
-    for op in &seq.ops {
-        for r in op.reads.iter().chain(op.writes.iter()) {
-            if matches!(
-                r.kind,
-                ObjKind::Evk | ObjKind::Plaintext | ObjKind::Ciphertext
-            ) && seen.insert(r.id)
-            {
-                total += r.bytes;
-            }
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::{Builder, LinTransStyle};
     use crate::params::ParamSet;
-    use crate::passes::{fuse, offload, FusionConfig, OffloadPolicy};
+    use crate::passes::{fuse, offload, FusionConfig};
     use gpu::config::{GpuConfig, LibraryProfile};
 
     fn gpu_model() -> GpuModel {
@@ -983,6 +963,17 @@ mod tests {
     fn lt(reorder: bool) -> OpSequence {
         let mut b = Builder::new(ParamSet::paper_default());
         b.lintrans(54, 8, LinTransStyle::Hoisting, reorder)
+    }
+
+    fn boot() -> OpSequence {
+        Builder::new(ParamSet::paper_default()).bootstrap()
+    }
+
+    /// `seq` fused with [`FusionConfig::full`] and offloaded for `dev`.
+    fn offloaded(mut seq: OpSequence, m: &GpuModel, dev: &PimDeviceConfig) -> OpSequence {
+        fuse(&mut seq, &FusionConfig::full());
+        offload(&mut seq, m, dev, LayoutPolicy::ColumnPartitioned);
+        seq
     }
 
     #[test]
@@ -1009,12 +1000,7 @@ mod tests {
         fuse(&mut gpu_seq, &FusionConfig::gpu_baseline());
         let gpu_r = Scheduler::gpu_only(&m).run(&gpu_seq).unwrap();
 
-        let mut pim_seq = lt(true);
-        fuse(&mut pim_seq, &FusionConfig::full());
-        offload(
-            &mut pim_seq,
-            &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0),
-        );
+        let pim_seq = offloaded(lt(true), &m, &dev);
         let pim_r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&pim_seq)
             .unwrap();
@@ -1039,9 +1025,7 @@ mod tests {
     fn transitions_are_counted_and_bounded() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&seq)
             .unwrap();
@@ -1057,9 +1041,7 @@ mod tests {
         // re-executes on the GPU. The run still completes.
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&seq)
             .unwrap();
@@ -1096,9 +1078,7 @@ mod tests {
         // attempt, and the rest of the run stays on the GPU.
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let plan = FaultPlan::none().with_seed(5).with_stuck_lane(3);
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_fault_plan(plan)
@@ -1127,9 +1107,7 @@ mod tests {
     fn benign_fault_plan_changes_nothing() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&seq)
             .unwrap();
@@ -1143,32 +1121,10 @@ mod tests {
     }
 
     #[test]
-    fn footprint_counts_unique_objects() {
-        let seq = lt(true);
-        let fp = footprint_bytes(&seq);
-        // 7 evks of ~2·4·(54+14) limbs minimum.
-        let evk = ParamSet::paper_default().evk_bytes() as u64;
-        assert!(fp > 7 * evk / 2, "footprint must include the evks");
-    }
-
-    fn offloaded_bootstrap(m: &GpuModel, dev: &PimDeviceConfig) -> OpSequence {
-        let mut seq = Builder::new(ParamSet::paper_default()).bootstrap();
-        fuse(&mut seq, &FusionConfig::full());
-        crate::passes::offload_measured(
-            &mut seq,
-            m,
-            dev,
-            LayoutPolicy::ColumnPartitioned,
-            TRANSITION_NS,
-        );
-        seq
-    }
-
-    #[test]
     fn pipelined_bootstrap_speedup_within_v_c_band() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let seq = offloaded_bootstrap(&m, &dev);
+        let seq = offloaded(boot(), &m, &dev);
         let serial = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&seq)
             .unwrap();
@@ -1226,9 +1182,7 @@ mod tests {
     fn pipelined_mode_is_deterministic_under_faults() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let plan = FaultPlan::none().with_seed(11).with_bank_flips(1.0);
         let run = || {
             Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
@@ -1266,9 +1220,7 @@ mod tests {
     fn deadline_budget_cancels_mid_flight() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut seq = lt(true);
-        fuse(&mut seq, &FusionConfig::full());
-        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        let seq = offloaded(lt(true), &m, &dev);
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&seq)
             .unwrap();
@@ -1297,7 +1249,7 @@ mod tests {
     fn deadline_budget_cancels_pipelined_runs_too() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let seq = offloaded_bootstrap(&m, &dev);
+        let seq = offloaded(boot(), &m, &dev);
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
             .run(&seq)
@@ -1360,15 +1312,19 @@ mod tests {
     fn writeback_bytes_hit_dram() {
         let m = gpu_model();
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut with_wb = lt(true);
-        fuse(&mut with_wb, &FusionConfig::full());
-        let stats = offload(
-            &mut with_wb,
-            &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0),
-        );
+        let with_wb = offloaded(lt(true), &m, &dev);
+        let writeback_bytes: u64 = with_wb
+            .ops
+            .iter()
+            .map(|o| match o.kind {
+                OpKind::WriteBack { bytes } => bytes,
+                _ => 0,
+            })
+            .sum();
+        assert!(writeback_bytes > 0, "ModUp outputs must be flushed");
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .run(&with_wb)
             .unwrap();
-        assert!(r.gpu_dram_bytes >= stats.writeback_bytes);
+        assert!(r.gpu_dram_bytes >= writeback_bytes);
     }
 }

@@ -138,27 +138,16 @@ impl SimulatedBank {
 /// receives `x` (poly 0) and `y` (poly 1). The data buffer holds `B`
 /// chunk-entries, giving chunk granularity `G = ⌊B/(K+2)⌋` (Alg. 1 line 1).
 ///
+/// `stuck_lane` (`None` = fault-free) names an MMAC lane that drives zero
+/// into every accumulator update, modeling a hard datapath fault.
+///
 /// Returns [`PimError::Unsupported`] if the buffer is too small (`G = 0`).
 ///
 /// # Panics
 ///
 /// Panics if group shapes disagree (an allocation bug, not a data fault).
-pub fn paccum_alg1(
-    bank: &mut SimulatedBank,
-    mont: &MontgomeryCtx,
-    k: usize,
-    buffer_entries: usize,
-    pg_p: &PolyGroup,
-    pg_ab: &PolyGroup,
-    pg_out: &PolyGroup,
-) -> Result<(), PimError> {
-    paccum_alg1_with_faults(bank, mont, k, buffer_entries, pg_p, pg_ab, pg_out, None)
-}
-
-/// [`paccum_alg1`] with an optional stuck MMAC lane: the stuck lane drives
-/// zero into every accumulator update, modeling a hard datapath fault.
 #[allow(clippy::too_many_arguments)]
-pub fn paccum_alg1_with_faults(
+pub fn paccum_alg1(
     bank: &mut SimulatedBank,
     mont: &MontgomeryCtx,
     k: usize,
@@ -268,7 +257,7 @@ pub fn paccum_alg1_verified(
     }
 
     let stuck = injector.as_ref().and_then(|i| i.stuck_lane());
-    paccum_alg1_with_faults(bank, mont, k, buffer_entries, pg_p, pg_ab, pg_out, stuck)?;
+    paccum_alg1(bank, mont, k, buffer_entries, pg_p, pg_ab, pg_out, stuck)?;
 
     let mut bit_flips = 0u32;
     if let Some(inj) = injector {
@@ -455,7 +444,7 @@ mod tests {
         }
 
         let mont = MontgomeryCtx::new(Q);
-        paccum_alg1(&mut bank, &mont, k, b, &pg_p, &pg_ab, &pg_out).unwrap();
+        paccum_alg1(&mut bank, &mont, k, b, &pg_p, &pg_ab, &pg_out, None).unwrap();
         let x = bank.load_poly(&pg_out, 0);
         let y = bank.load_poly(&pg_out, 1);
 
@@ -491,7 +480,7 @@ mod tests {
                 bank.store_poly(&pg_ab, 2 * i, &aas[i]).unwrap();
                 bank.store_poly(&pg_ab, 2 * i + 1, &bs[i]).unwrap();
             }
-            paccum_alg1(&mut bank, &mont, k, b, &pg_p, &pg_ab, &pg_out).unwrap();
+            paccum_alg1(&mut bank, &mont, k, b, &pg_p, &pg_ab, &pg_out, None).unwrap();
             outputs.push((bank.load_poly(&pg_out, 0), bank.load_poly(&pg_out, 1)));
         }
         for w in outputs.windows(2) {
@@ -552,7 +541,7 @@ mod tests {
         let (pg_p, pg_ab, pg_out) = alloc_paccum_groups(&mut alloc, 4, 16);
         let mut bank = SimulatedBank::new(64, 32);
         let mont = MontgomeryCtx::new(Q);
-        let err = paccum_alg1(&mut bank, &mont, 4, 4, &pg_p, &pg_ab, &pg_out).unwrap_err();
+        let err = paccum_alg1(&mut bank, &mont, 4, 4, &pg_p, &pg_ab, &pg_out, None).unwrap_err();
         assert_eq!(
             err,
             PimError::Unsupported {
@@ -705,13 +694,13 @@ mod tests {
         let num = 8;
         let (mut serial, mont, pg_p, pg_ab, pg_out) = paccum_bank_fleet(num, 500);
         for bank in serial.iter_mut() {
-            paccum_alg1(bank, &mont, 4, 16, &pg_p, &pg_ab, &pg_out).unwrap();
+            paccum_alg1(bank, &mont, 4, 16, &pg_p, &pg_ab, &pg_out, None).unwrap();
         }
         for threads in [1usize, 2, 8] {
             parpool::set_threads(threads);
             let (mut par, mont, pg_p, pg_ab, pg_out) = paccum_bank_fleet(num, 500);
             let results = for_each_bank_parallel(&mut par, |_, bank| {
-                paccum_alg1(bank, &mont, 4, 16, &pg_p, &pg_ab, &pg_out)
+                paccum_alg1(bank, &mont, 4, 16, &pg_p, &pg_ab, &pg_out, None)
             });
             assert!(results.iter().all(|r| r.is_ok()));
             for (bi, (s, p)) in serial.iter().zip(par.iter()).enumerate() {
@@ -736,7 +725,7 @@ mod tests {
         let results = for_each_bank_parallel(&mut banks, |i, bank| {
             // B = 2 gives G = 0 on odd banks: a per-bank Unsupported error.
             let b = if i % 2 == 1 { 2 } else { 16 };
-            paccum_alg1(bank, &mont, 4, b, &pg_p, &pg_ab, &pg_out)
+            paccum_alg1(bank, &mont, 4, b, &pg_p, &pg_ab, &pg_out, None)
         });
         assert_eq!(results.len(), num);
         for (i, r) in results.iter().enumerate() {

@@ -440,9 +440,13 @@ EOF
 # documented in docs/METRICS.md — new metrics cannot land undocumented —
 # and every `ANAHEIM_*` environment variable the user docs name is read
 # through `std::env::var` under crates/ or vendor/, so a deleted knob
-# cannot stay documented. ROADMAP.md and CHANGES.md are history, and
-# perfbench/ documents its own harness, so neither is scanned for names.
-echo "==> documentation integrity gate (markdown links + metric names + env vars)"
+# cannot stay documented. Every backticked `crate::module[::item]` path
+# whose crate lives under crates/ or vendor/ must resolve: each module
+# segment is a source file, and the item after the last one is declared
+# or `pub use`d in that module, so a renamed or deleted item cannot stay
+# documented either. ROADMAP.md and CHANGES.md are history, and perfbench/
+# documents its own harness, so neither is scanned for names or paths.
+echo "==> documentation integrity gate (markdown links + metric names + env vars + module paths)"
 python3 - <<'EOF'
 import os, re, sys
 
@@ -494,6 +498,46 @@ unread = sorted(
 if unread:
     sys.exit("documented env vars that no code reads: " + ", ".join(unread))
 print(f"  documented ANAHEIM_* env vars all read by code ({', '.join(sorted(read_vars))}) — ok")
+
+crate_src = {}
+for top in ("crates", "vendor"):
+    for name in sorted(os.listdir(top)):
+        if os.path.isdir(os.path.join(top, name, "src")):
+            crate_src[name.replace("-", "_")] = os.path.join(top, name, "src")
+
+def module_file(d, seg):
+    for f in (os.path.join(d, seg + ".rs"), os.path.join(d, seg, "mod.rs")):
+        if os.path.exists(f):
+            return f
+    return None
+
+def declares(path, item):
+    text = open(path).read()
+    word = r"\b" + re.escape(item) + r"\b"
+    if re.search(r"\b(?:fn|struct|enum|mod|const|trait|type)\s+" + word, text):
+        return True
+    return any(re.search(word, u) for u in re.findall(r"pub use [^;]*;", text, flags=re.S))
+
+stale = []
+checked = 0
+for doc in env_docs:
+    text = re.sub(r"```.*?```", "", open(doc).read(), flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = re.match(r"(\w+)((?:::\w+)+)", span)
+        if not m or m.group(1) not in crate_src:
+            continue
+        checked += 1
+        d = crate_src[m.group(1)]
+        f = os.path.join(d, "lib.rs")
+        segs = m.group(2)[2:].split("::")
+        while segs and module_file(d, segs[0]):
+            f, d = module_file(d, segs[0]), os.path.join(d, segs[0])
+            segs = segs[1:]
+        if segs and not declares(f, segs[0]):
+            stale.append(f"{doc}: `{m.group(0)}` ({segs[0]} is not declared in {f})")
+if stale:
+    sys.exit("stale module paths in docs:\n" + "\n".join(stale))
+print(f"  {checked} documented module paths resolve — ok")
 EOF
 
 echo "All checks passed."

@@ -1,19 +1,31 @@
 //! Property tests over the Anaheim IR, builders, and passes: invariants
 //! that must hold for *any* parameter choice, not just the paper's.
 
+use std::collections::{HashMap, HashSet};
+
 use anaheim::core::build::{Builder, LinTransStyle};
 use anaheim::core::ir::{Executor, OpKind, OpSequence};
 use anaheim::core::params::ParamSet;
-use anaheim::core::passes::{fuse, offload, FusionConfig, OffloadPolicy};
+use anaheim::core::passes::{fuse, offload, FusionConfig, OffloadStats};
+use anaheim::gpu::config::{GpuConfig, LibraryProfile};
+use anaheim::gpu::model::GpuModel;
+use anaheim::pim::device::PimDeviceConfig;
+use anaheim::pim::layout::LayoutPolicy;
 use proptest::prelude::*;
 
-fn arb_params() -> impl Strategy<Value = ParamSet> {
+fn paper_params() -> impl Strategy<Value = ParamSet> {
     prop_oneof![
         Just(ParamSet::with_decomposition(2)),
         Just(ParamSet::with_decomposition(3)),
         Just(ParamSet::with_decomposition(4)),
         Just(ParamSet::with_decomposition(6)),
         Just(ParamSet::with_decomposition(8)),
+    ]
+}
+
+fn arb_params() -> impl Strategy<Value = ParamSet> {
+    prop_oneof![
+        paper_params(),
         (4u32..9, 3usize..20, 1usize..5)
             .prop_map(|(log_n, l, a)| { ParamSet::custom(log_n, l, a.min(l)) }),
     ]
@@ -21,6 +33,22 @@ fn arb_params() -> impl Strategy<Value = ParamSet> {
 
 fn ew_work(seq: &OpSequence) -> u64 {
     seq.summary().ew_limb_ops
+}
+
+/// A `K`-rotation hoisted linear transform at the top level, fused with
+/// [`FusionConfig::full`].
+fn fused_lt(params: ParamSet, k: usize) -> OpSequence {
+    let level = params.l_max;
+    let mut seq = Builder::new(params).lintrans(level, k, LinTransStyle::Hoisting, true);
+    fuse(&mut seq, &FusionConfig::full());
+    seq
+}
+
+/// Runs the offload pass for the A100 with near-bank PIM.
+fn offload_a100(seq: &mut OpSequence) -> OffloadStats {
+    let gpu = GpuModel::new(GpuConfig::a100_80gb(), LibraryProfile::cheddar());
+    let dev = PimDeviceConfig::a100_near_bank();
+    offload(seq, &gpu, &dev, LayoutPolicy::ColumnPartitioned)
 }
 
 proptest! {
@@ -63,37 +91,79 @@ proptest! {
 
     #[test]
     fn offload_only_moves_elementwise(params in arb_params(), k in 2usize..10) {
-        let level = params.l_max;
-        let mut b = Builder::new(params);
-        let mut seq = b.lintrans(level, k, LinTransStyle::Hoisting, true);
-        fuse(&mut seq, &FusionConfig::full());
+        let mut seq = fused_lt(params, k);
         let n_ops_before = seq.ops.len();
-        let stats = offload(&mut seq, &OffloadPolicy::aggressive());
+        let stats = offload_a100(&mut seq);
+        // Only element-wise ops may move; write-backs run on the GPU.
         for op in &seq.ops {
-            match op.kind {
-                OpKind::Ew { .. } => prop_assert_eq!(op.executor, Executor::Pim),
-                OpKind::WriteBack { .. } => prop_assert_eq!(op.executor, Executor::Gpu),
-                _ => prop_assert_eq!(op.executor, Executor::Gpu),
+            if !matches!(op.kind, OpKind::Ew { .. }) {
+                prop_assert_eq!(op.executor, Executor::Gpu, "{} left the GPU", op.label);
             }
         }
-        // Only write-backs are added, nothing removed.
-        let writebacks = seq
+        // The pass decides per maximal element-wise run: with the inserted
+        // write-backs taken out, every run is all-PIM or all-GPU.
+        let original: Vec<_> = seq
             .ops
             .iter()
-            .filter(|o| matches!(o.kind, OpKind::WriteBack { .. }))
-            .count();
-        prop_assert_eq!(seq.ops.len(), n_ops_before + writebacks);
+            .filter(|o| !matches!(o.kind, OpKind::WriteBack { .. }))
+            .collect();
+        prop_assert_eq!(original.len(), n_ops_before, "only write-backs are added");
+        for run in original.split(|o| !o.pim_eligible()).filter(|r| !r.is_empty()) {
+            prop_assert!(
+                run.iter().all(|o| o.executor == run[0].executor),
+                "a run of {} element-wise ops is split between GPU and PIM",
+                run.len()
+            );
+        }
+        prop_assert_eq!(
+            stats.offloaded_ops,
+            seq.ops.iter().filter(|o| o.executor == Executor::Pim).count()
+        );
+        // §V-C: each GPU-written object a PIM op reads is flushed once, at
+        // its size.
+        let pim_reads: HashSet<u64> = seq
+            .ops
+            .iter()
+            .filter(|o| o.executor == Executor::Pim)
+            .flat_map(|o| o.reads.iter().map(|r| r.id))
+            .collect();
+        let mut flushed: HashMap<u64, u64> = HashMap::new();
+        for op in original.iter().filter(|o| o.executor == Executor::Gpu) {
+            for w in op.writes.iter().filter(|w| pim_reads.contains(&w.id)) {
+                flushed.entry(w.id).or_insert(w.bytes);
+            }
+        }
+        let writeback_ops: u64 = seq
+            .ops
+            .iter()
+            .map(|o| match o.kind {
+                OpKind::WriteBack { bytes } => bytes,
+                _ => 0,
+            })
+            .sum();
+        prop_assert_eq!(stats.writeback_bytes, flushed.values().sum::<u64>());
+        prop_assert_eq!(stats.writeback_bytes, writeback_ops);
+    }
+
+    #[test]
+    fn offload_moves_every_elementwise_op_at_paper_scale(params in paper_params(),
+                                                         k in 2usize..10) {
+        let mut seq = fused_lt(params, k);
+        let stats = offload_a100(&mut seq);
+        for op in &seq.ops {
+            match op.kind {
+                OpKind::Ew { .. } => prop_assert_eq!(op.executor, Executor::Pim, "{}", op.label),
+                _ => prop_assert_eq!(op.executor, Executor::Gpu, "{}", op.label),
+            }
+        }
         prop_assert!(stats.offloaded_ops > 0);
     }
 
     #[test]
     fn offload_preserves_summary(params in arb_params(), k in 2usize..10) {
-        let level = params.l_max;
-        let mut b = Builder::new(params);
-        let mut seq = b.lintrans(level, k, LinTransStyle::Hoisting, true);
-        fuse(&mut seq, &FusionConfig::full());
+        let mut seq = fused_lt(params, k);
         let before = seq.summary();
-        offload(&mut seq, &OffloadPolicy::aggressive());
+        offload_a100(&mut seq);
         prop_assert_eq!(before, seq.summary(), "offload must not change the work");
     }
 

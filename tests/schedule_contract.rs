@@ -20,9 +20,9 @@ use anaheim::core::framework::{Anaheim, AnaheimConfig};
 use anaheim::core::health::{BreakerConfig, HealthRegistry, RetryPolicy};
 use anaheim::core::ir::OpSequence;
 use anaheim::core::params::ParamSet;
-use anaheim::core::passes::{fuse, offload, offload_measured, FusionConfig, OffloadPolicy};
+use anaheim::core::passes::{fuse, offload, FusionConfig};
 use anaheim::core::report::ExecutionReport;
-use anaheim::core::schedule::{RunOptions, ScheduleMode, Scheduler, TRANSITION_NS};
+use anaheim::core::schedule::{RunOptions, ScheduleMode, Scheduler};
 use anaheim::core::telemetry::Telemetry;
 use anaheim::gpu::config::{GpuConfig, LibraryProfile};
 use anaheim::gpu::model::GpuModel;
@@ -65,24 +65,16 @@ impl Fixture {
     fn new() -> Self {
         let gpu = GpuModel::new(GpuConfig::a100_80gb(), LibraryProfile::cheddar());
         let dev = PimDeviceConfig::a100_near_bank();
-        let mut lt =
+        let offloaded = |mut seq: OpSequence| {
+            fuse(&mut seq, &FusionConfig::full());
+            offload(&mut seq, &gpu, &dev, LayoutPolicy::ColumnPartitioned);
+            seq
+        };
+        let lt =
             Builder::new(ParamSet::paper_default()).lintrans(54, 8, LinTransStyle::Hoisting, true);
-        fuse(&mut lt, &FusionConfig::full());
-        offload(&mut lt, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
-        let mut boot = Builder::new(ParamSet::paper_default()).bootstrap();
-        fuse(&mut boot, &FusionConfig::full());
-        offload_measured(
-            &mut boot,
-            &gpu,
-            &dev,
-            LayoutPolicy::ColumnPartitioned,
-            TRANSITION_NS,
-        );
-        Self {
-            gpu,
-            dev,
-            seqs: vec![("lt", lt), ("boot", boot)],
-        }
+        let boot = Builder::new(ParamSet::paper_default()).bootstrap();
+        let seqs = vec![("lt", offloaded(lt)), ("boot", offloaded(boot))];
+        Self { gpu, dev, seqs }
     }
 
     fn registry(&self) -> HealthRegistry {
