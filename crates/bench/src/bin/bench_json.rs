@@ -726,11 +726,13 @@ fn bench_schedule(ckks_records: &mut Vec<Record>, pim_records: &mut Vec<Record>)
 /// executor, whose table already holds the shape; `miss_ns_p50` times a
 /// fresh executor, which schedules and times the shape first), and the
 /// paper bootstrap on A100 near-bank through `Anaheim::prepare`
-/// (`boot_prepare_host`) and `Anaheim::run_prepared`
-/// (`boot_schedule_host`). Single-threaded model code, so `threads` is 1.
+/// (`boot_prepare_host`, whose `fuse_ns_p50` / `offload_ns_p50` time its
+/// two passes) and `Anaheim::run_prepared` (`boot_schedule_host`).
+/// Single-threaded model code, so `threads` is 1.
 fn bench_sim_host(quick: bool, records: &mut Vec<Record>) {
     use anaheim_core::build::Builder;
     use anaheim_core::params::ParamSet;
+    use anaheim_core::passes::{fuse, offload};
     use pim::{PimDeviceConfig, PimExecutor, PimInstruction, PimKernelSpec};
 
     let kernel_budget = Budget {
@@ -771,27 +773,55 @@ fn bench_sim_host(quick: bool, records: &mut Vec<Record>) {
     });
 
     // One sample per prepared sequence: `prepare` rewrites the sequence,
-    // so each sample builds a fresh one outside the timed region.
+    // so each sample builds a fresh one outside the timed region. The same
+    // loop times `prepare`'s two passes on a copy, which become the
+    // `boot_prepare_host` row's `fuse_ns_p50` / `offload_ns_p50`.
     let params = ParamSet::paper_default();
     let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
+    let cfg = rt.config();
+    let dev = cfg
+        .pim
+        .as_ref()
+        .expect("a near-bank preset has a PIM device");
     let samples = if quick { 5 } else { 9 };
-    let (mut prepare_ns, mut schedule_ns) = (Vec::new(), Vec::new());
+    let (mut prepare_ns, mut schedule_ns, mut fuse_ns, mut offload_ns) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let elapsed = |from: Instant, to: Instant| (to - from).as_nanos() as f64;
     for _ in 0..=samples {
         let mut seq = Builder::new(params.clone()).bootstrap();
+        let mut split = seq.clone();
         let t0 = Instant::now();
         rt.prepare(&mut seq);
         let t1 = Instant::now();
         rt.run_prepared(&seq)
             .unwrap_or_else(|e| panic!("prepared Bootstrap run failed: {e}"));
-        prepare_ns.push((t1 - t0).as_nanos() as f64);
-        schedule_ns.push(t1.elapsed().as_nanos() as f64);
+        let t2 = Instant::now();
+        fuse(&mut split, &cfg.fusion);
+        let t3 = Instant::now();
+        offload(&mut split, rt.model(), dev, cfg.layout);
+        let t4 = Instant::now();
+        prepare_ns.push(elapsed(t0, t1));
+        schedule_ns.push(elapsed(t1, t2));
+        fuse_ns.push(elapsed(t2, t3));
+        offload_ns.push(elapsed(t3, t4));
     }
-    for (op, mut ns) in [
-        ("boot_prepare_host", prepare_ns),
-        ("boot_schedule_host", schedule_ns),
-    ] {
+    let timing = |mut ns: Vec<f64>| {
         ns.remove(0); // warmup
-        let t = Timing::from_means(ns);
+        Timing::from_means(ns)
+    };
+    let (fuse_t, offload_t) = (timing(fuse_ns), timing(offload_ns));
+    for (op, ns, extras) in [
+        (
+            "boot_prepare_host",
+            prepare_ns,
+            vec![
+                ("fuse_ns_p50", fuse_t.p50.round() as u64),
+                ("offload_ns_p50", offload_t.p50.round() as u64),
+            ],
+        ),
+        ("boot_schedule_host", schedule_ns, Vec::new()),
+    ] {
+        let t = timing(ns);
         println!("  {op:22} {:>10.3} ms", t.p50 / 1e6);
         records.push(Record {
             op,
@@ -801,9 +831,15 @@ fn bench_sim_host(quick: bool, records: &mut Vec<Record>) {
             ns_per_op: t.mean,
             ns_per_op_p50: t.p50,
             samples: t.samples,
-            extras: Vec::new(),
+            extras,
         });
     }
+    println!(
+        "  {:22} {:>10.3} ms fuse + {:.3} ms offload",
+        "prepare split",
+        fuse_t.p50 / 1e6,
+        offload_t.p50 / 1e6
+    );
 }
 
 /// Evaluation-key DRAM-traffic model (the `docs/KEYS.md` trajectory):

@@ -429,15 +429,14 @@ pub fn fig8() -> Vec<Fig8Row> {
             AnaheimConfig::rtx4090_near_bank(),
         ),
     ];
+    let workloads = Workload::all();
     let mut rows = Vec::new();
     for (base_cfg, pim_cfg) in pairs {
         let base = Anaheim::new(base_cfg);
         let pimrt = Anaheim::new(pim_cfg);
-        for w in Workload::all() {
-            let b = run_workload(&base, &w).expect("preset config runs").outcome;
-            let p = run_workload(&pimrt, &w)
-                .expect("preset config runs")
-                .outcome;
+        for w in &workloads {
+            let b = run_workload(&base, w).expect("preset config runs").outcome;
+            let p = run_workload(&pimrt, w).expect("preset config runs").outcome;
             let row = match (b, p) {
                 (Some(b), Some(p)) => Fig8Row {
                     workload: w.name,
@@ -686,14 +685,20 @@ pub fn table5() -> Vec<Table5Row> {
             Some(1380.0),
         ),
     ];
+    let [boot, helr, resnet20, sort] = [
+        Workload::boot(),
+        Workload::helr(),
+        Workload::resnet20(),
+        Workload::sort(),
+    ];
     for cfg in [
         AnaheimConfig::a100_near_bank(),
         AnaheimConfig::a100_custom_hbm(),
         AnaheimConfig::rtx4090_near_bank(),
     ] {
         let rt = Anaheim::new(cfg);
-        let get = |w: Workload| {
-            run_workload(&rt, &w)
+        let get = |w: &Workload| {
+            run_workload(&rt, w)
                 .expect("preset config runs")
                 .outcome
                 .map(|n| n.time_ms)
@@ -701,10 +706,10 @@ pub fn table5() -> Vec<Table5Row> {
         rows.push(Table5Row {
             system: rt.config().name,
             measured: true,
-            boot_ms: get(Workload::boot()),
-            helr_ms: get(Workload::helr()),
-            resnet20_ms: get(Workload::resnet20()),
-            sort_ms: get(Workload::sort()),
+            boot_ms: get(&boot),
+            helr_ms: get(&helr),
+            resnet20_ms: get(&resnet20),
+            sort_ms: get(&sort),
         });
     }
     rows

@@ -15,16 +15,23 @@
 //!   the GPU↔PIM handoffs and write-backs, and inserts the user-controlled
 //!   L2→DRAM write-backs required for coherence before PIM consumes
 //!   GPU-produced data.
+//!
+//! The passes run once per scheduled sequence, so they are written to
+//! cost little next to the schedule they prepare. A pass that rebuilds the
+//! op list moves the ops out of it (`std::mem::take` then `next_if`) and
+//! never clones one; a fused op dedupes its reads and writes by scanning
+//! its own short lists. Maps and sets keyed by object id use
+//! [`gpu::cache::IdHasher`], whose order is never observed: the passes
+//! only look ids up.
 
-use std::collections::{HashMap, HashSet};
-
+use gpu::cache::{IdMap, IdSet};
 use gpu::model::GpuModel;
 use pim::device::PimDeviceConfig;
 use pim::exec::{PimExecutor, PimKernelSpec};
 use pim::isa::PimInstruction;
 use pim::layout::LayoutPolicy;
 
-use crate::ir::{Executor, FuseTag, Op, OpKind, OpSequence};
+use crate::ir::{Executor, FuseTag, ObjRef, Op, OpKind, OpSequence};
 use crate::schedule::TRANSITION_NS;
 
 /// Which fusions to apply.
@@ -98,143 +105,124 @@ pub fn fuse(seq: &mut OpSequence, cfg: &FusionConfig) {
     }
 }
 
+/// Appends each of `src`'s objects whose id `dst` does not hold yet, in
+/// order. A fused op's lists are short, so a linear scan beats hashing.
+fn push_new(dst: &mut Vec<ObjRef>, src: &[ObjRef]) {
+    for r in src {
+        if !dst.iter().any(|d| d.id == r.id) {
+            dst.push(*r);
+        }
+    }
+}
+
 /// BasicFuse: collapse each KeyMult / ConstAccum group into its compound
 /// instruction.
 fn fuse_groups(seq: &mut OpSequence) {
-    let mut out: Vec<Op> = Vec::with_capacity(seq.ops.len());
-    let mut i = 0;
-    while i < seq.ops.len() {
-        let op = &seq.ops[i];
-        let group_of = |o: &Op| match o.fuse {
-            Some(FuseTag::KeyMult { group }) => Some((group, true)),
-            Some(FuseTag::ConstAccum { group }) => Some((group, false)),
-            _ => None,
+    let group_of = |o: &Op| match o.fuse {
+        Some(FuseTag::KeyMult { group }) => Some((group, true)),
+        Some(FuseTag::ConstAccum { group }) => Some((group, false)),
+        _ => None,
+    };
+    let mut ops = std::mem::take(&mut seq.ops).into_iter().peekable();
+    let mut out: Vec<Op> = Vec::with_capacity(ops.len());
+    while let Some(op) = ops.next() {
+        let Some(key @ (_, is_keymult)) = group_of(&op) else {
+            out.push(op);
+            continue;
         };
-        if let Some((group, is_keymult)) = group_of(op) {
-            // Collect the whole run of this group.
-            let mut j = i;
-            while j < seq.ops.len() && group_of(&seq.ops[j]) == Some((group, is_keymult)) {
-                j += 1;
-            }
-            let run = &seq.ops[i..j];
-            let k = run.len();
-            let limbs = match run[0].kind {
-                OpKind::Ew { limbs, .. } => limbs,
-                _ => unreachable!("fusion tags only appear on Ew ops"),
-            };
-            let instr = if is_keymult {
-                PimInstruction::PAccum(k)
-            } else {
-                PimInstruction::CAccum(k)
-            };
-            let mut fusedop = Op::new(
-                OpKind::Ew { instr, limbs },
-                if is_keymult {
-                    "KeyMult (PAccum)"
-                } else {
-                    "ConstAccum (CAccum)"
-                },
-            );
-            // Union of reads/writes, deduplicated (the accumulators appear
-            // once instead of K times — that's the traffic saving).
-            let mut seen = HashSet::new();
-            for o in run {
-                for r in &o.reads {
-                    if seen.insert(("r", r.id)) {
-                        fusedop.reads.push(*r);
-                    }
-                }
-                for w in &o.writes {
-                    if seen.insert(("w", w.id)) {
-                        fusedop.writes.push(*w);
-                    }
-                }
-            }
-            out.push(fusedop);
-            i = j;
-        } else {
-            out.push(seq.ops[i].clone());
-            i += 1;
+        let limbs = match op.kind {
+            OpKind::Ew { limbs, .. } => limbs,
+            _ => unreachable!("fusion tags only appear on Ew ops"),
+        };
+        // Union of the whole run's reads/writes, deduplicated (the
+        // accumulators appear once instead of K times — that's the
+        // traffic saving).
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        let mut k = 0;
+        let mut member = Some(op);
+        while let Some(o) = member {
+            k += 1;
+            push_new(&mut reads, &o.reads);
+            push_new(&mut writes, &o.writes);
+            member = ops.next_if(|o| group_of(o) == Some(key));
         }
+        let (instr, label) = if is_keymult {
+            (PimInstruction::PAccum(k), "KeyMult (PAccum)")
+        } else {
+            (PimInstruction::CAccum(k), "ConstAccum (CAccum)")
+        };
+        out.push(Op {
+            reads,
+            writes,
+            ..Op::new(OpKind::Ew { instr, limbs }, label)
+        });
     }
     seq.ops = out;
 }
 
 /// AutFuse: merge tagged (Aut, Add) pairs into one AutAccum kernel.
 fn fuse_aut_accum(seq: &mut OpSequence) {
-    let mut out: Vec<Op> = Vec::with_capacity(seq.ops.len());
-    let mut i = 0;
-    while i < seq.ops.len() {
-        let a = &seq.ops[i];
-        if let (Some(FuseTag::AutThenAccum { group: g1 }), OpKind::Aut { limbs, .. }) =
+    let mut ops = std::mem::take(&mut seq.ops).into_iter().peekable();
+    let mut out: Vec<Op> = Vec::with_capacity(ops.len());
+    while let Some(a) = ops.next() {
+        let (Some(tag @ FuseTag::AutThenAccum { .. }), OpKind::Aut { limbs, .. }) =
             (a.fuse, a.kind)
-        {
-            if i + 1 < seq.ops.len() {
-                let b = &seq.ops[i + 1];
-                if b.fuse == Some(FuseTag::AutThenAccum { group: g1 }) {
-                    // Merge: the automorphism output never round-trips.
-                    let mut merged = Op::new(
-                        OpKind::Aut {
-                            limbs,
-                            fused_accum: true,
-                        },
-                        "AutAccum",
-                    );
-                    let aut_writes: HashSet<u64> = a.writes.iter().map(|w| w.id).collect();
-                    merged.reads.extend(a.reads.iter().copied());
-                    merged.reads.extend(
-                        b.reads
-                            .iter()
-                            .filter(|r| {
-                                !aut_writes.contains(&r.id) && !a.reads.iter().any(|x| x.id == r.id)
-                            })
-                            .copied(),
-                    );
-                    merged.writes.extend(b.writes.iter().copied());
-                    out.push(merged);
-                    i += 2;
-                    continue;
-                }
+        else {
+            out.push(a);
+            continue;
+        };
+        let Some(b) = ops.next_if(|b| b.fuse == Some(tag)) else {
+            out.push(a);
+            continue;
+        };
+        // Merge: the automorphism output never round-trips. The Add's
+        // reads follow the Aut's, minus the Aut's output and anything the
+        // Aut already reads.
+        let (mut reads, aut_writes) = (a.reads, a.writes);
+        let aut_reads = reads.len();
+        for r in &b.reads {
+            if !aut_writes.iter().any(|w| w.id == r.id)
+                && !reads[..aut_reads].iter().any(|x| x.id == r.id)
+            {
+                reads.push(*r);
             }
         }
-        out.push(seq.ops[i].clone());
-        i += 1;
+        out.push(Op {
+            reads,
+            writes: b.writes,
+            ..Op::new(
+                OpKind::Aut {
+                    limbs,
+                    fused_accum: true,
+                },
+                "AutAccum",
+            )
+        });
     }
     seq.ops = out;
 }
 
 /// ExtraFuse: for back-to-back GPU element-wise producer/consumer pairs,
-/// keep the intermediate in registers/L2 (drop its DRAM bytes).
+/// keep the intermediate in registers/L2 (drop its DRAM bytes): when ops
+/// i−1 and i are both element-wise, every id op i reads and op i−1 writes
+/// loses its bytes on both sides.
 fn fuse_chains(seq: &mut OpSequence) {
-    // Map: object id → index of the Ew op that wrote it last.
-    let mut last_writer: HashMap<u64, usize> = HashMap::new();
-    let len = seq.ops.len();
-    for i in 0..len {
-        let is_ew = matches!(seq.ops[i].kind, OpKind::Ew { .. });
-        if is_ew {
-            // If the *immediately preceding* op is an Ew producing one of
-            // our reads, elide that intermediate's traffic on both sides.
-            let read_ids: Vec<u64> = seq.ops[i].reads.iter().map(|r| r.id).collect();
-            for id in read_ids {
-                if let Some(&w) = last_writer.get(&id) {
-                    if w + 1 == i {
-                        for wr in &mut seq.ops[w].writes {
-                            if wr.id == id {
-                                wr.bytes = 0;
-                            }
-                        }
-                        for rd in &mut seq.ops[i].reads {
-                            if rd.id == id {
-                                rd.bytes = 0;
-                            }
-                        }
-                    }
-                }
-            }
+    let is_ew = |o: &Op| matches!(o.kind, OpKind::Ew { .. });
+    for i in 1..seq.ops.len() {
+        let [prev, op] = &mut seq.ops[i - 1..=i] else {
+            unreachable!("a two-op window")
+        };
+        if !(is_ew(prev) && is_ew(op)) {
+            continue;
         }
-        if is_ew {
-            for w in seq.ops[i].writes.clone() {
-                last_writer.insert(w.id, i);
+        for rd in &mut op.reads {
+            let mut produced = false;
+            for wr in prev.writes.iter_mut().filter(|w| w.id == rd.id) {
+                wr.bytes = 0;
+                produced = true;
+            }
+            if produced {
+                rd.bytes = 0;
             }
         }
     }
@@ -257,7 +245,9 @@ pub fn offload(
     let exec = PimExecutor::new(dev, layout);
     let bw = gpu.config().dram_bw_gbps * gpu.library().elementwise_eff;
     let mut stats = OffloadStats::default();
-    let mut gpu_written: HashMap<u64, u64> = HashMap::new();
+    let mut gpu_written: IdMap<u64> = IdMap::default();
+    // The ids one run has already charged a flush for, cleared per run.
+    let mut flushed_ids = IdSet::default();
     let len = seq.ops.len();
     let mut i = 0;
     while i < len {
@@ -272,7 +262,7 @@ pub fn offload(
         let mut gpu_ns = 0.0f64;
         let mut pim_ns = 2.0 * TRANSITION_NS;
         let mut flush = 0u64;
-        let mut flushed_ids = HashSet::new();
+        flushed_ids.clear();
         let mut supported = true;
         while j < len && seq.ops[j].pim_eligible() {
             let op = &seq.ops[j];
@@ -315,30 +305,34 @@ pub fn offload(
 /// Builders allocate objects SSA-style (one producer each), so a single
 /// set of PIM-read ids suffices and the scan stays linear.
 fn insert_writebacks(seq: &mut OpSequence, stats: &mut OffloadStats) {
-    let pim_read_ids: HashSet<u64> = seq
+    let pim_read_ids: IdSet = seq
         .ops
         .iter()
         .filter(|o| o.executor == Executor::Pim)
         .flat_map(|o| o.reads.iter().map(|r| r.id))
         .collect();
-    let mut flushed: HashSet<u64> = HashSet::new();
-    let mut out: Vec<Op> = Vec::with_capacity(seq.ops.len());
-    for op in &seq.ops {
-        out.push(op.clone());
+    if pim_read_ids.is_empty() {
+        return;
+    }
+    let mut flushed = IdSet::default();
+    let ops = std::mem::take(&mut seq.ops);
+    let mut out: Vec<Op> = Vec::with_capacity(ops.len());
+    for op in ops {
+        let mut flush_bytes = 0u64;
         if op.executor == Executor::Gpu {
-            let mut flush_bytes = 0u64;
             for w in &op.writes {
                 if pim_read_ids.contains(&w.id) && flushed.insert(w.id) {
                     flush_bytes += w.bytes;
                 }
             }
-            if flush_bytes > 0 {
-                out.push(Op::new(
-                    OpKind::WriteBack { bytes: flush_bytes },
-                    "coherence write-back",
-                ));
-                stats.writeback_bytes += flush_bytes;
-            }
+        }
+        out.push(op);
+        if flush_bytes > 0 {
+            out.push(Op::new(
+                OpKind::WriteBack { bytes: flush_bytes },
+                "coherence write-back",
+            ));
+            stats.writeback_bytes += flush_bytes;
         }
     }
     seq.ops = out;

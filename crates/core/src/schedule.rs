@@ -32,9 +32,7 @@
 //! breaker — permanently. The registry persists across runs, which is how
 //! the serving layer makes per-bank decisions *over time*.
 
-use std::collections::HashMap;
-
-use gpu::cache::L2Cache;
+use gpu::cache::{IdMap, L2Cache};
 use gpu::kernel::{KernelClass, KernelDesc};
 use gpu::model::GpuModel;
 use pim::device::PimDeviceConfig;
@@ -361,11 +359,12 @@ struct Streams {
     last_writeback_end: f64,
     /// Object → its last producer's completion (overwrite: builders
     /// allocate SSA-style, so the last write in issue order is the
-    /// program-order dependency).
-    writer_end: HashMap<u64, (f64, Executor)>,
+    /// program-order dependency). Both maps are only looked up, never
+    /// iterated, so the id hasher cannot reorder anything.
+    writer_end: IdMap<(f64, Executor)>,
     /// Object → its latest reader's completion (max-merge, because a
     /// later-issued reader can finish earlier on the other stream).
-    reader_end: HashMap<u64, (f64, Executor)>,
+    reader_end: IdMap<(f64, Executor)>,
     /// Issue-order run-length segments per stream, for telemetry:
     /// (stream, start, end, ops, slide).
     seg: Option<(Executor, f64, f64, u32, f64)>,

@@ -6,8 +6,43 @@
 //! or streams it from DRAM (§III-A D1). This is also how MAD \[2\] reasons
 //! about caching, which the paper borrows for its DRAM-traffic estimates
 //! (§V-D).
+//!
+//! Object ids are dense `u64`s handed out by one allocator, so every map
+//! and set keyed by them — this cache's, the IR passes' and the pipelined
+//! scheduler's — hashes them with [`IdHasher`], one multiply, instead of
+//! the default SipHash.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative (Fibonacci) hasher for `u64` object ids: the id times
+/// an odd 64-bit constant, rotated so the well-mixed middle bits of the
+/// product land in the low bits the table indexes by. Distinct ids give
+/// distinct hashes. Not for untrusted keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0.rotate_left(5) ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by object id.
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// A set of object ids.
+pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 /// Object-granularity LRU cache.
 #[derive(Debug)]
@@ -15,7 +50,7 @@ pub struct L2Cache {
     capacity: usize,
     used: usize,
     /// object id → (size, last-use stamp)
-    resident: HashMap<u64, (usize, u64)>,
+    resident: IdMap<(usize, u64)>,
     clock: u64,
     hits_bytes: u64,
     miss_bytes: u64,
@@ -27,7 +62,7 @@ impl L2Cache {
         Self {
             capacity,
             used: 0,
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             clock: 0,
             hits_bytes: 0,
             miss_bytes: 0,
@@ -74,7 +109,9 @@ impl L2Cache {
             return;
         }
         while self.used + bytes > self.capacity {
-            // Evict LRU.
+            // Evict LRU. Every access bumps the clock and stamps at most
+            // one entry, so stamps are unique and the minimum does not
+            // depend on the map's iteration order (hence on the hasher).
             let victim = self
                 .resident
                 .iter()

@@ -90,6 +90,8 @@ struct LimbTiming {
     sched: Vec<BankCommand>,
     /// ACT/PRE pairs the schedule carries.
     acts_per_bank: u64,
+    /// 256-bit chunks each bank reads and writes per limb.
+    chunks_per_bank_limb: u64,
     /// The schedule's latency on the device.
     per_limb_ns: f64,
 }
@@ -158,7 +160,7 @@ impl<'a> PimExecutor<'a> {
     /// restriction of §VII-C.
     pub fn execute(&self, spec: &PimKernelSpec) -> Result<PimKernelResult, PimError> {
         let t = self.limb_timing(spec)?;
-        Ok(self.account(spec, t.acts_per_bank, t.per_limb_ns))
+        Ok(self.account(spec, &t, t.per_limb_ns))
     }
 
     /// The clean per-limb timing of `spec`'s shape, from the table or
@@ -169,10 +171,14 @@ impl<'a> PimExecutor<'a> {
             .entry((spec.instr, spec.n))
             .or_insert_with(|| {
                 let (sched, acts_per_bank) = self.build_limb_schedule(spec.instr, spec.n)?;
-                let per_limb_ns = self.time_limb(spec.instr, spec.n, &sched, acts_per_bank)?;
+                let profile = spec.instr.profile();
+                let chunks_per_bank_limb = self.chunks_per_bank_per_limb(spec.n) as u64
+                    * (profile.total_reads() + profile.total_writes()) as u64;
+                let per_limb_ns = self.time_limb(&sched, acts_per_bank, chunks_per_bank_limb)?;
                 Ok(Rc::new(LimbTiming {
                     sched,
                     acts_per_bank,
+                    chunks_per_bank_limb,
                     per_limb_ns,
                 }))
             })
@@ -249,15 +255,10 @@ impl<'a> PimExecutor<'a> {
     /// Times the per-limb schedule on the device's microarchitecture.
     fn time_limb(
         &self,
-        instr: PimInstruction,
-        n: usize,
         sched: &[BankCommand],
         acts_per_bank: u64,
+        chunks_per_bank_limb: u64,
     ) -> Result<f64, PimError> {
-        let profile = instr.profile();
-        let c = self.chunks_per_bank_per_limb(n);
-        let chunks_per_bank_limb =
-            c as u64 * (profile.total_reads() + profile.total_writes()) as u64;
         Ok(match self.dev.variant {
             PimVariant::NearBank => {
                 let engine = LockstepEngine::new(&self.dev.dram, self.dev.ns_per_chunk());
@@ -276,19 +277,16 @@ impl<'a> PimExecutor<'a> {
     }
 
     /// Scales per-limb timing to the full kernel and accounts energy and
-    /// traffic.
-    fn account(
-        &self,
-        spec: &PimKernelSpec,
-        acts_per_bank: u64,
-        per_limb_ns: f64,
-    ) -> PimKernelResult {
-        let profile = spec.instr.profile();
-        let c = self.chunks_per_bank_per_limb(spec.n);
+    /// traffic. Reads only the shape's stored timing, so a table hit
+    /// allocates nothing.
+    fn account(&self, spec: &PimKernelSpec, t: &LimbTiming, per_limb_ns: f64) -> PimKernelResult {
+        let LimbTiming {
+            acts_per_bank,
+            chunks_per_bank_limb,
+            ..
+        } = *t;
         let die_groups = self.dev.dram.geometry.die_groups;
         let limbs_per_group = spec.limbs.div_ceil(die_groups);
-        let chunks_per_bank_limb =
-            c as u64 * (profile.total_reads() + profile.total_writes()) as u64;
         let limb_events = spec.limbs as u64 * self.banks_per_group() as u64;
         let mut energy = EnergyAccount::new();
         energy.add_acts(acts_per_bank * limb_events);
@@ -358,7 +356,7 @@ impl<'a> PimExecutor<'a> {
                 // A protocol violation aborts the stream mid-kernel; charge
                 // the clean latency as an upper bound on the wasted time.
                 attempt_ns = self
-                    .time_limb(spec.instr, spec.n, &perturbed, clean.acts_per_bank)
+                    .time_limb(&perturbed, clean.acts_per_bank, clean.chunks_per_bank_limb)
                     .unwrap_or(clean.per_limb_ns);
             }
         }
@@ -368,7 +366,7 @@ impl<'a> PimExecutor<'a> {
             .filter(|_| spec.instr.mmac_ops_per_element() > 0)
             .filter(|&lane| domain.is_none_or(|d| d.owns_lane(lane)));
 
-        let result = self.account(spec, clean.acts_per_bank, attempt_ns);
+        let result = self.account(spec, &clean, attempt_ns);
 
         if cmd_faults.any() || bit_flip || stuck.is_some() {
             Err(PimError::IntegrityViolation(Box::new(IntegrityReport {

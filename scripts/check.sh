@@ -139,6 +139,34 @@ if fwd > max_ratio * inv:
 print(f"  forward {fwd:.0f} ns / inverse {inv:.0f} ns = {fwd / inv:.2f}x <= {max_ratio}x — ok")
 EOF
 
+# Prepare/schedule ratio gate: `Anaheim::prepare` (fusion + offload) must
+# stay cheap next to the schedule it prepares (DESIGN.md §9 "Prepare
+# passes"). The passes that cloned every op and hashed ids with SipHash
+# read 3.4–6.7x over 26 quick runs on a 2-vCPU host; moving ops and
+# hashing ids with `IdHasher` read 1.30–1.61x over 26. bench_json samples
+# both rows in one interleaved loop, so host drift lands on both.
+echo "==> prepare/schedule ratio gate (BENCH_pim.json)"
+python3 - <<'EOF'
+import json, sys
+
+max_ratio = 2.5
+with open("BENCH_pim.json") as f:
+    rows = {r["op"]: r for r in json.load(f)}
+
+prep, sched = rows["boot_prepare_host"], rows["boot_schedule_host"]
+p, s = prep["ns_per_op_p50"], sched["ns_per_op_p50"]
+if p > max_ratio * s:
+    sys.exit(
+        f"BENCH_pim.json: boot_prepare_host {p:.0f} ns is {p / s:.2f}x "
+        f"boot_schedule_host {s:.0f} ns (limit {max_ratio}x)"
+    )
+print(
+    f"  prepare {p:.0f} ns (fuse {prep['fuse_ns_p50']} + offload "
+    f"{prep['offload_ns_p50']} ns) / schedule {s:.0f} ns = {p / s:.2f}x "
+    f"<= {max_ratio}x — ok"
+)
+EOF
+
 echo "==> serving chaos soak (scripts/soak.sh --quick)"
 scripts/soak.sh --quick
 
