@@ -1,10 +1,10 @@
-//! The serving configuration and the per-shard executor.
+//! The serving configuration, request preparation, and the same-tenant
+//! batch tracker.
 //!
 //! Each replica shard of a [`ShardedEngine`](crate::shard::ShardedEngine)
-//! owns one crate-private `ServingEngine`: an [`Anaheim`] runtime, a
-//! persistent [`HealthRegistry`], and the same-tenant batch tracker. The
-//! shard admits and dispatches; this module supplies the pieces it runs in
-//! three steps:
+//! is its own executor (an [`Anaheim`] runtime, a persistent health
+//! registry, and a batch tracker when batching is on); this module
+//! supplies the pieces it runs in three steps:
 //!
 //! 1. **Prepare** (parallel, `prepare_batch`): each request's op sequence
 //!    is fused/offloaded and costed fault-free to get `estimate_ns`. This
@@ -13,13 +13,14 @@
 //!    bit-identical for every `ANAHEIM_THREADS` value.
 //! 2. **Admit** (serial, virtual time): a request whose projected start
 //!    plus estimate overruns its deadline sheds with
-//!    [`Rejected::DeadlineInfeasible`].
+//!    `Rejected::DeadlineInfeasible`.
 //! 3. **Dispatch** (serial, virtual time): lanes pick up queued requests in
-//!    pop order; each executes through the breaker-gated scheduler
-//!    ([`Anaheim::run_prepared_with`], the shard's registry in
-//!    [`RunOptions::health`]) under its own derived fault stream. Requests
-//!    that finish late are reported as [`Outcome::DeadlineMiss`] — never
-//!    as success.
+//!    pop order, or the batch tracker pulls a same-tenant one forward
+//!    ([`ServingConfig::ordering`]); each executes through the
+//!    breaker-gated scheduler ([`Anaheim::run_prepared_with`], the shard's
+//!    registry in `RunOptions::health`) under its own derived fault
+//!    stream. Requests that finish late are reported as
+//!    `Outcome::DeadlineMiss` — never as success.
 //!
 //! The dispatcher being serial in *virtual* time is a determinism decision,
 //! not a throughput one: breaker state is global, so any parallel execution
@@ -27,18 +28,18 @@
 //! All the parallelism lives in step 1, where it is provably
 //! order-independent.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
-use anaheim_core::health::{BreakerConfig, HealthRegistry, HealthSnapshot, RetryPolicy};
+use anaheim_core::health::RetryPolicy;
 use anaheim_core::ir::OpSequence;
-use anaheim_core::schedule::RunOptions;
 use anaheim_core::telemetry::{names, Telemetry};
 use anaheim_core::RunError;
 use pim::fault::FaultPlan;
 
 use crate::queue::{AdmissionQueue, PopKey, QueueKey, Queued};
-use crate::request::{Outcome, Priority, Rejected, Request, Response};
+use crate::request::{Priority, Request};
 
 /// The lane with the earliest free time (ties to the lowest index).
 pub(crate) fn earliest_lane(lanes: &[f64]) -> usize {
@@ -52,8 +53,8 @@ pub(crate) fn earliest_lane(lanes: &[f64]) -> usize {
 }
 
 /// One dispatcher step: the lane and start time of the queue's head, if it
-/// can start at or before `until_ns`. Shared by
-/// [`ServingEngine::select_dispatch`] and the property tests, so the test
+/// can start at or before `until_ns`. Shared by the shard's dispatch loop,
+/// [`BatchTracker::select_dispatch`] and the property tests, so the test
 /// drains exactly the dispatcher's schedule.
 pub(crate) fn next_dispatch<T: Queued>(
     queue: &AdmissionQueue<T>,
@@ -98,42 +99,37 @@ pub struct ServingConfig {
     /// The platform every request runs on. Its fault plan is ignored —
     /// requests carry their own ([`Request::fault`]).
     pub platform: AnaheimConfig,
-    /// Breaker tuning for the per-bank health domains.
-    pub breaker: BreakerConfig,
     /// Virtual execution lanes (concurrent requests in flight).
     pub workers: usize,
     /// Admission queue capacity.
     pub queue_capacity: usize,
     /// Propagate each request's deadline into the scheduler as an execution
     /// budget: a request that exhausts it is cancelled at the next segment
-    /// boundary ([`Outcome::Cancelled`]) instead of running to a post-hoc
-    /// miss. Off by default — the no-budget path is bit-identical to the
-    /// pre-budget engine.
+    /// boundary ([`Outcome::Cancelled`](crate::Outcome::Cancelled)) instead
+    /// of running to a post-hoc miss. Off by default — the no-budget path
+    /// is bit-identical to the pre-budget engine.
     pub cancel_over_budget: bool,
     /// Same-tenant batch serving: a maximal run of consecutive dispatches
-    /// from one tenant (on one engine/shard — a batch never crosses a
-    /// shard) shares one evaluation-key fetch. The batch head pays the
-    /// full evk traffic ([`OpSequence::evk_read_bytes`]); every member
-    /// that joins is reported as [`Outcome::Batched`] with the bytes it
-    /// did not re-fetch. Dispatch *order* is untouched — batching is an
-    /// accounting overlay on the schedule the queue already produces. Off
-    /// by default: a non-batching engine is bit-identical to one built
-    /// before the knob existed.
-    ///
-    /// [`OpSequence::evk_read_bytes`]: anaheim_core::ir::OpSequence::evk_read_bytes
-    /// [`Outcome::Batched`]: crate::request::Outcome::Batched
+    /// from one tenant (on one shard — a batch never crosses a shard)
+    /// shares one evaluation-key fetch. The batch head pays the full evk
+    /// traffic ([`OpSequence::evk_read_bytes`]); every member that joins
+    /// is reported as [`Outcome::Batched`](crate::Outcome::Batched) with
+    /// the bytes it did not re-fetch. Dispatch *order* is untouched —
+    /// batching is an accounting overlay on the schedule the queue already
+    /// produces. Off by default: a non-batching engine is bit-identical to
+    /// one built before the knob existed.
     pub batching: bool,
-    /// Batch-aware dispatch ordering: at dispatch time the engine may pull
+    /// Batch-aware dispatch ordering: at dispatch time the shard may pull
     /// a same-tenant request forward past at most
     /// [`OrderingConfig::max_bypass`] strangers to extend the open batch,
     /// but only when every bypassed request retains non-negative projected
     /// deadline slack (each is charged the candidate's estimate against
     /// the slack budget granted at admission). The evaluation-key bytes a
     /// join amortizes are credited back to the dispatch lane as virtual
-    /// time at [`OrderingConfig::evk_bytes_per_ns`], which is what turns
-    /// `evk_bytes_saved` into throughput. Requires [`batching`]; `None`
-    /// (the default) leaves dispatch order bit-identical to the plain
-    /// batching overlay.
+    /// time at the platform GPU's DRAM bandwidth (`dram_bw_gbps`, GB/s
+    /// read as bytes/ns), which is what turns `evk_bytes_saved` into
+    /// throughput. Requires [`batching`]; `None` (the default) leaves
+    /// dispatch order bit-identical to the plain batching overlay.
     ///
     /// [`batching`]: ServingConfig::batching
     pub ordering: Option<OrderingConfig>,
@@ -147,21 +143,12 @@ pub struct OrderingConfig {
     /// most times any single queued request may be bypassed — the
     /// K-bypass starvation bound.
     pub max_bypass: u32,
-    /// Evaluation-key fetch bandwidth used to price saved bytes into
-    /// virtual nanoseconds credited to the dispatch lane (bytes per
-    /// virtual ns; GB/s reads as bytes/ns).
-    pub evk_bytes_per_ns: f64,
 }
 
 impl OrderingConfig {
-    /// K = 4 bypasses, evk fetches priced at the A100's 1802 GB/s DRAM
-    /// bandwidth (`GpuConfig::a100`), matching the `sched_evk_*` rows'
-    /// streaming-time model.
+    /// K = 4 bypasses.
     pub fn a100_default() -> Self {
-        Self {
-            max_bypass: 4,
-            evk_bytes_per_ns: 1802.0,
-        }
+        Self { max_bypass: 4 }
     }
 }
 
@@ -172,7 +159,6 @@ impl ServingConfig {
         Self {
             platform: AnaheimConfig::a100_near_bank()
                 .with_retry_policy(RetryPolicy::serving_default(seed)),
-            breaker: BreakerConfig::default(),
             workers: 4,
             queue_capacity: 16,
             cancel_over_budget: false,
@@ -222,25 +208,60 @@ impl BatchStats {
     }
 }
 
-/// Tracks the running same-tenant batch on one engine's dispatch lane.
-/// All mutation happens on the serial virtual-time path, so the stats and
-/// the batch-size histogram replay bit-identically at any thread count.
+/// One shard's same-tenant batch tracker ([`ServingConfig::batching`]):
+/// the open run, the ordering tuning, the bypass ledger and the lane
+/// credit. All mutation happens on the serial virtual-time path, so it
+/// replays bit-identically at any thread count.
 #[derive(Debug, Default)]
-struct BatchState {
+pub(crate) struct BatchTracker {
     /// Tenant of the open run, if one is open.
     last_tenant: Option<u32>,
     /// Dispatches in the open run.
     run_len: u64,
-    stats: BatchStats,
+    pub(crate) stats: BatchStats,
+    /// Batch-aware ordering ([`ServingConfig::ordering`]), if on.
+    pub(crate) ordering: Option<OrderingConfig>,
+    /// Evaluation-key fetch bandwidth that prices saved bytes into lane
+    /// credit: the platform GPU's `dram_bw_gbps` (GB/s reads as bytes/ns).
+    evk_bytes_per_ns: f64,
+    /// Per-request bypass ledger for batch-aware ordering, keyed by id:
+    /// how often the queued request has been bypassed and how much of its
+    /// admission-granted slack budget remains. Entries appear at first
+    /// bypass and are dropped at dispatch.
+    bypass_ledger: BTreeMap<u64, (u32, f64)>,
+    /// Virtual ns credited back to dispatch lanes by evk amortization.
+    pub(crate) evk_saved_ns: f64,
 }
 
-impl BatchState {
-    /// Notes one dispatch: a request from `tenant` whose sequence reads
-    /// `evk_bytes` of evaluation keys. Returns the bytes amortized — 0 at
-    /// a batch head (the head fetches cold), `evk_bytes` for a member
-    /// joining the open run.
-    fn note(&mut self, tenant: u32, evk_bytes: u64, tel: Option<&mut Telemetry>) -> u64 {
-        if self.last_tenant == Some(tenant) {
+/// One entry of a dry-run slack charge: the queued request's id, its
+/// slack budget after absorbing the candidate's estimate, and whether
+/// the charge also counts against its `max_bypass` allowance (true only
+/// for requests ahead of the candidate in pop order).
+type SlackCharge = (u64, f64, bool);
+
+impl BatchTracker {
+    /// A tracker with no open run, crediting saved bytes at
+    /// `evk_bytes_per_ns` when `ordering` is on.
+    pub(crate) fn new(ordering: Option<OrderingConfig>, evk_bytes_per_ns: f64) -> Self {
+        Self {
+            ordering,
+            evk_bytes_per_ns,
+            ..Self::default()
+        }
+    }
+
+    /// Notes one dispatch from `tenant` reading `evk_bytes` of evaluation
+    /// keys, immediately before it executes. Returns the bytes amortized
+    /// (0 at a batch head, which fetches cold) and the lane credit they
+    /// buy: their fetch time, 0.0 with ordering off (the plain overlay
+    /// observes savings but never converts them to time).
+    pub(crate) fn note(
+        &mut self,
+        tenant: u32,
+        evk_bytes: u64,
+        tel: Option<&mut Telemetry>,
+    ) -> (u64, f64) {
+        let saved = if self.last_tenant == Some(tenant) {
             self.run_len += 1;
             self.stats.hit_bytes += evk_bytes;
             evk_bytes
@@ -250,12 +271,16 @@ impl BatchState {
             self.run_len = 1;
             self.stats.miss_bytes += evk_bytes;
             0
-        }
+        };
+        let credit_ns = self
+            .ordering
+            .map_or(0.0, |_| saved as f64 / self.evk_bytes_per_ns);
+        (saved, credit_ns)
     }
 
     /// Closes the open run (if any), scoring it into the stats and the
     /// batch-size histogram.
-    fn close(&mut self, tel: Option<&mut Telemetry>) {
+    pub(crate) fn close(&mut self, tel: Option<&mut Telemetry>) {
         if self.run_len > 0 {
             self.stats.batches += 1;
             self.stats.max_batch = self.stats.max_batch.max(self.run_len);
@@ -267,13 +292,147 @@ impl BatchState {
             self.last_tenant = None;
         }
     }
-}
 
-/// One entry of a dry-run slack charge: the queued request's id, its
-/// slack budget after absorbing the candidate's estimate, and whether
-/// the charge also counts against its `max_bypass` allowance (true only
-/// for requests ahead of the candidate in pop order).
-type SlackCharge = (u64, f64, bool);
+    /// One dispatcher step with batch-aware ordering: the lane, start
+    /// time, item, and whether the item was pulled forward out of pop
+    /// order. With ordering off this is exactly [`next_dispatch`] +
+    /// [`AdmissionQueue::pop`] — bit-identical to the plain overlay.
+    ///
+    /// With ordering on, when the head would break the open same-tenant
+    /// run, the first `max_bypass + 1` queued items are scanned in pop
+    /// order for a same-tenant candidate with nonzero evk traffic. The
+    /// swap commits only if the candidate can also start by `until_ns`,
+    /// every bypassed request (ahead of the candidate in pop order) has
+    /// been bypassed fewer than `max_bypass` times, and *every* queued
+    /// request retains enough of its admission-granted slack budget to
+    /// absorb the candidate's estimate; otherwise the denial is counted
+    /// and the head dispatches as usual. The whole queue is charged — not
+    /// just the bypass window — because pulling a job forward perturbs
+    /// lane packing for items far behind it too; list scheduling bounds
+    /// any one item's extra delay by the moved job's length, so charging
+    /// the full estimate to everyone is a conservative over-approximation
+    /// of the imposed delay.
+    pub(crate) fn select_dispatch(
+        &mut self,
+        queue: &mut AdmissionQueue<Prepared>,
+        lanes: &[f64],
+        until_ns: f64,
+    ) -> Option<(usize, f64, Prepared, bool)> {
+        let (lane, start) = next_dispatch(queue, lanes, until_ns)?;
+        if let Some((key, cand_start, charged)) = self.reorder_candidate(queue, lanes, until_ns) {
+            let p = queue.take(key).expect("window scan saw the candidate");
+            for (id, remaining, counts_as_bypass) in &charged {
+                let entry = self.bypass_ledger.entry(*id).or_insert((0, 0.0));
+                if *counts_as_bypass {
+                    entry.0 += 1;
+                }
+                entry.1 = *remaining;
+            }
+            self.stats.reorders += 1;
+            self.bypass_ledger.remove(&p.id);
+            return Some((lane, cand_start, p, true));
+        }
+        let p = queue.pop().expect("peek saw an item");
+        self.bypass_ledger.remove(&p.id);
+        Some((lane, start, p, false))
+    }
+
+    /// The committed reorder, if any: the candidate's [`PopKey`], its
+    /// start time, and the post-charge ledger state
+    /// `(id, remaining, counts_as_bypass)` of every other queued request
+    /// — `counts_as_bypass` is true for requests the candidate jumps over
+    /// (ahead of it in pop order), false for requests behind it, which
+    /// only pay the lane-packing charge. Denials are counted here; `None`
+    /// means "dispatch the head".
+    fn reorder_candidate(
+        &mut self,
+        queue: &AdmissionQueue<Prepared>,
+        lanes: &[f64],
+        until_ns: f64,
+    ) -> Option<(PopKey, f64, Vec<SlackCharge>)> {
+        let cfg = self.ordering?;
+        // Only extend an open run: a swap that *opens* a run saves no
+        // fetch over letting the head open one instead.
+        let run_tenant = self.last_tenant?;
+        if queue.peek(|p| p.tenant)? == run_tenant {
+            return None;
+        }
+        let mut cand: Option<(u64, f64, f64)> = None;
+        let key = queue.find_in_window(cfg.max_bypass as usize + 1, |_, p| {
+            if p.tenant == run_tenant && p.seq.evk_read_bytes() > 0 {
+                cand = Some((p.id, p.arrival_ns, p.estimate_ns));
+                true
+            } else {
+                false
+            }
+        })?;
+        let (cand_id, cand_arrival, cand_estimate) = cand.expect("find matched");
+        let lane = earliest_lane(lanes);
+        let cand_start = lanes[lane].max(cand_arrival);
+        if cand_start > until_ns {
+            return None;
+        }
+        // Dry-run the charge over the whole queue in pop order: items
+        // ahead of the candidate are bypassed (K-bound applies), items
+        // behind it only absorb the lane-packing perturbation.
+        let mut charged: Vec<SlackCharge> = Vec::new();
+        let mut before_candidate = true;
+        let mut denied = false;
+        queue.for_each(|p| {
+            if denied {
+                return;
+            }
+            if p.id == cand_id {
+                before_candidate = false;
+                return;
+            }
+            let (count, remaining) = self
+                .bypass_ledger
+                .get(&p.id)
+                .copied()
+                .unwrap_or((0, p.slack_ns));
+            if (before_candidate && count >= cfg.max_bypass) || remaining < cand_estimate {
+                denied = true;
+                return;
+            }
+            charged.push((p.id, remaining - cand_estimate, before_candidate));
+        });
+        if denied {
+            self.stats.reorder_denied_slack += 1;
+            return None;
+        }
+        Some((key, cand_start, charged))
+    }
+
+    /// Exports the batch byte counters idempotently under `shard`'s label,
+    /// each guarded so an exposition without them is byte-identical to
+    /// one rendered before the counters existed.
+    pub(crate) fn export_evk(&self, tel: &mut Telemetry, shard: u32) {
+        let s = self.stats;
+        let sid = shard.to_string();
+        let labels = [("shard", sid.as_str())];
+        if s.hit_bytes > 0 {
+            tel.metrics
+                .set_counter(names::EVK_CACHE_HIT_BYTES, &labels, s.hit_bytes);
+        }
+        if s.miss_bytes > 0 {
+            tel.metrics
+                .set_counter(names::EVK_CACHE_MISS_BYTES, &labels, s.miss_bytes);
+        }
+        if s.reorders > 0 {
+            tel.metrics
+                .set_counter(names::REORDERS, &labels, s.reorders);
+        }
+        if s.reorder_denied_slack > 0 {
+            tel.metrics
+                .set_counter(names::REORDER_DENIED_SLACK, &labels, s.reorder_denied_slack);
+        }
+        if self.evk_saved_ns > 0.0 {
+            tel.metrics
+                .set_gauge(names::EVK_SAVED_NS, &labels, self.evk_saved_ns);
+        }
+    }
+}
 
 /// A prepared request: fused/offloaded sequence plus its fault-free cost,
 /// admitted and dispatched through the shard layer's queues.
@@ -297,7 +456,7 @@ pub(crate) struct Prepared {
     pub(crate) seq: Arc<OpSequence>,
     /// Set by the shard router when the home shard was not accepting: the
     /// home shard id, so the executing shard wraps the outcome in
-    /// [`Outcome::Rerouted`].
+    /// [`Outcome::Rerouted`](crate::request::Outcome::Rerouted).
     pub(crate) rerouted_from: Option<u32>,
 }
 
@@ -369,421 +528,6 @@ impl Queued for Prepared {
     }
 }
 
-/// One shard's executor. Health state persists across requests: a bank
-/// that went sick is still routed around for every later request.
-#[derive(Debug)]
-pub(crate) struct ServingEngine {
-    rt: Anaheim,
-    registry: HealthRegistry,
-    cancel_over_budget: bool,
-    batching: bool,
-    batch: BatchState,
-    ordering: Option<OrderingConfig>,
-    /// Per-request bypass ledger for batch-aware ordering, keyed by id:
-    /// how often the queued request has been bypassed and how much of its
-    /// admission-granted slack budget remains. Entries appear at first
-    /// bypass and are dropped at dispatch; all mutation is on the serial
-    /// dispatch path, so the ledger replays bit-identically.
-    bypass_ledger: std::collections::BTreeMap<u64, (u32, f64)>,
-    /// Virtual ns credited back to dispatch lanes by evk amortization.
-    evk_saved_ns: f64,
-}
-
-impl ServingEngine {
-    /// Builds the runtime and a health registry sized for its PIM device.
-    pub(crate) fn new(cfg: ServingConfig) -> Self {
-        // The shard sizes its own lanes and queue from `workers` and
-        // `queue_capacity`.
-        let ServingConfig {
-            mut platform,
-            breaker,
-            cancel_over_budget,
-            batching,
-            ordering,
-            ..
-        } = cfg;
-        // Requests carry their own fault environments.
-        platform.fault = None;
-        let registry = match &platform.pim {
-            Some(dev) => HealthRegistry::for_device(dev, breaker),
-            None => HealthRegistry::new(1, breaker),
-        };
-        Self {
-            rt: Anaheim::new(platform),
-            registry,
-            cancel_over_budget,
-            batching,
-            batch: BatchState::default(),
-            ordering,
-            bypass_ledger: std::collections::BTreeMap::new(),
-            evk_saved_ns: 0.0,
-        }
-    }
-
-    /// Evaluation-key byte accounting of same-tenant batching (all zeros
-    /// with [`ServingConfig::batching`] off).
-    pub(crate) fn evk_stats(&self) -> BatchStats {
-        self.batch.stats
-    }
-
-    /// Notes one dispatch into the batch tracker (no-op returning 0 with
-    /// batching off). Called from the shard's serial dispatch loop
-    /// immediately before execution, so the tracker sees exactly the
-    /// dispatch order.
-    pub(crate) fn note_batch_dispatch(
-        &mut self,
-        tenant: u32,
-        evk_bytes: u64,
-        tel: Option<&mut Telemetry>,
-    ) -> u64 {
-        if self.batching {
-            self.batch.note(tenant, evk_bytes, tel)
-        } else {
-            0
-        }
-    }
-
-    /// Closes the open batch at end of stream (no-op with batching off).
-    pub(crate) fn flush_batch(&mut self, tel: Option<&mut Telemetry>) {
-        if self.batching {
-            self.batch.close(tel);
-        }
-    }
-
-    /// Virtual ns the evk-fetch credit took off the dispatch lanes (0.0
-    /// with [`ServingConfig::ordering`] off).
-    pub(crate) fn evk_saved_ns(&self) -> f64 {
-        self.evk_saved_ns
-    }
-
-    /// One dispatcher step with batch-aware ordering: the lane, start
-    /// time, item, and whether the item was pulled forward out of pop
-    /// order. With ordering off (or batching off) this is exactly
-    /// [`next_dispatch`] + [`AdmissionQueue::pop`] — bit-identical to the
-    /// plain overlay.
-    ///
-    /// With ordering on, when the head would break the open same-tenant
-    /// run, the first `max_bypass + 1` queued items are scanned in pop
-    /// order for a same-tenant candidate with nonzero evk traffic. The
-    /// swap commits only if the candidate can also start by `until_ns`,
-    /// every bypassed request (ahead of the candidate in pop order) has
-    /// been bypassed fewer than `max_bypass` times, and *every* queued
-    /// request retains enough of its admission-granted slack budget to
-    /// absorb the candidate's estimate; otherwise the denial is counted
-    /// and the head dispatches as usual. The whole queue is charged — not
-    /// just the bypass window — because pulling a job forward perturbs
-    /// lane packing for items far behind it too; list scheduling bounds
-    /// any one item's extra delay by the moved job's length, so charging
-    /// the full estimate to everyone is a conservative over-approximation
-    /// of the imposed delay.
-    pub(crate) fn select_dispatch(
-        &mut self,
-        queue: &mut AdmissionQueue<Prepared>,
-        lanes: &[f64],
-        until_ns: f64,
-    ) -> Option<(usize, f64, Prepared, bool)> {
-        let (lane, start) = next_dispatch(queue, lanes, until_ns)?;
-        if let Some((key, cand_start, charged)) = self.reorder_candidate(queue, lanes, until_ns) {
-            let p = queue.take(key).expect("window scan saw the candidate");
-            for (id, remaining, counts_as_bypass) in &charged {
-                let entry = self.bypass_ledger.entry(*id).or_insert((0, 0.0));
-                if *counts_as_bypass {
-                    entry.0 += 1;
-                }
-                entry.1 = *remaining;
-            }
-            self.batch.stats.reorders += 1;
-            self.bypass_ledger.remove(&p.id);
-            return Some((lane, cand_start, p, true));
-        }
-        let p = queue.pop().expect("peek saw an item");
-        self.bypass_ledger.remove(&p.id);
-        Some((lane, start, p, false))
-    }
-
-    /// The committed reorder, if any: the candidate's [`PopKey`], its
-    /// start time, and the post-charge ledger state
-    /// `(id, remaining, counts_as_bypass)` of every other queued request
-    /// — `counts_as_bypass` is true for requests the candidate jumps over
-    /// (ahead of it in pop order), false for requests behind it, which
-    /// only pay the lane-packing charge. Denials are counted here; `None`
-    /// means "dispatch the head".
-    fn reorder_candidate(
-        &mut self,
-        queue: &AdmissionQueue<Prepared>,
-        lanes: &[f64],
-        until_ns: f64,
-    ) -> Option<(PopKey, f64, Vec<SlackCharge>)> {
-        let cfg = (self.batching).then_some(self.ordering).flatten()?;
-        // Only extend an open run: a swap that *opens* a run saves no
-        // fetch over letting the head open one instead.
-        let run_tenant = self.batch.last_tenant?;
-        if queue.peek(|p| p.tenant)? == run_tenant {
-            return None;
-        }
-        let mut cand: Option<(u64, f64, f64)> = None;
-        let key = queue.find_in_window(cfg.max_bypass as usize + 1, |_, p| {
-            if p.tenant == run_tenant && p.seq.evk_read_bytes() > 0 {
-                cand = Some((p.id, p.arrival_ns, p.estimate_ns));
-                true
-            } else {
-                false
-            }
-        })?;
-        let (cand_id, cand_arrival, cand_estimate) = cand.expect("find matched");
-        let lane = earliest_lane(lanes);
-        let cand_start = lanes[lane].max(cand_arrival);
-        if cand_start > until_ns {
-            return None;
-        }
-        // Dry-run the charge over the whole queue in pop order: items
-        // ahead of the candidate are bypassed (K-bound applies), items
-        // behind it only absorb the lane-packing perturbation.
-        let mut charged: Vec<SlackCharge> = Vec::new();
-        let mut before_candidate = true;
-        let mut denied = false;
-        queue.for_each(|p| {
-            if denied {
-                return;
-            }
-            if p.id == cand_id {
-                before_candidate = false;
-                return;
-            }
-            let (count, remaining) = self
-                .bypass_ledger
-                .get(&p.id)
-                .copied()
-                .unwrap_or((0, p.slack_ns));
-            if (before_candidate && count >= cfg.max_bypass) || remaining < cand_estimate {
-                denied = true;
-                return;
-            }
-            charged.push((p.id, remaining - cand_estimate, before_candidate));
-        });
-        if denied {
-            self.batch.stats.reorder_denied_slack += 1;
-            return None;
-        }
-        Some((key, cand_start, charged))
-    }
-
-    /// Exports the batch byte counters idempotently under `shard`'s label,
-    /// guarded so a non-batching run's exposition is byte-identical to one
-    /// rendered before the counters existed.
-    pub(crate) fn export_evk(&self, tel: &mut Telemetry, shard: u32) {
-        let s = self.batch.stats;
-        let sid = shard.to_string();
-        let labels = [("shard", sid.as_str())];
-        if s.hit_bytes > 0 {
-            tel.metrics
-                .set_counter(names::EVK_CACHE_HIT_BYTES, &labels, s.hit_bytes);
-        }
-        if s.miss_bytes > 0 {
-            tel.metrics
-                .set_counter(names::EVK_CACHE_MISS_BYTES, &labels, s.miss_bytes);
-        }
-        if s.reorders > 0 {
-            tel.metrics
-                .set_counter(names::REORDERS, &labels, s.reorders);
-        }
-        if s.reorder_denied_slack > 0 {
-            tel.metrics
-                .set_counter(names::REORDER_DENIED_SLACK, &labels, s.reorder_denied_slack);
-        }
-        if self.evk_saved_ns > 0.0 {
-            tel.metrics
-                .set_gauge(names::EVK_SAVED_NS, &labels, self.evk_saved_ns);
-        }
-    }
-
-    /// The persistent health registry.
-    pub(crate) fn registry(&self) -> &HealthRegistry {
-        &self.registry
-    }
-
-    /// A comparable snapshot of the health state.
-    pub(crate) fn snapshot(&self) -> HealthSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Records a zero-width shed marker at the request's arrival time on
-    /// `track` (`"shard-N"` for a shard's sheds, `"serving"` for a
-    /// fleet-wide rejection).
-    pub(crate) fn shed_marker(
-        tel: Option<&mut Telemetry>,
-        p: &Prepared,
-        reason: &'static str,
-        track: &'static str,
-    ) {
-        if let Some(t) = tel {
-            t.set_base_ns(0.0);
-            t.trace.leaf(
-                format!("req{} shed", p.id),
-                "shed",
-                track,
-                p.arrival_ns,
-                p.arrival_ns,
-                vec![("reason", reason.into())],
-            );
-        }
-    }
-
-    /// The virtual-time lane credit for a dispatch that amortized `saved`
-    /// evk bytes: the fetch time those bytes would have cost at the
-    /// ordering config's bandwidth. 0.0 with ordering off — the plain
-    /// batching overlay observes savings but never converts them to time.
-    pub(crate) fn lane_credit_ns(&self, saved: u64) -> f64 {
-        match self.ordering {
-            Some(cfg) if self.batching && saved > 0 => saved as f64 / cfg.evk_bytes_per_ns,
-            _ => 0.0,
-        }
-    }
-
-    /// Runs one request through the breaker-gated scheduler at virtual
-    /// time `start`, recording its segment span on `track`. `credit_ns`
-    /// is the evk-fetch time the dispatch amortized away (0.0 except for
-    /// batch joiners under [`ServingConfig::ordering`]); it shortens the
-    /// request's virtual occupancy, never below zero.
-    pub(crate) fn execute(
-        &mut self,
-        p: Prepared,
-        start: f64,
-        credit_ns: f64,
-        mut tel: Option<&mut Telemetry>,
-        track: &'static str,
-    ) -> Result<(Response, f64), RunError> {
-        let rt = &self.rt;
-        let registry = &mut self.registry;
-        registry.set_base_ns(start);
-        let span = tel.as_deref_mut().map(|t| {
-            // Trace and registry share the same base so kernel spans and
-            // breaker markers land inside this request's window.
-            t.set_base_ns(start);
-            t.open_segment(format!("req{} {}", p.id, p.label), track, 0.0)
-        });
-        // The run starts at local virtual time 0, so the remaining deadline
-        // headroom is the budget the scheduler may spend.
-        let budget_ns = self
-            .cancel_over_budget
-            .then_some((p.deadline_ns - start).max(0.0));
-        let report = rt.run_prepared_with(
-            &p.seq,
-            RunOptions {
-                health: Some(&mut *registry),
-                telemetry: tel.as_deref_mut(),
-                budget_ns,
-                fault: p.fault,
-            },
-        )?;
-        // The amortized evk fetch shortens the virtual occupancy; the
-        // realized credit is capped at the run's own duration. With
-        // `credit_ns == 0.0` (ordering off, or not a joiner) this is
-        // bit-identical to the uncredited path.
-        let credit = credit_ns.max(0.0).min(report.total_ns);
-        self.evk_saved_ns += credit;
-        let total_ns = report.total_ns - credit;
-        let finish = start + total_ns;
-        let outcome = if report.cancelled {
-            registry.counters.cancelled_over_budget += 1;
-            Outcome::Cancelled {
-                start_ns: start,
-                consumed_ns: report.total_ns,
-                segments_done: report.segments.len() as u32,
-            }
-        } else if report.integrity_failed {
-            registry.counters.integrity_failures += 1;
-            Outcome::IntegrityFailure {
-                start_ns: start,
-                finish_ns: finish,
-            }
-        } else if finish <= p.deadline_ns {
-            registry.counters.completed += 1;
-            Outcome::Completed {
-                start_ns: start,
-                finish_ns: finish,
-                deadline_ns: p.deadline_ns,
-                // Clamped: slack is headroom, never negative (an overrun
-                // is a DeadlineMiss, counted separately).
-                deadline_slack_ns: (p.deadline_ns - finish).max(0.0),
-                faults: report.faults_detected,
-                pim_fallbacks: report.pim_fallbacks,
-                breaker_skips: report.breaker_skips,
-            }
-        } else {
-            registry.counters.deadline_misses += 1;
-            Outcome::DeadlineMiss {
-                start_ns: start,
-                finish_ns: finish,
-                deadline_ns: p.deadline_ns,
-            }
-        };
-        if let (Some(t), Some(id)) = (tel, span) {
-            let completed = matches!(outcome, Outcome::Completed { .. });
-            t.trace.annotate(id, "deadline_ns", p.deadline_ns);
-            t.trace.annotate(
-                id,
-                "outcome",
-                match outcome {
-                    Outcome::Completed { .. } => "completed",
-                    Outcome::Cancelled { .. } => "cancelled",
-                    Outcome::IntegrityFailure { .. } => "integrity-failure",
-                    _ => "deadline-miss",
-                },
-            );
-            t.close_segment(id, total_ns);
-            t.metrics.observe(names::REQUEST_LATENCY_NS, &[], total_ns);
-            if completed {
-                // Clamped like the outcome field: a completion's slack is
-                // non-negative by construction, but the histogram must
-                // never see a negative value even if the branch
-                // conditions drift.
-                t.metrics.observe(
-                    names::DEADLINE_SLACK_NS,
-                    &[],
-                    (p.deadline_ns - finish).max(0.0),
-                );
-            } else if matches!(outcome, Outcome::DeadlineMiss { .. }) {
-                // A late completion has zero slack, not negative slack:
-                // record the overrun in its own counter so the slack
-                // quantiles ordering decisions rely on stay non-negative.
-                t.metrics.observe(names::DEADLINE_SLACK_NS, &[], 0.0);
-                t.metrics.inc(names::DEADLINE_OVERRUNS, &[], 1);
-            }
-        }
-        Ok((
-            Response {
-                id: p.id,
-                tenant: p.tenant,
-                priority: p.priority,
-                label: p.label,
-                outcome,
-            },
-            finish,
-        ))
-    }
-
-    pub(crate) fn rejection(p: &Prepared, reason: Rejected) -> Response {
-        Response {
-            id: p.id,
-            tenant: p.tenant,
-            priority: p.priority,
-            label: p.label,
-            outcome: Outcome::Rejected(reason),
-        }
-    }
-
-    /// The underlying runtime (shard layer: shared preparation).
-    pub(crate) fn runtime(&self) -> &Anaheim {
-        &self.rt
-    }
-
-    /// Mutable access to the registry (shard layer: fleet accounting).
-    pub(crate) fn registry_mut(&mut self) -> &mut HealthRegistry {
-        &mut self.registry
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,6 +536,7 @@ mod tests {
     use obs::StreamingTraceSink;
     use proptest::prelude::*;
 
+    use crate::request::{Outcome, Rejected, Response};
     use crate::shard::{ShardConfig, ShardedEngine, StreamObs};
 
     fn small_seq() -> Arc<OpSequence> {
@@ -820,10 +565,6 @@ mod tests {
         }
     }
 
-    fn engine() -> ServingEngine {
-        ServingEngine::new(two_lanes())
-    }
-
     /// Serves `trace` through a one-shard fleet built from `cfg`, returning
     /// the fleet and the responses sorted by id.
     fn serve(
@@ -842,7 +583,7 @@ mod tests {
 
     #[test]
     fn prepare_batch_dedups_shared_templates() {
-        let e = engine();
+        let rt = Anaheim::new(two_lanes().platform);
         let tpl = small_seq();
         let reqs: Vec<Request> = (0..4)
             .map(|i| Request {
@@ -856,7 +597,7 @@ mod tests {
                 label: "lintrans",
             })
             .collect();
-        let prepped = prepare_batch(e.runtime(), &reqs).unwrap();
+        let prepped = prepare_batch(&rt, &reqs).unwrap();
         assert_eq!(prepped.len(), 4);
         assert!(
             prepped
@@ -868,7 +609,7 @@ mod tests {
         // clone of the same sequence.
         let mut lone = reqs[0].clone();
         lone.seq = Arc::new((*tpl).clone());
-        let distinct = prepare_batch(e.runtime(), &[lone]).unwrap();
+        let distinct = prepare_batch(&rt, &[lone]).unwrap();
         assert_eq!(
             prepped[0].estimate_ns.to_bits(),
             distinct[0].estimate_ns.to_bits()
@@ -982,7 +723,6 @@ mod tests {
             platform: AnaheimConfig::a100_near_bank()
                 .with_retry_policy(RetryPolicy::serving_default(7))
                 .with_schedule_mode(ScheduleMode::Pipelined),
-            breaker: BreakerConfig::default(),
             cancel_over_budget: false,
             batching: false,
             ordering: None,
@@ -1149,62 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_overrun_counts_separately_and_slack_stays_non_negative() {
-        let mut e = engine();
-        let mut tel = Telemetry::new(7);
-        // Bypass admission (which would shed the infeasible deadline) and
-        // execute directly: the miss must record 0.0 slack — never a
-        // negative value — plus one overrun tick in its own counter.
-        let late = prepare_batch(e.runtime(), &[req(0, 0.0, 1.0, Priority::Standard)]).unwrap();
-        let (resp, _) = e
-            .execute(
-                late.into_iter().next().unwrap(),
-                0.0,
-                0.0,
-                Some(&mut tel),
-                "serving",
-            )
-            .unwrap();
-        assert!(matches!(resp.outcome, Outcome::DeadlineMiss { .. }));
-        let slack = tel
-            .metrics
-            .histogram(names::DEADLINE_SLACK_NS, &[])
-            .unwrap();
-        assert_eq!(slack.count(), 1);
-        assert_eq!(
-            slack.sum().to_bits(),
-            0.0f64.to_bits(),
-            "a miss is zero slack, not negative"
-        );
-        assert_eq!(tel.metrics.counter_value(names::DEADLINE_OVERRUNS, &[]), 1);
-        // An on-time completion reports non-negative slack and leaves the
-        // overrun counter alone.
-        let ok = prepare_batch(e.runtime(), &[req(1, 0.0, 1e12, Priority::Standard)]).unwrap();
-        let (resp, _) = e
-            .execute(
-                ok.into_iter().next().unwrap(),
-                0.0,
-                0.0,
-                Some(&mut tel),
-                "serving",
-            )
-            .unwrap();
-        match resp.outcome {
-            Outcome::Completed {
-                deadline_slack_ns, ..
-            } => assert!(deadline_slack_ns >= 0.0),
-            ref o => panic!("expected completion, got {o:?}"),
-        }
-        let slack = tel
-            .metrics
-            .histogram(names::DEADLINE_SLACK_NS, &[])
-            .unwrap();
-        assert_eq!(slack.count(), 2);
-        assert!(slack.sum() > 0.0);
-        assert_eq!(tel.metrics.counter_value(names::DEADLINE_OVERRUNS, &[]), 1);
-    }
-
-    #[test]
     fn ordering_pulls_same_tenant_work_forward_within_slack() {
         let mk = |ordering| ServingConfig {
             workers: 1,
@@ -1299,8 +983,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Satellite: with ordering off, [`ServingEngine::select_dispatch`]
-        /// is exactly pop order — `keys_in_pop_order` predicts the drain
+        /// With ordering off, [`BatchTracker::select_dispatch`] is exactly
+        /// pop order — `keys_in_pop_order` predicts the drain
         /// item for item, nothing is flagged reordered, and the reorder
         /// counters stay zero. (Batching stays ON: the overlay alone must
         /// never touch dispatch order.)
@@ -1308,13 +992,7 @@ mod tests {
         fn prop_ordering_off_is_exact_pop_order(scenario in arb_scenario()) {
             let (keys, lanes0) = scenario;
             let seq = small_seq();
-            let mut e = ServingEngine::new(ServingConfig {
-                workers: lanes0.len(),
-                queue_capacity: keys.len(),
-                batching: true,
-                ordering: None,
-                ..ServingConfig::a100_default(7)
-            });
+            let mut e = BatchTracker::new(None, 1802.0);
             let mut q: AdmissionQueue<Prepared> = AdmissionQueue::new(keys.len());
             for k in &keys {
                 q.submit(fabricated(k, (k.id % 3) as u32, 0.0, &seq)).unwrap();
@@ -1326,14 +1004,14 @@ mod tests {
                 e.select_dispatch(&mut q, &lanes, f64::INFINITY)
             {
                 prop_assert!(!reordered, "ordering off must never reorder");
-                e.note_batch_dispatch(p.tenant, p.seq.evk_read_bytes(), None);
+                e.note(p.tenant, p.seq.evk_read_bytes(), None);
                 lanes[lane] = start + p.estimate_ns;
                 actual.push(p.id);
             }
             prop_assert_eq!(&actual, &listed, "ordering off must drain in pop order");
-            prop_assert_eq!(e.evk_stats().reorders, 0);
-            prop_assert_eq!(e.evk_stats().reorder_denied_slack, 0);
-            prop_assert_eq!(e.evk_saved_ns().to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(e.stats.reorders, 0);
+            prop_assert_eq!(e.stats.reorder_denied_slack, 0);
+            prop_assert_eq!(e.evk_saved_ns.to_bits(), 0.0f64.to_bits());
         }
 
         /// The starvation proof: with ordering on, under random
@@ -1351,13 +1029,7 @@ mod tests {
             let now = keys.iter().map(|k| k.arrival_ns).fold(0.0, f64::max);
             let seq = small_seq();
             let max_bypass = 2u32;
-            let mut e = ServingEngine::new(ServingConfig {
-                workers: lanes0.len(),
-                queue_capacity: keys.len(),
-                batching: true,
-                ordering: Some(OrderingConfig { max_bypass, evk_bytes_per_ns: 1802.0 }),
-                ..ServingConfig::a100_default(7)
-            });
+            let mut e = BatchTracker::new(Some(OrderingConfig { max_bypass }), 1802.0);
             let granted: std::collections::HashMap<u64, f64> = keys
                 .iter()
                 .map(|k| (k.id, f64::from(slacks[k.id as usize % slacks.len()])))
@@ -1392,7 +1064,7 @@ mod tests {
                         *bypasses.entry(*id).or_insert(0) += 1;
                     }
                 }
-                e.note_batch_dispatch(p.tenant, p.seq.evk_read_bytes(), None);
+                e.note(p.tenant, p.seq.evk_read_bytes(), None);
                 realized.insert(p.id, start);
                 lanes[lane] = start + p.estimate_ns;
             }

@@ -7,19 +7,19 @@
 //! - [`request`] — multi-tenant requests with priorities and deadlines,
 //!   typed admission rejections, and honest outcomes (late execution is a
 //!   [`request::Outcome::DeadlineMiss`], never a success).
-//! - [`queue`] — a bounded, `Mutex`-guarded admission queue (std threads
-//!   only, no async runtime) with deterministic pop order.
-//! - [`engine`] — the serving configuration and each shard's executor:
-//!   parallel request preparation (vendored `parpool`), serial
-//!   virtual-time dispatch through the breaker-gated scheduler
-//!   ([`anaheim_core::framework::Anaheim::run_prepared_with`] with the
-//!   shard's registry in [`anaheim_core::schedule::RunOptions::health`]),
-//!   and a persistent [`anaheim_core::health::HealthRegistry`].
+//! - [`queue`] — a bounded admission queue with deterministic pop order:
+//!   plain data behind `&mut self`, filled and drained serially in virtual
+//!   time by the shard that owns it (no locks, no async runtime).
+//! - [`engine`] — the serving configuration, parallel request preparation
+//!   (vendored `parpool`), and the same-tenant batch tracker.
 //! - [`router`] — seeded rendezvous hashing from tenants to replica
 //!   shards: stable homes, minimal movement on failover.
 //! - [`shard`] — the one serving path, [`ShardedEngine::run_stream`]:
-//!   replica shards with deterministic failover, each owning its own
-//!   executor, breaker set, and lanes; sick shards drain, cool down, and
+//!   replica shards with deterministic failover, each the executor of its
+//!   own runtime, lanes and persistent
+//!   [`anaheim_core::health::HealthRegistry`], which the breaker-gated
+//!   scheduler reads ([`anaheim_core::schedule::RunOptions::health`]);
+//!   sick shards drain, cool down, and
 //!   re-admit through a probe while the router re-routes their tenants
 //!   ([`request::Outcome::Rerouted`]) — and only a fully sick fleet
 //!   rejects ([`request::Rejected::AllShardsUnhealthy`]). A single-engine
@@ -45,6 +45,6 @@ pub use shard::{
     ShardedEngine, StreamObs,
 };
 pub use soak::{
-    build_trace, run_soak_stream, run_soak_stream_with, shard_config_for, SoakConfig,
+    run_soak_stream, run_soak_stream_with, serving_config_for, shard_config_for, SoakConfig,
     StreamOutcome, StreamSummary, TraceGen,
 };

@@ -1,7 +1,7 @@
 //! The bounded, priority-ordered admission queue.
 //!
-//! Plain data behind `&mut self`: the serving engine fills and drains each
-//! shard's queue serially in virtual time, which is what keeps soak runs
+//! Plain data behind `&mut self`: each shard fills and drains its own
+//! queue serially in virtual time, which is what keeps soak runs
 //! bit-identical across `ANAHEIM_THREADS`.
 //!
 //! Pop order is total and deterministic: priority (descending), then

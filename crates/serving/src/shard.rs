@@ -1,10 +1,10 @@
 //! Replica shards with deterministic failover — the one serving path.
 //!
-//! A [`ShardedEngine`] partitions the fleet into N replica shards — each
-//! owning its own executor (runtime and whole PIM stack),
-//! [`HealthRegistry`](anaheim_core::health::HealthRegistry)
-//! breaker set, admission queue, and virtual-time lane cursor — behind a
-//! seeded rendezvous [`ShardRouter`]. A single-engine trace is a one-shard
+//! A [`ShardedEngine`] partitions the fleet into N replica shards behind a
+//! seeded rendezvous [`ShardRouter`]. Each shard is its own executor: it
+//! owns a runtime (and so a whole PIM stack), a [`HealthRegistry`] breaker
+//! set, the same-tenant batch tracker, an admission queue, and a
+//! virtual-time lane cursor. A single-engine trace is a one-shard
 //! fleet: [`ShardConfig::new`]`(1)` never drains its lone replica, so every
 //! request is admitted, dispatched and executed exactly as on one engine
 //! with one shared health registry. Blast radius is per-shard: when
@@ -46,14 +46,18 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use anaheim_core::health::{BreakerState, BreakerTransition, HealthSnapshot};
+use anaheim_core::framework::Anaheim;
+use anaheim_core::health::{
+    BreakerConfig, BreakerState, BreakerTransition, HealthRegistry, HealthSnapshot,
+};
+use anaheim_core::schedule::RunOptions;
 use anaheim_core::telemetry::{names, shard_track, Telemetry};
 use anaheim_core::RunError;
 use obs::StreamingTraceSink;
 
 use crate::engine::{
-    earliest_lane, prepare_batch, projected_start_from_keys, BatchStats, Prepared, ServingConfig,
-    ServingEngine,
+    earliest_lane, next_dispatch, prepare_batch, projected_start_from_keys, BatchStats,
+    BatchTracker, Prepared, ServingConfig,
 };
 use crate::queue::{AdmissionQueue, QueueKey};
 use crate::request::{Outcome, Rejected, Request, Response};
@@ -72,25 +76,16 @@ pub struct ShardConfig {
     /// [`open_fraction`]: anaheim_core::health::HealthRegistry::open_fraction
     pub unhealthy_open_fraction: f64,
     /// Cooldown between finishing a drain and the re-admission probe
-    /// (virtual ns). Doubles after each failed probe.
+    /// (virtual ns). Doubles after each failed probe, up to 128 ms.
     pub drain_cooldown_ns: f64,
-    /// Cooldown growth factor after a failed probe.
-    pub cooldown_multiplier: f64,
-    /// Upper bound on the shard cooldown (ns).
-    pub max_cooldown_ns: f64,
     /// Hedged re-execution: when a primary looks risky at dispatch
-    /// (projected deadline margin below [`hedge_slack_fraction`] of its
-    /// estimate) or fails mid-flight (cancelled over budget, or its
-    /// end-to-end integrity verdict fails), re-run it deterministically on
-    /// the rendezvous-next sibling shard and keep the better outcome.
+    /// (projected deadline margin below a quarter of its estimate) or
+    /// fails mid-flight (cancelled over budget, or its end-to-end
+    /// integrity verdict fails), re-run it deterministically on the
+    /// rendezvous-next sibling shard and keep the better outcome.
     /// Off by default: a fleet without hedging is bit-identical to one
     /// built before the knob existed.
-    ///
-    /// [`hedge_slack_fraction`]: ShardConfig::hedge_slack_fraction
     pub hedging: bool,
-    /// A primary whose projected margin `deadline - (start + estimate)` is
-    /// below this fraction of its estimate is hedged at dispatch.
-    pub hedge_slack_fraction: f64,
     /// Per-tenant token-bucket burst: how many hedges a tenant may launch
     /// back-to-back before the refill rate gates it (hedge-storm guard).
     pub hedge_burst: f64,
@@ -110,15 +105,22 @@ impl ShardConfig {
             router_seed: 0x5AAD_0001,
             unhealthy_open_fraction: if shards == 1 { f64::INFINITY } else { 0.5 },
             drain_cooldown_ns: 8.0e6,
-            cooldown_multiplier: 2.0,
-            max_cooldown_ns: 1.28e8,
             hedging: false,
-            hedge_slack_fraction: 0.25,
             hedge_burst: 4.0,
             hedge_refill_per_s: 200.0,
         }
     }
 }
+
+/// Shard cooldown growth factor after a failed probe.
+const COOLDOWN_MULTIPLIER: f64 = 2.0;
+
+/// Upper bound on the shard cooldown (ns).
+const MAX_COOLDOWN_NS: f64 = 1.28e8;
+
+/// A primary whose projected margin `deadline - (start + estimate)` is
+/// below this fraction of its estimate is hedged at dispatch.
+const HEDGE_SLACK_FRACTION: f64 = 0.25;
 
 /// Salt folded into a hedged request's fault-stream derivation, so the
 /// hedge replays under its own independent (but still per-request
@@ -355,12 +357,51 @@ impl<'a> StreamObs<'a> {
     }
 }
 
-/// One replica shard: an engine (runtime + registry), its queue, its
-/// lanes, and its lifecycle state.
+/// Records a zero-width shed marker at the request's arrival time on
+/// `track` (`"shard-N"` for a shard's sheds, `"serving"` for a fleet-wide
+/// rejection).
+fn shed_marker(
+    tel: Option<&mut Telemetry>,
+    p: &Prepared,
+    reason: &'static str,
+    track: &'static str,
+) {
+    if let Some(t) = tel {
+        t.set_base_ns(0.0);
+        t.trace.leaf(
+            format!("req{} shed", p.id),
+            "shed",
+            track,
+            p.arrival_ns,
+            p.arrival_ns,
+            vec![("reason", reason.into())],
+        );
+    }
+}
+
+/// The response rejecting `p` for `reason`.
+fn rejection(p: &Prepared, reason: Rejected) -> Response {
+    Response {
+        id: p.id,
+        tenant: p.tenant,
+        priority: p.priority,
+        label: p.label,
+        outcome: Outcome::Rejected(reason),
+    }
+}
+
+/// One replica shard, which is also its own executor: the runtime, a
+/// health registry that persists across requests (a bank that went sick
+/// is still routed around for every later request), the batch tracker,
+/// the queue, the lanes, and the lifecycle state.
 #[derive(Debug)]
 struct Shard {
     id: u32,
-    engine: ServingEngine,
+    rt: Anaheim,
+    registry: HealthRegistry,
+    cancel_over_budget: bool,
+    /// `None` with [`ServingConfig::batching`] off.
+    batch: Option<BatchTracker>,
     queue: AdmissionQueue<Prepared>,
     lanes: Vec<f64>,
     state: ShardState,
@@ -375,12 +416,26 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(id: u32, cfg: ServingConfig, shard_cfg: &ShardConfig) -> Self {
+    /// Builds the runtime and a health registry sized for its PIM device.
+    fn new(id: u32, cfg: &ServingConfig, shard_cfg: &ShardConfig) -> Self {
+        let mut platform = cfg.platform.clone();
+        // Requests carry their own fault environments.
+        platform.fault = None;
+        let registry = match &platform.pim {
+            Some(dev) => HealthRegistry::for_device(dev, BreakerConfig::default()),
+            None => HealthRegistry::new(1, BreakerConfig::default()),
+        };
+        let batch = cfg
+            .batching
+            .then(|| BatchTracker::new(cfg.ordering, platform.gpu.dram_bw_gbps));
         Self {
             id,
+            rt: Anaheim::new(platform),
+            registry,
+            cancel_over_budget: cfg.cancel_over_budget,
+            batch,
             lanes: vec![0.0; cfg.workers.max(1)],
             queue: AdmissionQueue::new(cfg.queue_capacity.max(1)),
-            engine: ServingEngine::new(cfg),
             state: ShardState::Up,
             readmit_at_ns: 0.0,
             next_cooldown_ns: shard_cfg.drain_cooldown_ns,
@@ -425,7 +480,7 @@ impl Shard {
     /// threshold after an execution that finished at `at_ns`.
     fn drain_if_sick(&mut self, at_ns: f64, cfg: &ShardConfig, tel: Option<&mut Telemetry>) {
         if self.state == ShardState::Up
-            && self.engine.registry().open_fraction() >= cfg.unhealthy_open_fraction
+            && self.registry.open_fraction() >= cfg.unhealthy_open_fraction
         {
             self.counters.drains += 1;
             self.transition(ShardState::Draining, at_ns, "breaker-threshold", tel);
@@ -472,15 +527,15 @@ impl Shard {
         mut tel: Option<&mut Telemetry>,
         out: &mut Vec<Response>,
     ) {
-        self.engine.registry_mut().counters.submitted += 1;
+        self.registry.counters.submitted += 1;
         let track = shard_track(self.id);
         if self.queue.len() >= self.queue.capacity() {
-            self.engine.registry_mut().counters.shed_queue_full += 1;
-            ServingEngine::shed_marker(tel.as_deref_mut(), &p, "queue-full", track);
+            self.registry.counters.shed_queue_full += 1;
+            shed_marker(tel.as_deref_mut(), &p, "queue-full", track);
             out.push(Self::wrap(
                 p.rerouted_from,
                 self.id,
-                ServingEngine::rejection(&p, Rejected::QueueFull),
+                rejection(&p, Rejected::QueueFull),
             ));
             return;
         }
@@ -495,12 +550,12 @@ impl Shard {
         let projected =
             projected_start_from_keys(&self.lanes, self.queue.keys_in_pop_order(), cand, now);
         if projected + p.estimate_ns > p.deadline_ns {
-            self.engine.registry_mut().counters.shed_infeasible += 1;
-            ServingEngine::shed_marker(tel, &p, "deadline-infeasible", track);
+            self.registry.counters.shed_infeasible += 1;
+            shed_marker(tel, &p, "deadline-infeasible", track);
             out.push(Self::wrap(
                 p.rerouted_from,
                 self.id,
-                ServingEngine::rejection(&p, Rejected::DeadlineInfeasible),
+                rejection(&p, Rejected::DeadlineInfeasible),
             ));
             return;
         }
@@ -510,7 +565,7 @@ impl Shard {
         let mut p = p;
         p.slack_ns = (p.deadline_ns - projected - p.estimate_ns).max(0.0);
         let depth = self.queue.submit(p).expect("capacity checked above");
-        self.engine.registry_mut().note_queue_depth(depth);
+        self.registry.note_queue_depth(depth);
         if probe {
             self.probe_inflight = true;
         }
@@ -534,34 +589,23 @@ impl Shard {
         out: &mut Vec<Response>,
         mut hedges: Option<&mut Vec<HedgeCandidate>>,
     ) -> Result<(), RunError> {
-        while let Some((lane, start, p, reordered)) =
-            self.engine
-                .select_dispatch(&mut self.queue, &self.lanes, until_ns)
-        {
+        while let Some((lane, start, p, reordered)) = self.select_dispatch(until_ns) {
             let rerouted_from = p.rerouted_from;
             let was_probe = self.probe_inflight && self.state == ShardState::Probation;
             // Risk is projected at dispatch, before execution: a primary
             // with little deadline margin races its hedge from the start.
             let hedge_probe = hedges.as_ref().map(|_| {
                 let margin = p.deadline_ns - (start + p.estimate_ns);
-                (margin < cfg.hedge_slack_fraction * p.estimate_ns, p.clone())
+                (margin < HEDGE_SLACK_FRACTION * p.estimate_ns, p.clone())
             });
             // A batch is a maximal run of consecutive same-tenant
             // dispatches on THIS shard's serial lane — it never crosses a
             // shard, because each shard owns its own tracker.
-            let saved = self.engine.note_batch_dispatch(
-                p.tenant,
-                p.seq.evk_read_bytes(),
-                tel.as_deref_mut(),
-            );
-            let credit_ns = self.engine.lane_credit_ns(saved);
-            let (mut resp, finish) = self.engine.execute(
-                p,
-                start,
-                credit_ns,
-                tel.as_deref_mut(),
-                shard_track(self.id),
-            )?;
+            let (saved, credit_ns) = match self.batch.as_mut() {
+                Some(b) => b.note(p.tenant, p.seq.evk_read_bytes(), tel.as_deref_mut()),
+                None => (0, 0.0),
+            };
+            let (mut resp, finish) = self.execute(p, start, credit_ns, tel.as_deref_mut())?;
             self.lanes[lane] = finish;
             if saved > 0 {
                 resp.outcome = Outcome::Batched {
@@ -598,7 +642,7 @@ impl Shard {
             self.drain_if_sick(finish, cfg, tel.as_deref_mut());
             if was_probe {
                 self.probe_inflight = false;
-                if self.engine.registry().open_fraction() < cfg.unhealthy_open_fraction {
+                if self.registry.open_fraction() < cfg.unhealthy_open_fraction {
                     self.counters.readmits += 1;
                     self.next_cooldown_ns = cfg.drain_cooldown_ns;
                     self.transition(ShardState::Up, finish, "probe-ok", tel.as_deref_mut());
@@ -606,7 +650,7 @@ impl Shard {
                     self.counters.probe_failures += 1;
                     self.readmit_at_ns = finish + self.next_cooldown_ns;
                     self.next_cooldown_ns =
-                        (self.next_cooldown_ns * cfg.cooldown_multiplier).min(cfg.max_cooldown_ns);
+                        (self.next_cooldown_ns * COOLDOWN_MULTIPLIER).min(MAX_COOLDOWN_NS);
                     self.transition(
                         ShardState::Cooling,
                         finish,
@@ -627,17 +671,156 @@ impl Shard {
         Ok(())
     }
 
+    /// The next dispatch that can start at or before `until_ns`: the batch
+    /// tracker's pick (which may pull a same-tenant request forward), or
+    /// the queue head.
+    fn select_dispatch(&mut self, until_ns: f64) -> Option<(usize, f64, Prepared, bool)> {
+        if let Some(b) = self.batch.as_mut() {
+            return b.select_dispatch(&mut self.queue, &self.lanes, until_ns);
+        }
+        let (lane, start) = next_dispatch(&self.queue, &self.lanes, until_ns)?;
+        let p = self.queue.pop().expect("peek saw an item");
+        Some((lane, start, p, false))
+    }
+
+    /// Runs one request through the breaker-gated scheduler at virtual
+    /// time `start`, recording its segment span on this shard's track.
+    /// `credit_ns` is the evk-fetch time the dispatch amortized away (0.0
+    /// except for batch joiners under [`ServingConfig::ordering`]); it
+    /// shortens the request's virtual occupancy, never below zero.
+    fn execute(
+        &mut self,
+        p: Prepared,
+        start: f64,
+        credit_ns: f64,
+        mut tel: Option<&mut Telemetry>,
+    ) -> Result<(Response, f64), RunError> {
+        let track = shard_track(self.id);
+        let registry = &mut self.registry;
+        registry.set_base_ns(start);
+        let span = tel.as_deref_mut().map(|t| {
+            // Trace and registry share the same base so kernel spans and
+            // breaker markers land inside this request's window.
+            t.set_base_ns(start);
+            t.open_segment(format!("req{} {}", p.id, p.label), track, 0.0)
+        });
+        // The run starts at local virtual time 0, so the remaining deadline
+        // headroom is the budget the scheduler may spend.
+        let budget_ns = self
+            .cancel_over_budget
+            .then_some((p.deadline_ns - start).max(0.0));
+        let report = self.rt.run_prepared_with(
+            &p.seq,
+            RunOptions {
+                health: Some(&mut *registry),
+                telemetry: tel.as_deref_mut(),
+                budget_ns,
+                fault: p.fault,
+            },
+        )?;
+        // The amortized evk fetch shortens the virtual occupancy; the
+        // realized credit is capped at the run's own duration. With
+        // `credit_ns == 0.0` (ordering off, or not a joiner) this is
+        // bit-identical to the uncredited path.
+        let credit = credit_ns.max(0.0).min(report.total_ns);
+        if let Some(b) = self.batch.as_mut() {
+            b.evk_saved_ns += credit;
+        }
+        let total_ns = report.total_ns - credit;
+        let finish = start + total_ns;
+        let outcome = if report.cancelled {
+            registry.counters.cancelled_over_budget += 1;
+            Outcome::Cancelled {
+                start_ns: start,
+                consumed_ns: report.total_ns,
+                segments_done: report.segments.len() as u32,
+            }
+        } else if report.integrity_failed {
+            registry.counters.integrity_failures += 1;
+            Outcome::IntegrityFailure {
+                start_ns: start,
+                finish_ns: finish,
+            }
+        } else if finish <= p.deadline_ns {
+            registry.counters.completed += 1;
+            Outcome::Completed {
+                start_ns: start,
+                finish_ns: finish,
+                deadline_ns: p.deadline_ns,
+                // Clamped: slack is headroom, never negative (an overrun
+                // is a DeadlineMiss, counted separately).
+                deadline_slack_ns: (p.deadline_ns - finish).max(0.0),
+                faults: report.faults_detected,
+                pim_fallbacks: report.pim_fallbacks,
+                breaker_skips: report.breaker_skips,
+            }
+        } else {
+            registry.counters.deadline_misses += 1;
+            Outcome::DeadlineMiss {
+                start_ns: start,
+                finish_ns: finish,
+                deadline_ns: p.deadline_ns,
+            }
+        };
+        if let (Some(t), Some(id)) = (tel, span) {
+            let completed = matches!(outcome, Outcome::Completed { .. });
+            t.trace.annotate(id, "deadline_ns", p.deadline_ns);
+            t.trace.annotate(
+                id,
+                "outcome",
+                match outcome {
+                    Outcome::Completed { .. } => "completed",
+                    Outcome::Cancelled { .. } => "cancelled",
+                    Outcome::IntegrityFailure { .. } => "integrity-failure",
+                    _ => "deadline-miss",
+                },
+            );
+            t.close_segment(id, total_ns);
+            t.metrics.observe(names::REQUEST_LATENCY_NS, &[], total_ns);
+            if completed {
+                // Clamped like the outcome field: a completion's slack is
+                // non-negative by construction, but the histogram must
+                // never see a negative value even if the branch
+                // conditions drift.
+                t.metrics.observe(
+                    names::DEADLINE_SLACK_NS,
+                    &[],
+                    (p.deadline_ns - finish).max(0.0),
+                );
+            } else if matches!(outcome, Outcome::DeadlineMiss { .. }) {
+                // A late completion has zero slack, not negative slack:
+                // record the overrun in its own counter so the slack
+                // quantiles ordering decisions rely on stay non-negative.
+                t.metrics.observe(names::DEADLINE_SLACK_NS, &[], 0.0);
+                t.metrics.inc(names::DEADLINE_OVERRUNS, &[], 1);
+            }
+        }
+        Ok((
+            Response {
+                id: p.id,
+                tenant: p.tenant,
+                priority: p.priority,
+                label: p.label,
+                outcome,
+            },
+            finish,
+        ))
+    }
+
     fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
             shard: self.id,
             state: self.state,
             counters: self.counters,
-            health: self.engine.snapshot(),
+            health: self.registry.snapshot(),
             transitions: self.transitions.clone(),
-            breaker_log: self.engine.registry().transitions().to_vec(),
+            breaker_log: self.registry.transitions().to_vec(),
             last_finish_ns: self.lanes.iter().copied().fold(0.0, f64::max),
-            evk: self.engine.evk_stats(),
-            evk_saved_ns: self.engine.evk_saved_ns(),
+            evk: self
+                .batch
+                .as_ref()
+                .map_or_else(BatchStats::default, |b| b.stats),
+            evk_saved_ns: self.batch.as_ref().map_or(0.0, |b| b.evk_saved_ns),
         }
     }
 }
@@ -649,12 +832,6 @@ pub struct ShardedEngine {
     shards: Vec<Shard>,
     router: ShardRouter,
     cfg: ShardConfig,
-    /// Same-tenant batching is on ([`ServingConfig::batching`]): the
-    /// snapshot text carries the per-shard evk lines.
-    batching: bool,
-    /// Batch-aware ordering is on ([`ServingConfig::ordering`]): the evk
-    /// snapshot lines additionally carry the reorder/credit ledger.
-    ordering: bool,
     fleet: FleetCounters,
     /// Per-tenant hedge token buckets: `(tokens, last_refill_ns)` in
     /// virtual time. A `BTreeMap` so iteration/debug order is stable.
@@ -667,20 +844,16 @@ fn tel_of<'x>(obs: &'x mut Option<&mut StreamObs<'_>>) -> Option<&'x mut Telemet
 }
 
 impl ShardedEngine {
-    /// `shard_cfg.shards` replicas, each built from its own copy of
-    /// `serving` (same platform, its own registry and lanes).
+    /// `shard_cfg.shards` replicas, each built from `serving` (same
+    /// platform, its own runtime, registry and lanes).
     pub fn new(serving: ServingConfig, shard_cfg: ShardConfig) -> Self {
-        let batching = serving.batching;
-        let ordering = serving.ordering.is_some();
         let shards = (0..shard_cfg.shards.max(1))
-            .map(|id| Shard::new(id, serving.clone(), &shard_cfg))
+            .map(|id| Shard::new(id, &serving, &shard_cfg))
             .collect();
         Self {
             shards,
             router: ShardRouter::new(shard_cfg.router_seed, shard_cfg.shards.max(1)),
             cfg: shard_cfg,
-            batching,
-            ordering,
             fleet: FleetCounters::default(),
             hedge_tokens: std::collections::BTreeMap::new(),
         }
@@ -739,7 +912,7 @@ impl ShardedEngine {
             if buf.is_empty() {
                 break;
             }
-            let prepared = prepare_batch(self.shards[0].engine.runtime(), &buf)?;
+            let prepared = prepare_batch(&self.shards[0].rt, &buf)?;
             for p in prepared {
                 assert!(
                     (p.arrival_ns, p.id) >= last_key,
@@ -765,7 +938,9 @@ impl ShardedEngine {
             shard.advance_to(f64::INFINITY, &self.cfg, tel_of(&mut obs), &mut out, h)?;
             // End of stream: the shard's open same-tenant batch closes so
             // its size lands in the histogram and the stats.
-            shard.engine.flush_batch(tel_of(&mut obs));
+            if let Some(b) = shard.batch.as_mut() {
+                b.close(tel_of(&mut obs));
+            }
         }
         self.resolve_hedges(&mut hedges, &mut out, &mut obs)?;
         for r in out.drain(..) {
@@ -804,8 +979,8 @@ impl ShardedEngine {
         match self.router.route(p.tenant, &accepting) {
             None => {
                 self.fleet.rejected_all_unhealthy += 1;
-                ServingEngine::shed_marker(tel_of(&mut obs), &p, "all-shards-unhealthy", "serving");
-                out.push(ServingEngine::rejection(&p, Rejected::AllShardsUnhealthy));
+                shed_marker(tel_of(&mut obs), &p, "all-shards-unhealthy", "serving");
+                out.push(rejection(&p, Rejected::AllShardsUnhealthy));
             }
             Some(sid) => {
                 if sid != home {
@@ -883,15 +1058,12 @@ impl ShardedEngine {
                 // The hedge is an extra execution, not an extra fleet
                 // submission: count it into the sibling's registry so the
                 // per-shard outcome/submission conservation keeps holding.
-                shard.engine.registry_mut().counters.submitted += 1;
+                shard.registry.counters.submitted += 1;
                 let lane = earliest_lane(&shard.lanes);
                 let start = shard.lanes[lane].max(now);
                 // Hedges bypass dispatch and are never batch-accounted,
                 // so they carry no evk lane credit.
-                let (hresp, hfinish) =
-                    shard
-                        .engine
-                        .execute(hp, start, 0.0, tel_of(obs), shard_track(sib))?;
+                let (hresp, hfinish) = shard.execute(hp, start, 0.0, tel_of(obs))?;
                 shard.lanes[lane] = hfinish;
                 // A hedge that trips the sibling past the breaker
                 // threshold drains it, same as a queued dispatch would.
@@ -939,7 +1111,8 @@ impl ShardedEngine {
             f.hedges_wasted,
             f.hedges_suppressed
         );
-        for snap in self.snapshots() {
+        for shard in &self.shards {
+            let snap = shard.snapshot();
             let c = snap.counters;
             let _ = writeln!(
                 s,
@@ -988,10 +1161,12 @@ impl ShardedEngine {
                 );
             }
             let _ = writeln!(s);
-            // Gated on the batching knob so a non-batching fleet's text is
-            // byte-identical to one rendered before the evk line existed.
-            if self.batching {
-                let e = snap.evk;
+            // Gated on the batch tracker so a non-batching fleet's text is
+            // byte-identical to one rendered before the evk line existed,
+            // and on ordering the same way: a plain batching fleet's text
+            // is byte-identical to the pre-ordering render.
+            if let Some(b) = &shard.batch {
+                let e = b.stats;
                 let _ = writeln!(
                     s,
                     "  evk: hit-bytes={} miss-bytes={} saved-bytes={} \
@@ -1002,16 +1177,13 @@ impl ShardedEngine {
                     e.batches,
                     e.max_batch
                 );
-            }
-            // Gated on the ordering knob the same way: a plain batching
-            // fleet's text is byte-identical to the pre-ordering render.
-            if self.ordering {
-                let e = snap.evk;
-                let _ = writeln!(
-                    s,
-                    "  ordering: reorders={} denied-slack={} saved-ns={:.0}",
-                    e.reorders, e.reorder_denied_slack, snap.evk_saved_ns
-                );
+                if b.ordering.is_some() {
+                    let _ = writeln!(
+                        s,
+                        "  ordering: reorders={} denied-slack={} saved-ns={:.0}",
+                        e.reorders, e.reorder_denied_slack, b.evk_saved_ns
+                    );
+                }
             }
             let _ = writeln!(s, "  breaker-transitions: {}", snap.health.transitions);
             for (i, t) in snap.transitions.iter().enumerate() {
@@ -1049,7 +1221,7 @@ impl ShardedEngine {
                     v,
                 );
             }
-            let snap = shard.engine.snapshot();
+            let snap = shard.registry.snapshot();
             for b in &snap.banks {
                 let bank = b.bank.to_string();
                 let state = match b.state {
@@ -1097,7 +1269,9 @@ impl ShardedEngine {
                 }
             }
             // Batch evk bytes, per shard; zero-guarded inside.
-            shard.engine.export_evk(tel, shard.id);
+            if let Some(b) = &shard.batch {
+                b.export_evk(tel, shard.id);
+            }
         }
         for (event, v) in [
             ("rerouted", self.fleet.rerouted),
@@ -1175,6 +1349,66 @@ mod tests {
             .run_stream(reqs, |r| got.push(r.clone()), None)
             .unwrap();
         got
+    }
+
+    #[test]
+    fn deadline_overrun_counts_separately_and_slack_stays_non_negative() {
+        let mut shard = Shard::new(
+            0,
+            &ServingConfig {
+                workers: 2,
+                queue_capacity: 2,
+                ..ServingConfig::a100_default(7)
+            },
+            &ShardConfig::new(1),
+        );
+        let mut tel = Telemetry::new(7);
+        // Bypass admission (which would shed the infeasible deadline) and
+        // execute directly: the miss must record 0.0 slack — never a
+        // negative value — plus one overrun tick in its own counter.
+        let late = Request {
+            deadline_ns: 1.0,
+            ..req(0, 0, 0.0, &wide_tpl())
+        };
+        let late = prepare_batch(&shard.rt, &[late]).unwrap();
+        let (resp, _) = shard
+            .execute(late.into_iter().next().unwrap(), 0.0, 0.0, Some(&mut tel))
+            .unwrap();
+        assert!(matches!(resp.outcome, Outcome::DeadlineMiss { .. }));
+        let slack = tel
+            .metrics
+            .histogram(names::DEADLINE_SLACK_NS, &[])
+            .unwrap();
+        assert_eq!(slack.count(), 1);
+        assert_eq!(
+            slack.sum().to_bits(),
+            0.0f64.to_bits(),
+            "a miss is zero slack, not negative"
+        );
+        assert_eq!(tel.metrics.counter_value(names::DEADLINE_OVERRUNS, &[]), 1);
+        // An on-time completion reports non-negative slack and leaves the
+        // overrun counter alone.
+        let ok = Request {
+            deadline_ns: 1e12,
+            ..req(1, 1, 0.0, &wide_tpl())
+        };
+        let ok = prepare_batch(&shard.rt, &[ok]).unwrap();
+        let (resp, _) = shard
+            .execute(ok.into_iter().next().unwrap(), 0.0, 0.0, Some(&mut tel))
+            .unwrap();
+        match resp.outcome {
+            Outcome::Completed {
+                deadline_slack_ns, ..
+            } => assert!(deadline_slack_ns >= 0.0),
+            ref o => panic!("expected completion, got {o:?}"),
+        }
+        let slack = tel
+            .metrics
+            .histogram(names::DEADLINE_SLACK_NS, &[])
+            .unwrap();
+        assert_eq!(slack.count(), 2);
+        assert!(slack.sum() > 0.0);
+        assert_eq!(tel.metrics.counter_value(names::DEADLINE_OVERRUNS, &[]), 1);
     }
 
     /// A tenant whose home is `shard` under the engine's router.

@@ -244,6 +244,18 @@ impl SoakConfig {
     }
 }
 
+/// The serving configuration a soak config implies.
+pub fn serving_config_for(cfg: &SoakConfig) -> ServingConfig {
+    ServingConfig {
+        workers: cfg.workers,
+        queue_capacity: cfg.queue_capacity,
+        cancel_over_budget: cfg.cancel,
+        batching: cfg.batching,
+        ordering: cfg.ordering.then(OrderingConfig::a100_default),
+        ..ServingConfig::a100_default(cfg.seed)
+    }
+}
+
 /// The shard-layer configuration a soak config implies.
 pub fn shard_config_for(cfg: &SoakConfig) -> ShardConfig {
     ShardConfig {
@@ -271,10 +283,10 @@ impl Rng {
     }
 }
 
-/// Lazy seeded trace generator: the same mixed workloads, priority
-/// classes, tenants, and derived fault streams as [`build_trace`], but
-/// produced one request at a time so a million-request soak holds six
-/// workload templates (shared `Arc`s), not a million sequences.
+/// Lazy seeded trace generator: mixed workloads, three priority classes,
+/// `tenants` tenants, and per-request derived fault streams, produced one
+/// request at a time so a million-request soak holds six workload
+/// templates (shared `Arc`s), not a million sequences.
 pub struct TraceGen {
     cfg: SoakConfig,
     kinds: Vec<(Arc<OpSequence>, &'static str)>,
@@ -424,12 +436,6 @@ impl Iterator for TraceGen {
         let left = self.cfg.requests - self.i;
         (left, Some(left))
     }
-}
-
-/// Builds the seeded request trace: mixed workloads, three priority
-/// classes, 64 tenants, and per-request derived fault streams.
-pub fn build_trace(cfg: &SoakConfig) -> Vec<Request> {
-    TraceGen::new(cfg).collect()
 }
 
 /// Headline numbers of a soak.
@@ -992,10 +998,10 @@ impl StreamInvariants {
 }
 
 /// Runs the bounded-memory soak: the trace is generated lazily, served
-/// through a [`ShardedEngine`] built from [`shard_config_for`], and every
-/// response is invariant-checked as it is produced, then dropped. With
-/// `obs`, completed spans stream through the bounded sink and the fleet
-/// state is exported to the metrics registry.
+/// through a [`ShardedEngine`] built from [`serving_config_for`] and
+/// [`shard_config_for`], and every response is invariant-checked as it is
+/// produced, then dropped. With `obs`, completed spans stream through the
+/// bounded sink and the fleet state is exported to the metrics registry.
 ///
 /// Returns the first invariant violation (or engine error) as `Err`.
 pub fn run_soak_stream(
@@ -1013,17 +1019,7 @@ pub fn run_soak_stream_with(
     mut on_response: impl FnMut(&Response),
 ) -> Result<StreamOutcome, String> {
     let gen = TraceGen::new(cfg);
-    let mut engine = ShardedEngine::new(
-        ServingConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            cancel_over_budget: cfg.cancel,
-            batching: cfg.batching,
-            ordering: cfg.ordering.then(OrderingConfig::a100_default),
-            ..ServingConfig::a100_default(cfg.seed)
-        },
-        shard_config_for(cfg),
-    );
+    let mut engine = ShardedEngine::new(serving_config_for(cfg), shard_config_for(cfg));
     let mut inv = StreamInvariants::new(cfg);
     engine
         .run_stream(
@@ -1068,8 +1064,8 @@ mod tests {
     #[test]
     fn trace_is_deterministic_and_mixed() {
         let cfg = tiny(3);
-        let a = build_trace(&cfg);
-        let b = build_trace(&cfg);
+        let a: Vec<Request> = TraceGen::new(&cfg).collect();
+        let b: Vec<Request> = TraceGen::new(&cfg).collect();
         assert_eq!(a.len(), 40);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
@@ -1098,19 +1094,9 @@ mod tests {
     }
 
     #[test]
-    fn lazy_generator_matches_materialized_trace() {
+    fn shard_storm_hits_only_shard0_tenants_in_its_window() {
         let cfg = fleet_tiny(5);
         let lazy: Vec<Request> = TraceGen::new(&cfg).collect();
-        let eager = build_trace(&cfg);
-        assert_eq!(lazy.len(), eager.len());
-        for (x, y) in lazy.iter().zip(&eager) {
-            assert_eq!(
-                (x.id, x.tenant, x.arrival_ns),
-                (y.id, y.tenant, y.arrival_ns)
-            );
-            assert_eq!(x.fault, y.fault);
-        }
-        // The shard storm hits only shard-0 tenants, only in the window.
         let router = ShardRouter::new(shard_config_for(&cfg).router_seed, cfg.shards);
         let (s, e) = cfg.shard_storm.unwrap();
         assert!(lazy

@@ -472,9 +472,12 @@ EOF
 # whose crate lives under crates/ or vendor/ must resolve: each module
 # segment is a source file, and the item after the last one is declared
 # or `pub use`d in that module, so a renamed or deleted item cannot stay
-# documented either. ROADMAP.md and CHANGES.md are history, and perfbench/
-# documents its own harness, so neither is scanned for names or paths.
-echo "==> documentation integrity gate (markdown links + metric names + env vars + module paths)"
+# documented either. Every backticked `Type::member` whose `Type` is a
+# `pub struct` under crates/ must name a field, fn or const declared in
+# that struct's file, so a deleted knob or method cannot stay documented.
+# ROADMAP.md and CHANGES.md are history, and perfbench/ documents its own
+# harness, so neither is scanned for names or paths.
+echo "==> documentation integrity gate (markdown links + metric names + env vars + module paths + members)"
 python3 - <<'EOF'
 import os, re, sys
 
@@ -566,6 +569,49 @@ for doc in env_docs:
 if stale:
     sys.exit("stale module paths in docs:\n" + "\n".join(stale))
 print(f"  {checked} documented module paths resolve — ok")
+
+struct_files = {}
+for root, _, files in os.walk("crates"):
+    for name in sorted(files):
+        if name.endswith(".rs"):
+            path = os.path.join(root, name)
+            for t in re.findall(r"\bpub struct (\w+)", open(path).read()):
+                struct_files.setdefault(t, []).append(path)
+
+def struct_body(text, name):
+    m = re.search(r"\bpub struct " + name + r"\b[^{;(]*\{", text)
+    if not m:
+        return ""
+    depth, i = 1, m.end()
+    while depth and i < len(text):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return text[m.end():i]
+
+def declares_member(path, name, member):
+    text = open(path).read()
+    word = re.escape(member) + r"\b"
+    field = r"^\s*(?:pub(?:\([^)]*\))?\s+)?" + word + r"\s*:"
+    return bool(
+        re.search(r"\b(?:fn|const)\s+" + word, text)
+        or re.search(field, struct_body(text, name), flags=re.M)
+    )
+
+stale = []
+checked = 0
+for doc in env_docs:
+    text = re.sub(r"```.*?```", "", open(doc).read(), flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for m in re.finditer(r"\b([A-Z]\w*)::([A-Za-z_]\w*)", span):
+            files = struct_files.get(m.group(1))
+            if not files:
+                continue
+            checked += 1
+            if not any(declares_member(f, m.group(1), m.group(2)) for f in files):
+                stale.append(f"{doc}: `{m.group(0)}` ({m.group(2)} is not declared in {', '.join(files)})")
+if stale:
+    sys.exit("stale struct members in docs:\n" + "\n".join(stale))
+print(f"  {checked} documented struct members resolve — ok")
 EOF
 
 echo "All checks passed."

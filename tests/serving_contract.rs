@@ -19,22 +19,28 @@
 //! of its part does. The expected digests live in
 //! `tests/golden/serving_contract.txt`. A refactor of the serving layer
 //! must leave every line unchanged.
+//!
+//! One more test pins where the batch-aware ordering's lane credit gets
+//! its price: the platform GPU's DRAM bandwidth, checked on a platform
+//! other than the A100 every digest above runs on.
 
 use std::fmt::Debug;
 use std::sync::Arc;
 
 use anaheim::core::build::{Builder, LinTransStyle};
 use anaheim::core::framework::AnaheimConfig;
-use anaheim::core::health::{BreakerConfig, BreakerTransition, HealthSnapshot, RetryPolicy};
+use anaheim::core::health::{BreakerTransition, HealthSnapshot, RetryPolicy};
 use anaheim::core::ir::OpSequence;
 use anaheim::core::params::ParamSet;
 use anaheim::core::schedule::ScheduleMode;
 use anaheim::core::telemetry::Telemetry;
 use anaheim::obs::StreamingTraceSink;
-use anaheim::serving::soak::{run_soak_stream, shard_config_for, SoakConfig, TraceGen};
+use anaheim::serving::soak::{
+    run_soak_stream, serving_config_for, shard_config_for, SoakConfig, TraceGen,
+};
 use anaheim::serving::{
-    OrderingConfig, Priority, Request, Response, ServingConfig, ShardConfig, ShardedEngine,
-    StreamObs,
+    OrderingConfig, Outcome, Priority, Request, Response, ServingConfig, ShardConfig,
+    ShardedEngine, StreamObs,
 };
 
 const GOLDEN: &str = include_str!("golden/serving_contract.txt");
@@ -77,17 +83,7 @@ fn serve(cfg: ServingConfig, trace: &[Request], traced: bool) -> Vec<Response> {
 /// invariant checker, which rejects a budget-cancelling soak too short to
 /// cancel anything.
 fn soak(cfg: &SoakConfig) -> (Vec<Response>, HealthSnapshot, Vec<BreakerTransition>) {
-    let mut engine = ShardedEngine::new(
-        ServingConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            cancel_over_budget: cfg.cancel,
-            batching: cfg.batching,
-            ordering: cfg.ordering.then(OrderingConfig::a100_default),
-            ..ServingConfig::a100_default(cfg.seed)
-        },
-        shard_config_for(cfg),
-    );
+    let mut engine = ShardedEngine::new(serving_config_for(cfg), shard_config_for(cfg));
     let mut responses = Vec::new();
     engine
         .run_stream(TraceGen::new(cfg), |r| responses.push(r.clone()), None)
@@ -174,7 +170,6 @@ fn hand_built() -> Vec<(&'static str, ServingConfig, Vec<Request>, bool)> {
         platform: AnaheimConfig::a100_near_bank()
             .with_retry_policy(RetryPolicy::serving_default(7))
             .with_schedule_mode(ScheduleMode::Pipelined),
-        breaker: BreakerConfig::default(),
         cancel_over_budget: false,
         batching: false,
         ordering: None,
@@ -308,4 +303,40 @@ fn serving_contract_digests_are_unchanged() {
             mismatched.join("\n")
         );
     }
+}
+
+#[test]
+fn ordering_credit_is_priced_at_the_platform_dram_bandwidth() {
+    // The `ordering-on` hand trace on the hypothetical 4x-bandwidth A100.
+    let platform =
+        AnaheimConfig::a100_4x_bandwidth().with_retry_policy(RetryPolicy::serving_default(7));
+    let bytes_per_ns = platform.gpu.dram_bw_gbps;
+    assert_ne!(bytes_per_ns, 1802.0);
+    let cfg = ServingConfig {
+        platform,
+        ..one_lane(true, Some(OrderingConfig::a100_default()))
+    };
+    let mut engine = ShardedEngine::new(cfg, ShardConfig::new(1));
+    let mut expected_ns = 0.0;
+    let mut joiners = 0;
+    engine
+        .run_stream(
+            with_tenants(&[0, 0, 1, 0]),
+            |r| {
+                if let Outcome::Batched {
+                    evk_bytes_saved, ..
+                } = r.outcome
+                {
+                    joiners += 1;
+                    expected_ns += evk_bytes_saved as f64 / bytes_per_ns;
+                }
+            },
+            None,
+        )
+        .expect("hand-built trace serves");
+    let shard = engine.snapshots().remove(0);
+    assert_eq!(shard.evk.reorders, 1, "the third tenant-0 request joins");
+    assert_eq!(joiners, 2);
+    assert!(expected_ns > 0.0);
+    assert_eq!(shard.evk_saved_ns.to_bits(), expected_ns.to_bits());
 }

@@ -9,11 +9,9 @@
 //! byte-identical across thread counts.
 
 use anaheim::serving::soak::{
-    run_soak_stream, run_soak_stream_with, SoakConfig, StreamOutcome, TraceGen,
+    run_soak_stream, run_soak_stream_with, serving_config_for, SoakConfig, StreamOutcome, TraceGen,
 };
-use anaheim::serving::{
-    Outcome, Rejected, Response, ServingConfig, ShardConfig, ShardState, ShardedEngine,
-};
+use anaheim::serving::{Outcome, Rejected, Response, ShardConfig, ShardState, ShardedEngine};
 
 /// The single-engine soak (a one-shard fleet), its invariants checked:
 /// the outcome plus every response, sorted by id.
@@ -140,14 +138,7 @@ fn lone_replica_never_drains() {
     // so a drain could only turn its traffic into fleet-wide rejections:
     // `ShardConfig::new(1)` never drains, however sick its banks get.
     let cfg = SoakConfig::chaos(2024);
-    let mut engine = ShardedEngine::new(
-        ServingConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            ..ServingConfig::a100_default(cfg.seed)
-        },
-        ShardConfig::new(1),
-    );
+    let mut engine = ShardedEngine::new(serving_config_for(&cfg), ShardConfig::new(1));
     let mut all_unhealthy = 0;
     engine
         .run_stream(
