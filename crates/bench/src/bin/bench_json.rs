@@ -14,22 +14,36 @@
 //! hedge-chaos scenarios at a fixed seed, each row carrying its
 //! provenance (fault seed, lane/shard config, thread setting).
 //! CKKS records carry the measured op-count breakdown (`ntt_limbs`,
-//! `bconv_limb_products`, …, from `ckks::opcount`); the PIM record
-//! carries the analytic per-iteration `mmac_ops` and `bytes_internal` of
-//! the PAccum fleet. `BENCH_pim.json` also times the simulator's own host
-//! cost: one PIM kernel's timing, and the paper bootstrap's prepare and
-//! schedule.
+//! `bconv_limb_products`, …, from `ckks::opcount`). They cover the NTT
+//! batches, hadd, pmult, hmult (`mul_relin`), hrot, rescale, the
+//! automorphism, the whole keyswitch next to its three phases
+//! (`decompose_mod_up`, `key_mult`, `mod_down_pair`, §II-B, sampled in the
+//! keyswitch's own loop so check.sh can require that they add up), a
+//! prepared BSGS linear transform (`lintrans_bsgs`, smallest ring only)
+//! and the warm N=2⁹ bootstrap. The `paccum_8banks` records carry the
+//! analytic per-iteration `mmac_ops` and `bytes_internal` of the PAccum
+//! fleet, and the `pim_unit_*` records time one MMAC instruction (Table
+//! II) over 4096 elements. `BENCH_pim.json` also times the simulator's own
+//! host cost: one PIM kernel's timing, and the paper bootstrap's prepare
+//! and schedule.
 //!
 //! Every timed row is a median over several samples with a warmup pass
 //! (`ns_per_op_p50`; the historical `ns_per_op` mean is kept so existing
 //! readers of the JSON keep working), which keeps the check.sh regression
 //! gates from being noise-driven.
 //!
-//! Usage: `bench_json [--quick] [--trace-out FILE] [--metrics-out FILE]`
+//! Usage: `bench_json [--quick] [--only SUBSTRING] [--trace-out FILE]
+//! [--metrics-out FILE]`
 //!
 //! `--quick` shrinks the parameter set and thread sweep so `scripts/check.sh`
 //! can smoke-test the harness in seconds; the default configuration is what
 //! `scripts/bench.sh` runs for real measurements.
+//!
+//! `--only SUBSTRING` times and writes only the rows whose op (or serving
+//! scenario) name contains SUBSTRING, and writes no file that would be
+//! left empty; a substring that matches no row exits 2. The untimed model
+//! rows (`sched_*`) are still computed and printed, but not written. Run
+//! it outside the repo root to keep the committed BENCH files whole.
 //!
 //! `--trace-out FILE` additionally runs the Bootstrap workload on the A100
 //! near-bank platform with telemetry and writes the Chrome `trace_event`
@@ -41,11 +55,11 @@
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
 use anaheim_core::schedule::RunOptions;
 use anaheim_core::telemetry::Telemetry;
-use ckks::keys::KeyGenerator;
-use ckks::keyswitch::KeySwitcher;
+use ckks::keys::{galois_for_rotation, EvalKey, KeyGenerator};
+use ckks::keyswitch::{HoistedDigits, KeySwitcher};
 use ckks::opcount;
 use ckks::prelude::*;
-use ckks_math::poly::Format;
+use ckks_math::poly::{Format, Poly};
 use ckks_math::sampling;
 use pim::{
     alloc_paccum_groups, for_each_bank_parallel, paccum_alg1, LayoutPolicy, MontgomeryCtx,
@@ -89,6 +103,17 @@ struct Budget {
     samples: usize,
     min_iters: usize,
     min_millis: u128,
+}
+
+/// The `--only` filter: a row is timed and written only when its op (or
+/// serving scenario) name contains the substring; no filter wants every row.
+#[derive(Debug, Clone, Copy)]
+struct Only<'a>(Option<&'a str>);
+
+impl Only<'_> {
+    fn wants(self, op: &str) -> bool {
+        self.0.is_none_or(|s| op.contains(s))
+    }
 }
 
 impl Timing {
@@ -143,7 +168,11 @@ fn time_ns(budget: Budget, mut f: impl FnMut()) -> Timing {
 /// what the `scripts/check.sh` gates compare: thread counts in the
 /// small-ring gate, the forward against the inverse NTT in the ratio gate.
 /// Returns, per op, one `Timing` per sweep entry, in order.
-fn time_sweep(budget: Budget, sweep: &[usize], fs: &mut [&mut dyn FnMut()]) -> Vec<Vec<Timing>> {
+fn time_sweep(
+    budget: Budget,
+    sweep: &[usize],
+    fs: &mut [&mut (dyn FnMut() + '_)],
+) -> Vec<Vec<Timing>> {
     let mut means = vec![vec![Vec::with_capacity(budget.samples); sweep.len()]; fs.len()];
     for &threads in sweep {
         parpool::set_threads(threads);
@@ -165,7 +194,11 @@ fn time_sweep(budget: Budget, sweep: &[usize], fs: &mut [&mut dyn FnMut()]) -> V
         .collect()
 }
 
+/// Writes `records` to `path`, unless `--only` left none.
 fn write_json(path: &str, records: &[Record]) {
+    if records.is_empty() {
+        return;
+    }
     let mut s = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
@@ -188,6 +221,9 @@ fn write_json(path: &str, records: &[Record]) {
 /// Per-(op, ring) speedup of the widest sweep point over the
 /// single-thread baseline, using the median figures.
 fn print_summary(title: &str, records: &[Record]) {
+    if records.is_empty() {
+        return;
+    }
     println!("\n{title} (speedup vs 1 thread, p50)");
     let groups: Vec<(&'static str, usize)> = {
         let mut seen = Vec::new();
@@ -221,7 +257,78 @@ fn print_summary(title: &str, records: &[Record]) {
     }
 }
 
-fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut Vec<Record>) {
+/// What the `CKKS_GROUPS` rows read, built once per ring: the evaluators,
+/// the relinearization and one-slot rotation keys, a ciphertext and
+/// plaintext at the top level, an NTT input in each format, and each
+/// keyswitch phase's input, so each phase row times that phase alone.
+struct Ring<'a> {
+    ks: KeySwitcher<'a>,
+    eval: Evaluator<'a>,
+    level: usize,
+    relin: EvalKey,
+    rot: EvalKey,
+    galois: u64,
+    pt: Plaintext,
+    ct: Ciphertext,
+    coeff: Poly,
+    evalp: Poly,
+    a: Poly,
+    hoisted: HoistedDigits,
+    kb: Poly,
+    ka: Poly,
+}
+
+/// Every `bench_ckks` row. Each group is sampled in one interleaved loop
+/// (`time_group`), so host drift cannot masquerade as a per-thread-count
+/// regression, a forward/inverse NTT gap, or keyswitch phases that do not
+/// add up to the whole switch.
+type CkksOp = (&'static str, fn(&Ring));
+const CKKS_GROUPS: &[&[CkksOp]] = &[
+    &[
+        ("ntt_forward_batch", |r| r.coeff.duplicate().to_eval()),
+        ("ntt_inverse_batch", |r| r.evalp.duplicate().to_coeff()),
+    ],
+    &[("hadd", |r| drop(r.eval.add(&r.ct, &r.ct)))],
+    &[("pmult", |r| drop(r.eval.mul_plain(&r.ct, &r.pt)))],
+    &[
+        ("keyswitch", |r| drop(r.ks.switch(&r.a, &r.relin, r.level))),
+        ("decompose_mod_up", |r| {
+            drop(r.ks.decompose_mod_up(&r.a, r.level))
+        }),
+        ("key_mult", |r| drop(r.ks.key_mult(&r.hoisted, &r.relin))),
+        ("mod_down_pair", |r| {
+            drop(r.ks.mod_down_pair(&r.kb, &r.ka, r.level))
+        }),
+    ],
+    &[("mul_relin", |r| {
+        drop(r.eval.mul_relin(&r.ct, &r.ct, &r.relin))
+    })],
+    &[("rescale", |r| drop(r.eval.rescale(&r.ct)))],
+    &[("automorphism", |r| drop(r.evalp.automorphism(5)))],
+    // HROT by one slot: what `Evaluator::rotate` runs after its key lookup.
+    &[("hrot", |r| {
+        drop(r.eval.apply_galois(&r.ct, r.galois, &r.rot))
+    })],
+];
+
+fn bench_ckks(
+    params: CkksParams,
+    budget: Budget,
+    sweep: &[usize],
+    only: Only,
+    records: &mut Vec<Record>,
+) {
+    if !CKKS_GROUPS
+        .iter()
+        .flat_map(|g| *g)
+        .any(|(op, _)| only.wants(op))
+    {
+        return;
+    }
+    println!(
+        "  ckks ring: n=2^{} levels={} alpha={}",
+        params.log_n, params.levels, params.alpha
+    );
     let ctx = CkksContext::new(params);
     let n = ctx.params().n();
     let level = ctx.max_level();
@@ -229,89 +336,128 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
     let mut kg = KeyGenerator::new(&ctx, &mut rng);
     let sk = kg.gen_secret();
     let relin = kg.gen_relin(&sk);
+    // One rotation key, not a `KeySet`: its conjugation key would cost
+    // another evaluation key (over 200 MB at 2¹⁶) that no row reads.
+    let rot = kg.gen_rotation(&sk, 1);
+    let pk = kg.gen_public(&sk);
     let ks = KeySwitcher::new(&ctx);
-    let eval = Evaluator::new(&ctx);
 
     let enc = Encoder::new(&ctx);
     let msg: Vec<Complex> = (0..ctx.slots())
         .map(|i| Complex::new(i as f64 * 1e-3, 0.0))
         .collect();
     let pt = enc.encode(&msg, level);
-    let pk = kg.gen_public(&sk);
     let ct = pk.encrypt(&pt, &mut rng);
 
     let coeff = sampling::uniform(&mut rng, ctx.basis_q(level), Format::Coeff);
     let mut evalp = coeff.duplicate();
     evalp.to_eval();
     let a = sampling::uniform(&mut rng, ctx.basis_q(level), Format::Eval);
+    let hoisted = ks.decompose_mod_up(&a, level);
+    let (kb, ka) = ks.key_mult(&hoisted, &relin);
+    let ring = &Ring {
+        ks,
+        eval: Evaluator::new(&ctx),
+        level,
+        relin,
+        rot,
+        galois: galois_for_rotation(n, 1),
+        pt,
+        ct,
+        coeff,
+        evalp,
+        a,
+        hoisted,
+        kb,
+        ka,
+    };
 
-    // Measured op-count breakdown (`ckks::opcount`): one instrumented run
-    // per op, outside the timed loops — the counts are exact and
-    // thread-count independent, so each op's numbers are attached to every
-    // sweep point of that op.
-    let counts: Vec<(&'static str, opcount::OpCounts)> = {
-        let mut measured = Vec::new();
-        let mut measure = |op: &'static str, f: &mut dyn FnMut()| {
+    for group in CKKS_GROUPS {
+        let mut fs: Vec<_> = group.iter().map(|&(op, f)| (op, move || f(ring))).collect();
+        let mut ops: Vec<(&'static str, &mut dyn FnMut())> = fs
+            .iter_mut()
+            .map(|(op, f)| (*op, f as &mut dyn FnMut()))
+            .collect();
+        for (op, c, timings) in time_group(budget, sweep, only, &mut ops) {
+            push_sweep(records, op, (n, level), sweep, &timings, c);
+        }
+    }
+    parpool::set_threads(0);
+}
+
+/// `lintrans_bsgs`: a dense 64-diagonal transform with 8 baby steps,
+/// prepared once outside the timed loop, as the bootstrap keeps its
+/// transforms. `main` runs it on the smallest ring only: its 16 rotation
+/// keys would take about 2 GB at 2¹⁶.
+fn bench_lintrans(
+    params: CkksParams,
+    budget: Budget,
+    sweep: &[usize],
+    only: Only,
+    records: &mut Vec<Record>,
+) {
+    if !only.wants("lintrans_bsgs") {
+        return;
+    }
+    let ctx = CkksContext::new(params);
+    let level = ctx.max_level();
+    let n1 = 8;
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut t = LinearTransform::new(ctx.slots());
+    for r in 0..64 {
+        let diag = (0..ctx.slots())
+            .map(|_| Complex::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
+            .collect();
+        t.set_diagonal(r, diag);
+    }
+    let keys = KeyGenerator::new(&ctx, &mut rng).generate(&t.required_rotations_bsgs(n1));
+    let enc = Encoder::new(&ctx);
+    let eval = Evaluator::new(&ctx);
+    let msg: Vec<Complex> = (0..ctx.slots())
+        .map(|i| Complex::new(i as f64 * 1e-3, 0.0))
+        .collect();
+    let ct = keys.public.encrypt(&enc.encode(&msg, level), &mut rng);
+    let prepared = t.prepare(&enc, level, n1);
+    let mut lintrans = || drop(prepared.eval(&eval, &ct, &keys));
+    for (op, c, timings) in time_group(budget, sweep, only, &mut [("lintrans_bsgs", &mut lintrans)])
+    {
+        push_sweep(records, op, (ctx.n(), level), sweep, &timings, c);
+    }
+    parpool::set_threads(0);
+}
+
+/// The ops of `ops` that `only` wants, sampled in one interleaved
+/// `time_sweep` loop: `(op, counts, timings)` per op. The counts come from
+/// one instrumented call per op outside the timed loop (`ckks::opcount`);
+/// they are exact and thread-count independent, so every sweep point of
+/// an op carries them.
+fn time_group(
+    budget: Budget,
+    sweep: &[usize],
+    only: Only,
+    ops: &mut [(&'static str, &mut dyn FnMut())],
+) -> Vec<(&'static str, opcount::OpCounts, Vec<Timing>)> {
+    let (names, mut fs): (Vec<&'static str>, Vec<_>) = ops
+        .iter_mut()
+        .filter(|(op, _)| only.wants(op))
+        .map(|(op, f)| (*op, &mut **f))
+        .unzip();
+    let counts: Vec<opcount::OpCounts> = fs
+        .iter_mut()
+        .map(|f| {
             opcount::reset();
             f();
-            measured.push((op, opcount::snapshot()));
-        };
-        measure("ntt_forward_batch", &mut || {
-            let mut p = coeff.duplicate();
-            p.to_eval();
-        });
-        measure("ntt_inverse_batch", &mut || {
-            let mut p = evalp.duplicate();
-            p.to_coeff();
-        });
-        measure("hadd", &mut || {
-            let _ = eval.add(&ct, &ct);
-        });
-        measure("keyswitch", &mut || {
-            let _ = ks.switch(&a, &relin, level);
-        });
-        measure("mul_relin", &mut || {
-            let _ = eval.mul_relin(&ct, &ct, &relin);
-        });
-        measure("rescale", &mut || {
-            let _ = eval.rescale(&ct);
-        });
-        measure("automorphism", &mut || {
-            let _ = evalp.automorphism(5);
-        });
-        opcount::reset();
-        measured
-    };
-
-    // Sweep points are interleaved per sample round (`time_sweep`) so host
-    // drift cannot masquerade as a per-thread-count regression, nor as a
-    // forward/inverse NTT gap.
-    let mut push = |op: &'static str, timings: Vec<Timing>| {
-        let c = counts
-            .iter()
-            .find(|(o, _)| *o == op)
-            .map(|(_, c)| *c)
-            .unwrap_or_default();
-        push_sweep(records, op, (n, level), sweep, &timings, c);
-    };
-    let mut ntt = time_sweep(
-        budget,
-        sweep,
-        &mut [&mut || coeff.duplicate().to_eval(), &mut || {
-            evalp.duplicate().to_coeff()
-        }],
-    )
-    .into_iter();
-    push("ntt_forward_batch", ntt.next().expect("forward timings"));
-    push("ntt_inverse_batch", ntt.next().expect("inverse timings"));
-    let mut single =
-        |op, f: &mut dyn FnMut()| push(op, time_sweep(budget, sweep, &mut [f]).remove(0));
-    single("hadd", &mut || drop(eval.add(&ct, &ct)));
-    single("keyswitch", &mut || drop(ks.switch(&a, &relin, level)));
-    single("mul_relin", &mut || drop(eval.mul_relin(&ct, &ct, &relin)));
-    single("rescale", &mut || drop(eval.rescale(&ct)));
-    single("automorphism", &mut || drop(evalp.automorphism(5)));
-    parpool::set_threads(0);
+            opcount::snapshot()
+        })
+        .collect();
+    opcount::reset();
+    let timings = time_sweep(budget, sweep, &mut fs);
+    names
+        .into_iter()
+        .zip(counts)
+        .zip(timings)
+        .map(|((op, c), t)| (op, c, t))
+        .collect()
 }
 
 /// One record per sweep point of a CKKS `op` over a ring of `n` words and
@@ -349,7 +495,11 @@ fn push_sweep(
 /// `BootstrapConfig::sparse_default`): the end-to-end op above the
 /// keyswitch rows, whose halves fan out at the ciphertext level. Its rows
 /// sit under the check.sh small-ring gate.
-fn bench_bootstrap(budget: Budget, sweep: &[usize], records: &mut Vec<Record>) {
+fn bench_bootstrap(budget: Budget, sweep: &[usize], only: Only, records: &mut Vec<Record>) {
+    if !only.wants("bootstrap") {
+        return;
+    }
+    println!("  ckks bootstrap: n=2^9 levels=16 alpha=4 (bootstrap_demo)");
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_n(9)
@@ -373,19 +523,16 @@ fn bench_bootstrap(budget: Budget, sweep: &[usize], records: &mut Vec<Record>) {
     let mut boot = || drop(bts.bootstrap(&eval, &enc, &ct, &keys));
     // The first call encodes the transforms' plaintexts; count a warm one.
     boot();
-    opcount::reset();
-    boot();
-    let counts = opcount::snapshot();
-    opcount::reset();
-    let timings = time_sweep(budget, sweep, &mut [&mut boot]).remove(0);
-    push_sweep(
-        records,
-        "bootstrap",
-        (ctx.n(), ctx.max_level()),
-        sweep,
-        &timings,
-        counts,
-    );
+    for (op, counts, timings) in time_group(budget, sweep, only, &mut [("bootstrap", &mut boot)]) {
+        push_sweep(
+            records,
+            op,
+            (ctx.n(), ctx.max_level()),
+            sweep,
+            &timings,
+            counts,
+        );
+    }
     parpool::set_threads(0);
 }
 
@@ -423,7 +570,10 @@ fn pim_fleet(
     (banks, MontgomeryCtx::new(Q), pg_p, pg_ab, pg_out)
 }
 
-fn bench_pim(quick: bool, sweep: &[usize], records: &mut Vec<Record>) {
+fn bench_pim(quick: bool, sweep: &[usize], only: Only, records: &mut Vec<Record>) {
+    if !only.wants("paccum_8banks") {
+        return;
+    }
     let num_banks = 8;
     let k = 4;
     let c = if quick { 16 } else { 128 };
@@ -467,6 +617,64 @@ fn bench_pim(quick: bool, sweep: &[usize], records: &mut Vec<Record>) {
                 ("mmac_ops", fleet * 2 * k as u64 * elems),
                 ("bytes_internal", fleet * (3 * k as u64 + 2) * elems * 4),
             ],
+        });
+    }
+    parpool::set_threads(0);
+}
+
+/// The functional MMAC datapath (Table II): one `PimUnit` instruction over
+/// 4096 elements per call, single-threaded, all five sampled in one
+/// interleaved loop.
+fn bench_pim_unit(quick: bool, only: Only, records: &mut Vec<Record>) {
+    use pim::{PimInstruction, PimUnit};
+    const Q: u32 = 268369921;
+    let n = 4096;
+    let unit = PimUnit::new(Q, 32);
+    let mk = |seed: u32| -> Vec<u32> {
+        (0..n as u32)
+            .map(|i| (seed.wrapping_mul(2654435761).wrapping_add(i * 97)) % Q)
+            .collect()
+    };
+    let (a, b, p, c) = (mk(1), mk(2), mk(3), mk(4));
+    let paccum: Vec<&[u32]> = vec![&a, &b, &p, &c, &a, &b, &p, &c, &a, &b, &p, &c];
+    let run =
+        |instr, inputs: &[&[u32]]| drop(std::hint::black_box(unit.execute(instr, inputs, &[])));
+    let budget = Budget {
+        samples: if quick { 5 } else { 9 },
+        min_iters: 10,
+        min_millis: if quick { 2 } else { 20 },
+    };
+    let rows = time_group(
+        budget,
+        &[1],
+        only,
+        &mut [
+            ("pim_unit_add", &mut || run(PimInstruction::Add, &[&a, &b])),
+            ("pim_unit_mult", &mut || {
+                run(PimInstruction::Mult, &[&a, &b])
+            }),
+            ("pim_unit_pmac", &mut || {
+                run(PimInstruction::PMac, &[&a, &b, &p, &c, &c])
+            }),
+            ("pim_unit_tensor", &mut || {
+                run(PimInstruction::Tensor, &[&a, &b, &p, &c])
+            }),
+            ("pim_unit_paccum4", &mut || {
+                run(PimInstruction::PAccum(4), &paccum)
+            }),
+        ],
+    );
+    for (op, _, timings) in rows {
+        let t = timings[0];
+        records.push(Record {
+            op,
+            n,
+            limbs: 1,
+            threads: 1,
+            ns_per_op: t.mean,
+            ns_per_op_p50: t.p50,
+            samples: t.samples,
+            extras: Vec::new(),
         });
     }
     parpool::set_threads(0);
@@ -522,7 +730,7 @@ fn emit_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
 /// `wall_rps`), which is machine-dependent and informational only. Every
 /// row records its provenance — the fault seed plus the lane/shard/thread
 /// configuration that produced it — so a diff can be replayed exactly.
-fn bench_serving(quick: bool) {
+fn bench_serving(quick: bool, only: Only) -> usize {
     use serving::soak::SoakConfig;
     let requests = if quick { 48 } else { 240 };
     let fleet_requests = if quick { 2_000 } else { 20_000 };
@@ -552,9 +760,13 @@ fn bench_serving(quick: bool) {
         ("hedge-chaos", fleet(SoakConfig::hedge_chaos(2024))),
     ];
     let threads_env = std::env::var("ANAHEIM_THREADS").unwrap_or_else(|_| "auto".into());
+    if !scenarios.iter().any(|(name, _)| only.wants(name)) {
+        return 0;
+    }
     println!("\nServing soak ({requests} requests, seed 2024)");
     let rows: Vec<String> = scenarios
         .iter()
+        .filter(|(name, _)| only.wants(name))
         .map(|(name, cfg)| serving_row(name, cfg, &threads_env))
         .collect();
     std::fs::write(
@@ -562,6 +774,7 @@ fn bench_serving(quick: bool) {
         format!("[\n{}\n]\n", rows.join(",\n")),
     )
     .unwrap_or_else(|e| panic!("writing BENCH_serving.json: {e}"));
+    rows.len()
 }
 
 /// Runs one serving soak, prints its summary and returns its
@@ -729,48 +942,57 @@ fn bench_schedule(ckks_records: &mut Vec<Record>, pim_records: &mut Vec<Record>)
 /// (`boot_prepare_host`, whose `fuse_ns_p50` / `offload_ns_p50` time its
 /// two passes) and `Anaheim::run_prepared` (`boot_schedule_host`).
 /// Single-threaded model code, so `threads` is 1.
-fn bench_sim_host(quick: bool, records: &mut Vec<Record>) {
+fn bench_sim_host(quick: bool, only: Only, records: &mut Vec<Record>) {
     use anaheim_core::build::Builder;
     use anaheim_core::params::ParamSet;
     use anaheim_core::passes::{fuse, offload};
     use pim::{PimDeviceConfig, PimExecutor, PimInstruction, PimKernelSpec};
 
-    let kernel_budget = Budget {
-        samples: if quick { 5 } else { 9 },
-        min_iters: 100,
-        min_millis: if quick { 2 } else { 20 },
-    };
-    let dev = PimDeviceConfig::a100_near_bank();
-    let spec = PimKernelSpec {
-        instr: PimInstruction::PAccum(4),
-        limbs: 54,
-        n: 1 << 16,
-    };
-    let miss = time_ns(kernel_budget, || {
-        std::hint::black_box(
-            PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned).execute(&spec),
-        )
-        .expect("PAccum<4> runs on the A100 near-bank device");
-    });
-    let exec = PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned);
-    let hit = time_ns(kernel_budget, || {
-        std::hint::black_box(exec.execute(&spec))
+    println!("\nSimulator host time");
+    if only.wants("pim_kernel_host") {
+        let kernel_budget = Budget {
+            samples: if quick { 5 } else { 9 },
+            min_iters: 100,
+            min_millis: if quick { 2 } else { 20 },
+        };
+        let dev = PimDeviceConfig::a100_near_bank();
+        let spec = PimKernelSpec {
+            instr: PimInstruction::PAccum(4),
+            limbs: 54,
+            n: 1 << 16,
+        };
+        let miss = time_ns(kernel_budget, || {
+            std::hint::black_box(
+                PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned).execute(&spec),
+            )
             .expect("PAccum<4> runs on the A100 near-bank device");
-    });
-    println!(
-        "\nSimulator host time\n  {:22} {:>10.1} ns hit, {:.1} ns miss",
-        "pim_kernel_host", hit.p50, miss.p50
-    );
-    records.push(Record {
-        op: "pim_kernel_host",
-        n: spec.n,
-        limbs: spec.limbs,
-        threads: 1,
-        ns_per_op: hit.mean,
-        ns_per_op_p50: hit.p50,
-        samples: hit.samples,
-        extras: vec![("miss_ns_p50", miss.p50.round() as u64)],
-    });
+        });
+        let exec = PimExecutor::new(&dev, LayoutPolicy::ColumnPartitioned);
+        let hit = time_ns(kernel_budget, || {
+            std::hint::black_box(exec.execute(&spec))
+                .expect("PAccum<4> runs on the A100 near-bank device");
+        });
+        println!(
+            "  {:22} {:>10.1} ns hit, {:.1} ns miss",
+            "pim_kernel_host", hit.p50, miss.p50
+        );
+        records.push(Record {
+            op: "pim_kernel_host",
+            n: spec.n,
+            limbs: spec.limbs,
+            threads: 1,
+            ns_per_op: hit.mean,
+            ns_per_op_p50: hit.p50,
+            samples: hit.samples,
+            extras: vec![("miss_ns_p50", miss.p50.round() as u64)],
+        });
+    }
+    if !["boot_prepare_host", "boot_schedule_host"]
+        .iter()
+        .any(|op| only.wants(op))
+    {
+        return;
+    }
 
     // One sample per prepared sequence: `prepare` rewrites the sequence,
     // so each sample builds a fresh one outside the timed region. The same
@@ -906,15 +1128,13 @@ fn bench_evk_traffic(records: &mut Vec<Record>) {
     // evk every time (relin, conjugation, per-step rotations), so nothing
     // revisits inside 40 MB and the evk traffic is all DRAM — the paper's
     // reason to move keyswitching near memory in the first place.
-    for d in [2usize, 3, 4, 6, 8] {
-        let op = match d {
-            2 => "sched_evk_boot_d2",
-            3 => "sched_evk_boot_d3",
-            4 => "sched_evk_boot_d4",
-            6 => "sched_evk_boot_d6",
-            8 => "sched_evk_boot_d8",
-            _ => unreachable!(),
-        };
+    for (d, op) in [
+        (2, "sched_evk_boot_d2"),
+        (3, "sched_evk_boot_d3"),
+        (4, "sched_evk_boot_d4"),
+        (6, "sched_evk_boot_d6"),
+        (8, "sched_evk_boot_d8"),
+    ] {
         let seq = Builder::new(ParamSet::with_decomposition(d)).bootstrap();
         replay(op, "bytes_per_bootstrap", &seq);
     }
@@ -954,7 +1174,8 @@ fn effective_parallelism() -> f64 {
     2.0 * one.as_secs_f64() / two.as_secs_f64()
 }
 
-const USAGE: &str = "usage: bench_json [--quick] [--trace-out FILE] [--metrics-out FILE]";
+const USAGE: &str =
+    "usage: bench_json [--quick] [--only SUBSTRING] [--trace-out FILE] [--metrics-out FILE]";
 
 /// Reports a command-line problem on stderr and exits nonzero. Argument
 /// mistakes are operator errors, not harness bugs — no panic, no backtrace.
@@ -966,12 +1187,19 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let mut quick = false;
+    let mut only_arg: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
+            "--only" => {
+                only_arg = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--only needs a substring")),
+                )
+            }
             "--trace-out" => {
                 trace_out = Some(
                     args.next()
@@ -987,6 +1215,7 @@ fn main() {
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
+    let only = Only(only_arg.as_deref());
     let sweep: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let par_eff = effective_parallelism();
     println!(
@@ -1080,14 +1309,12 @@ fn main() {
     };
 
     let mut ckks_records = Vec::new();
-    for (params, budget) in configs {
-        println!(
-            "  ckks ring: n=2^{} levels={} alpha={}",
-            params.log_n, params.levels, params.alpha
-        );
-        bench_ckks(params, budget, sweep, &mut ckks_records);
+    for (i, (params, budget)) in configs.into_iter().enumerate() {
+        bench_ckks(params.clone(), budget, sweep, only, &mut ckks_records);
+        if i == 0 {
+            bench_lintrans(params, budget, sweep, only, &mut ckks_records);
+        }
     }
-    println!("  ckks bootstrap: n=2^9 levels=16 alpha=4 (bootstrap_demo)");
     bench_bootstrap(
         Budget {
             samples: if quick { 5 } else { 9 },
@@ -1095,30 +1322,42 @@ fn main() {
             min_millis: 0,
         },
         sweep,
+        only,
         &mut ckks_records,
     );
     print_summary("CKKS", &ckks_records);
 
     let mut pim_records = Vec::new();
-    bench_pim(quick, sweep, &mut pim_records);
+    bench_pim(quick, sweep, only, &mut pim_records);
     print_summary("PIM", &pim_records);
+    bench_pim_unit(quick, only, &mut pim_records);
 
     bench_schedule(&mut ckks_records, &mut pim_records);
-    bench_sim_host(quick, &mut pim_records);
+    bench_sim_host(quick, only, &mut pim_records);
     bench_evk_traffic(&mut ckks_records);
+    // The model rows above are computed whole; `--only` drops them here.
+    ckks_records.retain(|r| only.wants(r.op));
+    pim_records.retain(|r| only.wants(r.op));
     write_json("BENCH_ckks.json", &ckks_records);
     write_json("BENCH_pim.json", &pim_records);
 
-    bench_serving(quick);
+    let serving_rows = bench_serving(quick, only);
+    if ckks_records.len() + pim_records.len() + serving_rows == 0 {
+        usage_error(&format!("--only {:?} matches no op", only.0.unwrap_or("")));
+    }
 
     if trace_out.is_some() || metrics_out.is_some() {
         emit_telemetry(trace_out.as_deref(), metrics_out.as_deref());
     }
 
-    println!(
-        "\nwrote BENCH_ckks.json ({} records), BENCH_pim.json ({} records), \
-         BENCH_serving.json (6 scenarios)",
-        ckks_records.len(),
-        pim_records.len()
-    );
+    let written: Vec<String> = [
+        ("BENCH_ckks.json", ckks_records.len(), "records"),
+        ("BENCH_pim.json", pim_records.len(), "records"),
+        ("BENCH_serving.json", serving_rows, "scenarios"),
+    ]
+    .iter()
+    .filter(|(_, rows, _)| *rows > 0)
+    .map(|(file, rows, unit)| format!("{file} ({rows} {unit})"))
+    .collect();
+    println!("\nwrote {}", written.join(", "));
 }

@@ -40,13 +40,13 @@
 //! 32-bit `pmuludq` partial products, which is slower than the scalar
 //! `mul`. The radix-2 forward this module used to have was such a loop:
 //! built with `-C llvm-args=-vectorize-loops=false` it ran at 2^16 in
-//! 0.84 ms instead of 1.39 ms per limb (criterion `--bench ntt`, 55-bit
+//! 0.84 ms instead of 1.39 ms per limb (one-limb NTT microbenchmark, 55-bit
 //! prime, 2-vCPU Xeon), while the inverse, which LLVM vectorizes too, only
 //! moved from 0.78 to 0.75 ms. The radix-4 pass body is large enough that
 //! LLVM leaves it scalar, and the forward now runs in about 0.7 ms. A
 //! cleanup that shrinks the pass back to one butterfly per iteration, or
 //! splits it into per-stage loops, must check `forward` for `pmuludq` and
-//! time it.
+//! time it (`bench_json`'s `ntt_forward_batch` row, gated by check.sh).
 //!
 //! Besides the transforms, the context exposes the *evaluation-domain Galois
 //! permutation* used by HROT: applying the automorphism `X ↦ X^g` in the

@@ -252,7 +252,6 @@ struct HedgeCandidate {
     /// Clone of the prepared request (Arc-backed, so cheap) for the hedge
     /// execution.
     prepared: Prepared,
-    rerouted_from: Option<u32>,
     primary_shard: u32,
     /// The primary's unwrapped response.
     primary_resp: Response,
@@ -626,7 +625,6 @@ impl Shard {
                             .expect("hedge_probe implies hedges")
                             .push(HedgeCandidate {
                                 prepared,
-                                rerouted_from,
                                 primary_shard: self.id,
                                 primary_resp: resp,
                                 primary_start_ns: start,
@@ -869,11 +867,6 @@ impl ShardedEngine {
         self.fleet
     }
 
-    /// The shard configuration in force.
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
     /// Serves a stream of requests in bounded memory, invoking
     /// `on_response` for every response as it is produced (execution
     /// order — deterministic, but not sorted by id; a million-request run
@@ -1043,7 +1036,7 @@ impl ShardedEngine {
                 _ => {
                     self.fleet.hedges_suppressed += 1;
                     out.push(Shard::wrap(
-                        c.rerouted_from,
+                        c.prepared.rerouted_from,
                         c.primary_shard,
                         c.primary_resp,
                     ));
@@ -1051,6 +1044,7 @@ impl ShardedEngine {
                 }
             };
             self.fleet.hedges_launched += 1;
+            let rerouted_from = c.prepared.rerouted_from;
             let mut hp = c.prepared;
             hp.fault = hp.fault.map(|f| f.derive_stream(hp.id ^ HEDGE_SALT));
             let (hresp, hstart, hfinish) = {
@@ -1082,7 +1076,7 @@ impl ShardedEngine {
                 self.fleet.hedges_wasted += 1;
                 hedged(c.primary_shard, hfinish - hstart, c.primary_resp)
             };
-            out.push(Shard::wrap(c.rerouted_from, c.primary_shard, resp));
+            out.push(Shard::wrap(rerouted_from, c.primary_shard, resp));
         }
         Ok(())
     }

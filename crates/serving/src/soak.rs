@@ -359,11 +359,6 @@ impl TraceGen {
             i: 0,
         }
     }
-
-    /// The reference cost arrivals and deadlines are scaled by (ns).
-    pub fn reference_cost_ns(&self) -> f64 {
-        self.t_ref
-    }
 }
 
 impl Iterator for TraceGen {

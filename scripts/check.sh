@@ -48,6 +48,29 @@ ANAHEIM_THREADS=8 cargo test -q --test serving_contract
 echo "==> bench smoke (scripts/bench.sh --quick)"
 scripts/bench.sh --quick
 
+# `bench_json --only` smoke: a filtered run writes only the rows it names.
+# It runs in a scratch directory, so the BENCH_*.json the gates below read
+# are not overwritten; every row written there must be a key_mult row.
+echo "==> bench_json --only smoke (--quick --only key_mult, scratch directory)"
+only_dir="$(mktemp -d)"
+trap 'rm -rf "$only_dir"' EXIT
+bench_bin="$PWD/target/release/bench_json"
+(cd "$only_dir" && "$bench_bin" --quick --only key_mult >/dev/null)
+python3 - "$only_dir" <<'EOF'
+import glob, json, os, sys
+
+rows = []
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "BENCH_*.json"))):
+    rows += [(os.path.basename(path), r) for r in json.load(open(path))]
+if not rows:
+    sys.exit("bench_json --only key_mult wrote no rows")
+other = [f"{f}: {r.get('op', r.get('scenario'))}" for f, r in rows if "key_mult" not in r.get("op", "")]
+if other:
+    sys.exit("bench_json --only key_mult wrote other rows: " + ", ".join(other))
+print(f"  {len(rows)} rows written, every op contains key_mult — ok")
+EOF
+rm -rf "$only_dir"
+
 # The release figures binary must print the committed figures_output.txt
 # byte for byte: the figures are model outputs, so any drift is a model
 # change that has to regenerate the file and explain itself.
@@ -137,6 +160,54 @@ if fwd > max_ratio * inv:
         f"ntt_inverse_batch {inv:.0f} ns at n=1024, 1 thread (limit {max_ratio}x)"
     )
 print(f"  forward {fwd:.0f} ns / inverse {inv:.0f} ns = {fwd / inv:.2f}x <= {max_ratio}x — ok")
+EOF
+
+# Keyswitch phase-sum gate: the three phases of §II-B (ModUp, KeyMult,
+# ModDown) must add up to the whole switch at every (n, threads) point,
+# so the per-phase rows explain the keyswitch row instead of drifting from
+# it. bench_json samples the four rows in one interleaved loop. Their
+# measured op counts must sum exactly (all but `keyswitches`): the counts
+# come from the closures that are timed, so a phase row timing the wrong
+# work fails here. Their p50 sum must lie within [0.65, 1.35]x the
+# switch's p50. Over 70 quick runs on a 2-vCPU host
+# (24 partly beside a cargo build, 20 alternating with runs of the harness
+# before the phase rows existed, 26 plain) the sum read 0.73–1.22x at 1
+# thread (median 0.98; one run below 0.83) and 0.77–1.02x at 4 threads
+# (median 0.93): the phases timed apart run a little faster than inside
+# the switch, and more so when the host is loaded. The band leaves at
+# least 0.07 beyond those extremes. A phase timed twice (ModUp ≈ 0.46,
+# ModDown ≈ 0.35 of the switch at n=1024) or a dropped ModUp leaves it.
+echo "==> keyswitch phase-sum gate (BENCH_ckks.json)"
+python3 - <<'EOF'
+import json, sys
+
+lo, hi = 0.65, 1.35
+phases = ("decompose_mod_up", "key_mult", "mod_down_pair")
+counts = ("ntt_limbs", "intt_limbs", "bconv_limb_products", "ew_limb_ops", "automorphism_limbs")
+with open("BENCH_ckks.json") as f:
+    rows = {(r["op"], r["n"], r["threads"]): r for r in json.load(f)}
+points = sorted((n, t) for (op, n, t) in rows if op == "keyswitch")
+if not points:
+    sys.exit("BENCH_ckks.json: no keyswitch rows")
+for n, t in points:
+    whole = rows[("keyswitch", n, t)]
+    missing = [op for op in phases if (op, n, t) not in rows]
+    if missing:
+        sys.exit(f"BENCH_ckks.json: no {', '.join(missing)} row at n={n}, {t} threads")
+    parts = [rows[(op, n, t)] for op in phases]
+    for k in counts:
+        if sum(p[k] for p in parts) != whole[k]:
+            sys.exit(
+                f"BENCH_ckks.json: phase {k} sum {[p[k] for p in parts]} != "
+                f"keyswitch {whole[k]} at n={n}, {t} threads"
+            )
+    ratio = sum(p["ns_per_op_p50"] for p in parts) / whole["ns_per_op_p50"]
+    if not lo <= ratio <= hi:
+        sys.exit(
+            f"BENCH_ckks.json: keyswitch phases sum to {ratio:.3f}x the whole switch "
+            f"at n={n}, {t} threads (band [{lo}, {hi}])"
+        )
+    print(f"  n={n:<6} {t} threads: phases {ratio:.3f}x the switch, op counts add up — ok")
 EOF
 
 # Prepare/schedule ratio gate: `Anaheim::prepare` (fusion + offload) must

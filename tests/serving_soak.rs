@@ -33,7 +33,7 @@ fn chaos_soak_over_200_requests_holds_all_invariants() {
 
     // Every response is an honest, typed outcome; in particular no request
     // that expired returns Ok (the soak invariants prove it, but the claim
-    // is the acceptance criterion, so spell it out).
+    // is what the soak must show, so spell it out).
     for r in &responses {
         if let Outcome::Completed {
             finish_ns,
