@@ -18,15 +18,6 @@ use crate::passes::{fuse, offload, FusionConfig};
 use crate::report::ExecutionReport;
 use crate::schedule::{RunOptions, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
 
-/// Whether the PIM devices participate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Baseline: everything on the GPU.
-    GpuOnly,
-    /// Anaheim: element-wise blocks offloaded to PIM.
-    GpuWithPim,
-}
-
 /// A complete platform configuration.
 #[derive(Debug, Clone)]
 pub struct AnaheimConfig {
@@ -36,14 +27,12 @@ pub struct AnaheimConfig {
     pub gpu: GpuConfig,
     /// FHE library profile.
     pub library: LibraryProfile,
-    /// PIM device (used in [`ExecMode::GpuWithPim`]).
+    /// PIM device; `None` runs everything on the GPU.
     pub pim: Option<PimDeviceConfig>,
     /// PIM data layout.
     pub layout: LayoutPolicy,
     /// Fusion pipeline.
     pub fusion: FusionConfig,
-    /// Execution mode.
-    pub mode: ExecMode,
     /// Fault-injection plan (`None` = fault-free): PIM faults, GPU stream
     /// stalls and GPU transfer flips, on GPU-only and PIM platforms alike.
     pub fault: Option<FaultPlan>,
@@ -64,7 +53,6 @@ impl AnaheimConfig {
             pim: None,
             layout: LayoutPolicy::ColumnPartitioned,
             fusion: FusionConfig::gpu_baseline(),
-            mode: ExecMode::GpuOnly,
             fault: None,
             retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
             schedule: ScheduleMode::Serial,
@@ -80,7 +68,6 @@ impl AnaheimConfig {
             pim: Some(PimDeviceConfig::a100_near_bank()),
             layout: LayoutPolicy::ColumnPartitioned,
             fusion: FusionConfig::full(),
-            mode: ExecMode::GpuWithPim,
             fault: None,
             retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
             schedule: ScheduleMode::Serial,
@@ -202,7 +189,7 @@ impl Anaheim {
     /// pass. Pure — safe to run in parallel across requests.
     pub fn prepare(&self, seq: &mut OpSequence) {
         fuse(seq, &self.config.fusion);
-        if let Some(dev) = self.pim_device() {
+        if let Some(dev) = &self.config.pim {
             offload(seq, &self.model, dev, self.config.layout);
         }
     }
@@ -246,7 +233,7 @@ impl Anaheim {
         seq: &OpSequence,
         opts: RunOptions<'_>,
     ) -> Result<ExecutionReport, RunError> {
-        let sched = match self.pim_device() {
+        let sched = match &self.config.pim {
             Some(dev) => Scheduler::with_pim(&self.model, dev, self.config.layout),
             None => Scheduler::gpu_only(&self.model),
         }
@@ -255,14 +242,6 @@ impl Anaheim {
         match self.config.fault {
             Some(plan) => sched.with_fault_plan(plan).run_with(seq, opts),
             None => sched.run_with(seq, opts),
-        }
-    }
-
-    /// The PIM device, when the configuration offloads to one.
-    fn pim_device(&self) -> Option<&PimDeviceConfig> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => Some(dev),
-            _ => None,
         }
     }
 }

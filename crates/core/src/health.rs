@@ -31,6 +31,8 @@
 
 use std::fmt;
 
+use crate::report::ExecutionReport;
+
 /// Retry discipline for transient PIM integrity failures.
 ///
 /// `fixed(n)` (and `Default` via the scheduler) gives `n` immediate retries
@@ -479,6 +481,15 @@ impl HealthRegistry {
         b.next_cooldown_ns =
             (b.next_cooldown_ns * cfg.cooldown_multiplier).min(cfg.max_cooldown_ns);
         Some(self.push_transition(bank, from, BreakerState::Open, now, cause))
+    }
+
+    /// Adds a completed run's fault, retry and fallback totals to the
+    /// lifetime counters, once, when the run ends. A run that returns
+    /// `Err` adds nothing.
+    pub fn run_complete(&mut self, report: &ExecutionReport) {
+        self.counters.faults_detected += u64::from(report.faults_detected);
+        self.counters.pim_retries += u64::from(report.pim_retries);
+        self.counters.gpu_fallbacks += u64::from(report.pim_fallbacks);
     }
 
     /// Domains whose breaker is currently open (sick and routed around).

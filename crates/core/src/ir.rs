@@ -42,6 +42,16 @@ pub enum Executor {
     Pim,
 }
 
+impl Executor {
+    /// The engine's metric label and stream name (`"gpu"`/`"pim"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Executor::Gpu => "gpu",
+            Executor::Pim => "pim",
+        }
+    }
+}
+
 /// Fusion-opportunity annotations consumed by [`crate::passes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuseTag {

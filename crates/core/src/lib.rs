@@ -36,7 +36,7 @@ pub mod schedule;
 pub mod telemetry;
 
 pub use error::RunError;
-pub use framework::{Anaheim, AnaheimConfig, ExecMode};
+pub use framework::{Anaheim, AnaheimConfig};
 pub use health::{
     BankStatus, BreakerConfig, BreakerState, BreakerTransition, HealthCounters, HealthRegistry,
     HealthSnapshot, RetryPolicy,

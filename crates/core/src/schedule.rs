@@ -86,10 +86,12 @@ pub struct RunOptions<'r> {
     /// that the first hard fault trips.
     pub health: Option<&'r mut HealthRegistry>,
     /// Telemetry sink: every kernel, handoff, backoff, and limb batch is
-    /// recorded as virtual-time spans and metrics, and breaker transitions
-    /// land on the trace's `health` track. Recording happens only on the
-    /// serial scheduling loop, so the exported trace is bit-identical
-    /// across thread counts.
+    /// recorded as a virtual-time span, and breaker transitions land on the
+    /// trace's `health` track. The counters the report holds are folded
+    /// into the metrics once, when the run completes
+    /// ([`Telemetry::run_complete`]). Recording happens only on the serial
+    /// scheduling loop, so the exported trace is bit-identical across
+    /// thread counts.
     pub telemetry: Option<&'r mut Telemetry>,
     /// Deadline budget in virtual ns: at every segment boundary the
     /// scheduler checks the clock, and a run that is already past its
@@ -597,11 +599,7 @@ impl Streams {
     fn close_segment(&mut self, tel: Option<&mut Telemetry>) {
         if let Some((ex, s0, s1, ops, slide)) = self.seg.take() {
             if let Some(t) = tel {
-                let stream = match ex {
-                    Executor::Gpu => "gpu",
-                    Executor::Pim => "pim",
-                };
-                t.stream_segment(stream, self.seg_idx, s0, s1, ops, slide);
+                t.stream_segment(ex.name(), self.seg_idx, s0, s1, ops, slide);
             }
             self.seg_idx += 1;
             self.prev_seg_end = s1;
@@ -698,6 +696,9 @@ impl<'s> Run<'s, '_> {
                 .publish(op, target, start, done, self.tel.as_deref_mut());
         }
         self.tl.finish(&mut self.report, self.tel.as_deref_mut());
+        if let Gate::Breakers(reg) = self.gate {
+            reg.run_complete(&self.report);
+        }
         Ok(self.report)
     }
 
@@ -783,9 +784,6 @@ impl<'s> Run<'s, '_> {
                 note_transition(&mut self.report, self.tel.as_deref_mut(), transition, start);
                 if decision == PathDecision::Skip {
                     self.report.breaker_skips += 1;
-                    if let Some(t) = self.tel.as_deref_mut() {
-                        t.breaker_skip();
-                    }
                     // No PIM attempt was made, so the PIM cursor stays put.
                     return Ok((self.gpu_fallback(&spec, label, start), Executor::Gpu));
                 }
@@ -815,12 +813,6 @@ impl<'s> Run<'s, '_> {
                 Err(e) => return Err(RunError::Pim(e)),
             };
             self.report.faults_detected += 1;
-            if let Gate::Breakers(reg) = &mut self.gate {
-                reg.counters.faults_detected += 1;
-            }
-            if let Some(t) = self.tel.as_deref_mut() {
-                t.fault();
-            }
             // The failed attempt still burned time and energy.
             self.pim_attempt(&violation.wasted, label, true, &mut cursor);
             let permanent = violation.is_permanent();
@@ -833,18 +825,11 @@ impl<'s> Run<'s, '_> {
             {
                 retries += 1;
                 self.report.pim_retries += 1;
-                if let Gate::Breakers(reg) = &mut self.gate {
-                    reg.counters.pim_retries += 1;
-                }
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.retry();
-                }
                 continue;
             }
             if let (Gate::Breakers(reg), Some((bank, _))) = (&mut self.gate, bank) {
                 let t = reg.on_failure(bank, permanent, cursor, violation.cause());
                 note_transition(&mut self.report, self.tel.as_deref_mut(), t, cursor);
-                reg.counters.gpu_fallbacks += 1;
             }
             // A hard fault (stuck MMAC lane): retrying on PIM cannot succeed,
             // so a kill switch stays off for the rest of the run.
@@ -852,9 +837,6 @@ impl<'s> Run<'s, '_> {
                 *tripped |= permanent;
             }
             self.report.pim_fallbacks += 1;
-            if let Some(t) = self.tel.as_deref_mut() {
-                t.fallback();
-            }
             self.tl.advance(Executor::Pim, cursor);
             return Ok((self.gpu_fallback(&spec, label, cursor), Executor::Gpu));
         }

@@ -19,7 +19,8 @@ use obs::{MetricsRegistry, SpanId, TraceRecorder};
 use pim::exec::PimKernelResult;
 
 use crate::health::{BreakerTransition, HealthSnapshot};
-use crate::report::ExecutionReport;
+use crate::ir::Executor;
+use crate::report::{ExecutionReport, GanttSegment};
 
 /// Metric names recorded by the scheduler and exporters, kept as constants
 /// so the code, the tests, and `docs/METRICS.md` cannot drift apart.
@@ -356,8 +357,9 @@ impl Telemetry {
         self.trace.close(id, end_ns);
     }
 
-    /// Records a GPU kernel: one leaf span on the `GPU` track plus kernel
-    /// counters and the duration histogram.
+    /// Records a GPU kernel: one leaf span on the `GPU` track. Its count,
+    /// duration and HBM bytes are folded from the report in
+    /// [`Self::run_complete`].
     #[allow(clippy::too_many_arguments)]
     pub fn gpu_kernel(
         &mut self,
@@ -381,23 +383,12 @@ impl Telemetry {
                 ("degraded", degraded.into()),
             ],
         );
-        self.metrics.inc(
-            names::KERNELS_TOTAL,
-            &[("executor", "gpu"), ("class", class)],
-            1,
-        );
-        self.metrics.observe(
-            names::KERNEL_NS,
-            &[("executor", "gpu"), ("class", class)],
-            end_ns - start_ns,
-        );
-        self.metrics.inc(names::HBM_BYTES, &[], dram_bytes);
     }
 
     /// Records a PIM kernel: a kernel span on the `PIM` track with one
     /// child span per sequential limb batch (the kernel's latency divides
-    /// evenly across `r.limb_batches` die-group-parallel rounds), plus the
-    /// PIM traffic/compute counters.
+    /// evenly across `r.limb_batches` die-group-parallel rounds). Its count,
+    /// duration and internal bytes are folded in [`Self::run_complete`].
     pub fn pim_kernel(
         &mut self,
         label: &'static str,
@@ -423,62 +414,30 @@ impl Telemetry {
         self.trace.annotate(id, "mmac_ops", r.mmac_ops);
         self.trace.annotate(id, "degraded", degraded);
         self.trace.close(id, end_ns);
-        self.metrics.inc(
-            names::KERNELS_TOTAL,
-            &[("executor", "pim"), ("class", "element-wise")],
-            1,
-        );
-        self.metrics.observe(
-            names::KERNEL_NS,
-            &[("executor", "pim"), ("class", "element-wise")],
-            end_ns - start_ns,
-        );
-        self.metrics
-            .inc(names::PIM_INTERNAL_BYTES, &[], r.bytes_internal);
+        // Per event: the report has no field for MMAC ops or ACTs.
         self.metrics.inc(names::PIM_MMAC_OPS, &[], r.mmac_ops);
         self.metrics.inc(names::PIM_ACTS, &[], r.acts_total);
     }
 
-    /// Records one GPU↔PIM stream handoff.
+    /// Records one GPU↔PIM stream handoff span.
     pub fn transition(&mut self, start_ns: f64, end_ns: f64) {
         self.trace
             .leaf("handoff", "transition", "stream", start_ns, end_ns, vec![]);
-        self.metrics.inc(names::TRANSITIONS, &[], 1);
     }
 
     /// Records retry backoff charged to the timeline.
     pub fn backoff(&mut self, start_ns: f64, end_ns: f64) {
         self.trace
             .leaf("backoff", "backoff", "PIM", start_ns, end_ns, vec![]);
+        // Per event: a float summed across runs; folding it per run would
+        // regroup the additions and move the last bits.
         self.metrics
             .add_gauge(names::BACKOFF_NS, &[], end_ns - start_ns);
     }
 
-    /// Records an integrity-check failure.
-    pub fn fault(&mut self) {
-        self.metrics.inc(names::FAULTS, &[], 1);
-    }
-
-    /// Records a PIM retry.
-    pub fn retry(&mut self) {
-        self.metrics.inc(names::RETRIES, &[], 1);
-    }
-
-    /// Records a GPU fallback after exhausted PIM attempts.
-    pub fn fallback(&mut self) {
-        self.metrics.inc(names::FALLBACKS, &[], 1);
-    }
-
-    /// Records a kernel skipped past PIM by an open breaker.
-    pub fn breaker_skip(&mut self) {
-        self.metrics.inc(names::BREAKER_SKIPS, &[], 1);
-    }
-
     /// Records a breaker state change: a zero-width marker span on the
-    /// `health` track at local scheduler time `local_now_ns`, plus the
-    /// destination-state counter.
+    /// `health` track at local scheduler time `local_now_ns`.
     pub fn breaker_transition(&mut self, t: &BreakerTransition, local_now_ns: f64) {
-        let to = t.to.to_string();
         self.trace.leaf(
             format!("bank{} {}\u{2192}{}", t.bank, t.from, t.to),
             "breaker",
@@ -487,14 +446,13 @@ impl Telemetry {
             local_now_ns,
             vec![("cause", t.cause.into())],
         );
-        self.metrics
-            .inc(names::BREAKER_TRANSITIONS, &[("to", &to)], 1);
     }
 
     /// Records one pipelined-mode stream segment: a span on the stream's
     /// own telemetry track (`gpu-stream`/`pim-stream`) annotated with how
     /// far it slid left relative to a serial handoff schedule, plus the
-    /// per-stream segment counter.
+    /// per-stream segment counter (per event: the report does not hold
+    /// stream segments).
     #[allow(clippy::too_many_arguments)]
     pub fn stream_segment(
         &mut self,
@@ -533,8 +491,56 @@ impl Telemetry {
             .set_gauge(names::STREAM_OVERLAP_NS, &[], overlap_ns);
     }
 
-    /// Records run-level aggregates after a scheduler run completes.
+    /// Records a completed scheduler run. Every scheduler series whose
+    /// exact value the report holds is folded here, once per run: kernel
+    /// counts and durations from `report.segments` (observed in segment
+    /// order, so each histogram sum adds in the order the kernels ran),
+    /// HBM and PIM-internal bytes, handoffs, faults, retries, fallbacks,
+    /// breaker skips and breaker transitions. A series appears exactly
+    /// when recording each event would have created it. A run that
+    /// returns `Err` never gets here, so it records none of these for the
+    /// work it did before failing.
     pub fn run_complete(&mut self, report: &ExecutionReport) {
+        let mut kinds: Vec<(Executor, &'static str)> = Vec::new();
+        for s in &report.segments {
+            if !kinds.contains(&(s.executor, s.class)) {
+                kinds.push((s.executor, s.class));
+            }
+        }
+        for &(executor, class) in &kinds {
+            let labels = [("executor", executor.name()), ("class", class)];
+            let ns = report
+                .segments
+                .iter()
+                .filter(|s| s.executor == executor && s.class == class)
+                .map(GanttSegment::duration_ns);
+            let n = self.metrics.observe_all(names::KERNEL_NS, &labels, ns);
+            self.metrics.inc(names::KERNELS_TOTAL, &labels, n);
+        }
+        let ran_on = |e: Executor| kinds.iter().any(|k| k.0 == e);
+        if ran_on(Executor::Gpu) {
+            let bytes = report.gpu_dram_bytes;
+            self.metrics.inc(names::HBM_BYTES, &[], bytes);
+        }
+        if ran_on(Executor::Pim) {
+            let bytes = report.pim_dram_bytes;
+            self.metrics.inc(names::PIM_INTERNAL_BYTES, &[], bytes);
+        }
+        for (name, n) in [
+            (names::TRANSITIONS, report.transitions),
+            (names::FAULTS, report.faults_detected),
+            (names::RETRIES, report.pim_retries),
+            (names::FALLBACKS, report.pim_fallbacks),
+            (names::BREAKER_SKIPS, report.breaker_skips),
+        ] {
+            if n > 0 {
+                self.metrics.inc(name, &[], u64::from(n));
+            }
+        }
+        for t in &report.breaker_transitions {
+            self.metrics
+                .inc(names::BREAKER_TRANSITIONS, &[("to", &t.to.to_string())], 1);
+        }
         self.metrics.set_gauge(
             names::VIRTUAL_TIME_NS,
             &[],
@@ -626,16 +632,15 @@ mod tests {
             assert_eq!(s.cat, "limb-batch");
             assert!((s.start_ns - (100.0 + i as f64 * 100.0)).abs() < 1e-9);
         }
+        // MMAC ops are counted per kernel; counts, durations and bytes
+        // wait for the run's report.
+        assert_eq!(t.metrics.counter_value(names::PIM_MMAC_OPS, &[]), 99);
         assert_eq!(
             t.metrics.counter_value(
                 names::KERNELS_TOTAL,
                 &[("executor", "pim"), ("class", "element-wise")]
             ),
-            1
-        );
-        assert_eq!(
-            t.metrics.counter_value(names::PIM_INTERNAL_BYTES, &[]),
-            1024
+            0
         );
     }
 

@@ -258,15 +258,30 @@ impl MetricsRegistry {
     /// Records an observation into a histogram series. Bounds come from
     /// [`Self::describe_histogram`], defaulting to [`DEFAULT_NS_BOUNDS`].
     pub fn observe(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
+        self.observe_all(name, labels, [v]);
+    }
+
+    /// Records `values` in order into one histogram series, looking the
+    /// series up once, and returns how many were recorded. The series
+    /// exists afterwards even when `values` is empty.
+    pub fn observe_all(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        values: impl IntoIterator<Item = f64>,
+    ) -> u64 {
         let bounds = self
             .descs
             .get(name)
             .and_then(|d| d.bounds)
             .unwrap_or(DEFAULT_NS_BOUNDS);
-        self.histograms
+        let h = self
+            .histograms
             .entry(SeriesKey::new(name, labels))
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
+            .or_insert_with(|| Histogram::new(bounds));
+        let before = h.count;
+        values.into_iter().for_each(|v| h.observe(v));
+        h.count - before
     }
 
     /// Reads a counter series (0 when absent) — for tests and report glue.

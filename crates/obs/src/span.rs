@@ -28,7 +28,7 @@ pub enum ArgValue {
     /// Boolean flag (e.g. `bandwidth_bound`, `degraded`).
     Bool(bool),
     /// Short string payload (instruction mnemonics, outcome labels).
-    Str(String),
+    Str(&'static str),
 }
 
 impl From<u64> for ArgValue {
@@ -51,13 +51,8 @@ impl From<bool> for ArgValue {
         ArgValue::Bool(v)
     }
 }
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
-    }
-}
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> Self {
         ArgValue::Str(v)
     }
 }

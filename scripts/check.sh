@@ -241,16 +241,15 @@ EOF
 echo "==> serving chaos soak (scripts/soak.sh --quick)"
 scripts/soak.sh --quick
 
-# Streaming fleet soak: the million-request memory-boundedness and
-# determinism gate. Runs the sharded streaming soak twice — once per
-# ANAHEIM_THREADS setting — under a peak-RSS budget (VmHWM, enforced by
-# the binary) and byte-compares the per-shard snapshot text. Override
-# the request count or budget via the environment for quicker local runs:
+# Streaming soak gates. Each runs one sharded streaming soak twice — once
+# per ANAHEIM_THREADS setting — under a peak-RSS budget (VmHWM, enforced by
+# the binary), byte-compares the two snapshots, compares the 1-thread
+# snapshot with its golden, and greps it for each named field reading
+# nonzero, so a silently-neutered scenario cannot pass. The soak binary's
+# streaming invariants check the scenario itself. Override a gate's request
+# count, or the shared budget, via the environment for quicker local runs:
 #   STREAM_SOAK_REQUESTS=50000 STREAM_SOAK_RSS_BUDGET_KB=65536 scripts/check.sh
-STREAM_SOAK_DEFAULT=1000000
-STREAM_SOAK_REQUESTS="${STREAM_SOAK_REQUESTS:-$STREAM_SOAK_DEFAULT}"
 STREAM_SOAK_RSS_BUDGET_KB="${STREAM_SOAK_RSS_BUDGET_KB:-262144}"
-echo "==> streaming fleet soak ($STREAM_SOAK_REQUESTS requests, RSS budget ${STREAM_SOAK_RSS_BUDGET_KB} kB)"
 snap_dir="$(mktemp -d)"
 trap 'rm -rf "$snap_dir"' EXIT
 
@@ -272,59 +271,49 @@ golden_cmp() {
     exit 1
   fi
 }
-for threads in 1 8; do
-  echo "==> streaming fleet soak (ANAHEIM_THREADS=$threads)"
-  ANAHEIM_THREADS="$threads" ./target/release/soak --stream \
-    --requests "$STREAM_SOAK_REQUESTS" \
-    --rss-budget-kb "$STREAM_SOAK_RSS_BUDGET_KB" \
-    --snapshot-out "$snap_dir/snap-t$threads.txt"
-done
-if cmp -s "$snap_dir/snap-t1.txt" "$snap_dir/snap-t8.txt"; then
-  echo "  per-shard snapshots byte-identical across ANAHEIM_THREADS=1/8 — ok"
-else
-  echo "FAIL: streaming soak snapshots differ across thread counts" >&2
-  diff "$snap_dir/snap-t1.txt" "$snap_dir/snap-t8.txt" | head -20 >&2
-  exit 1
-fi
-golden_cmp "$snap_dir/snap-t1.txt" tests/golden/soak-stream.txt \
-  "$STREAM_SOAK_REQUESTS" "$STREAM_SOAK_DEFAULT"
 
-# Hedge-chaos gate: the GPU fault domain (stream stalls + transfer
-# bit-flips) with deadline-budget cancellation and hedged re-execution on.
-# The soak binary's streaming invariants already enforce exactly-one
-# outcome per request, >=1 hedge launch/win, and >=1 cancellation under
-# this config; here we additionally byte-compare the snapshot across
-# thread counts and independently grep the artifact for nonzero hedge
-# wins and cancellations, so a silently-neutered scenario cannot pass.
+#   soak_gate LABEL "FLAGS" REQUESTS DEFAULT GOLDEN [NONZERO-FIELD...]
+soak_gate() {
+  local label="$1" flags="$2" requests="$3" default="$4" golden="$5"
+  shift 5
+  echo "==> $label streaming soak ($requests requests, RSS budget ${STREAM_SOAK_RSS_BUDGET_KB} kB)"
+  for threads in 1 8; do
+    echo "==> $label streaming soak (ANAHEIM_THREADS=$threads)"
+    # $flags is left unquoted: it splits into the soak's flag words.
+    ANAHEIM_THREADS="$threads" ./target/release/soak --stream $flags \
+      --requests "$requests" \
+      --rss-budget-kb "$STREAM_SOAK_RSS_BUDGET_KB" \
+      --snapshot-out "$snap_dir/$label-t$threads.txt"
+  done
+  if cmp -s "$snap_dir/$label-t1.txt" "$snap_dir/$label-t8.txt"; then
+    echo "  $label snapshots byte-identical across ANAHEIM_THREADS=1/8 — ok"
+  else
+    echo "FAIL: $label soak snapshots differ across thread counts" >&2
+    diff "$snap_dir/$label-t1.txt" "$snap_dir/$label-t8.txt" | head -20 >&2
+    exit 1
+  fi
+  golden_cmp "$snap_dir/$label-t1.txt" "$golden" "$requests" "$default"
+  for field in "$@"; do
+    if ! grep -Eq "$field=[1-9]" "$snap_dir/$label-t1.txt"; then
+      echo "FAIL: $label soak snapshot reads zero $field" >&2
+      exit 1
+    fi
+    echo "  $field nonzero in the $label snapshot — ok"
+  done
+}
+
+# Fleet: the million-request memory-boundedness and determinism gate.
+STREAM_SOAK_DEFAULT=1000000
+soak_gate fleet "" "${STREAM_SOAK_REQUESTS:-$STREAM_SOAK_DEFAULT}" \
+  "$STREAM_SOAK_DEFAULT" tests/golden/soak-stream.txt
+
+# Hedge-chaos: the GPU fault domain (stream stalls + transfer bit-flips)
+# with deadline-budget cancellation and hedged re-execution on; the soak
+# requires >=1 hedge launch/win and >=1 cancellation.
 #   HEDGE_SOAK_REQUESTS=5000 scripts/check.sh
 HEDGE_SOAK_DEFAULT=20000
-HEDGE_SOAK_REQUESTS="${HEDGE_SOAK_REQUESTS:-$HEDGE_SOAK_DEFAULT}"
-echo "==> hedge-chaos streaming soak ($HEDGE_SOAK_REQUESTS requests)"
-for threads in 1 8; do
-  echo "==> hedge-chaos streaming soak (ANAHEIM_THREADS=$threads)"
-  ANAHEIM_THREADS="$threads" ./target/release/soak --stream --hedge \
-    --requests "$HEDGE_SOAK_REQUESTS" \
-    --rss-budget-kb "$STREAM_SOAK_RSS_BUDGET_KB" \
-    --snapshot-out "$snap_dir/hedge-t$threads.txt"
-done
-if cmp -s "$snap_dir/hedge-t1.txt" "$snap_dir/hedge-t8.txt"; then
-  echo "  hedge-chaos snapshots byte-identical across ANAHEIM_THREADS=1/8 — ok"
-else
-  echo "FAIL: hedge-chaos snapshots differ across thread counts" >&2
-  diff "$snap_dir/hedge-t1.txt" "$snap_dir/hedge-t8.txt" | head -20 >&2
-  exit 1
-fi
-golden_cmp "$snap_dir/hedge-t1.txt" tests/golden/soak-hedge-chaos.txt \
-  "$HEDGE_SOAK_REQUESTS" "$HEDGE_SOAK_DEFAULT"
-if ! grep -Eq 'hedges-won=[1-9]' "$snap_dir/hedge-t1.txt"; then
-  echo "FAIL: hedge-chaos soak recorded zero hedge wins" >&2
-  exit 1
-fi
-if ! grep -Eq 'cancelled=[1-9]' "$snap_dir/hedge-t1.txt"; then
-  echo "FAIL: hedge-chaos soak recorded zero over-budget cancellations" >&2
-  exit 1
-fi
-echo "  hedge wins and over-budget cancellations present in the snapshot — ok"
+soak_gate hedge-chaos "--hedge" "${HEDGE_SOAK_REQUESTS:-$HEDGE_SOAK_DEFAULT}" \
+  "$HEDGE_SOAK_DEFAULT" tests/golden/soak-hedge-chaos.txt hedges-won cancelled
 
 echo "==> pipelined schedule gate (BENCH_ckks.json / BENCH_pim.json)"
 python3 - <<'EOF'
@@ -360,69 +349,22 @@ for path, bytes_key in (
     print(f"  {path}: speedup {speedup:.4f}x, overlap {p['overlap_ns']/1e6:.3f} ms — ok")
 EOF
 
-# Batched-fleet gate: same-tenant batch serving over the two-shard fleet.
-# The soak binary's streaming invariants already require >=1 amortized
-# evaluation-key fetch and that the saved bytes reconcile with the
-# per-shard hit bytes; here we additionally byte-compare the snapshot
-# across thread counts and independently grep the artifact for a nonzero
-# saving, so a silently-disabled batcher cannot pass.
+# Batched fleet: same-tenant batch serving over the two-shard fleet; the
+# soak requires >=1 amortized evaluation-key fetch and that the saved bytes
+# reconcile with the per-shard hit bytes.
 #   BATCH_SOAK_REQUESTS=2000 scripts/check.sh
 BATCH_SOAK_DEFAULT=20000
-BATCH_SOAK_REQUESTS="${BATCH_SOAK_REQUESTS:-$BATCH_SOAK_DEFAULT}"
-echo "==> batched-fleet streaming soak ($BATCH_SOAK_REQUESTS requests)"
-for threads in 1 8; do
-  echo "==> batched-fleet streaming soak (ANAHEIM_THREADS=$threads)"
-  ANAHEIM_THREADS="$threads" ./target/release/soak --stream --batch \
-    --requests "$BATCH_SOAK_REQUESTS" \
-    --rss-budget-kb "$STREAM_SOAK_RSS_BUDGET_KB" \
-    --snapshot-out "$snap_dir/batch-t$threads.txt"
-done
-if cmp -s "$snap_dir/batch-t1.txt" "$snap_dir/batch-t8.txt"; then
-  echo "  batched-fleet snapshots byte-identical across ANAHEIM_THREADS=1/8 — ok"
-else
-  echo "FAIL: batched-fleet snapshots differ across thread counts" >&2
-  diff "$snap_dir/batch-t1.txt" "$snap_dir/batch-t8.txt" | head -20 >&2
-  exit 1
-fi
-golden_cmp "$snap_dir/batch-t1.txt" tests/golden/soak-batched.txt \
-  "$BATCH_SOAK_REQUESTS" "$BATCH_SOAK_DEFAULT"
-if ! grep -Eq 'saved-bytes=[1-9]' "$snap_dir/batch-t1.txt"; then
-  echo "FAIL: batched-fleet soak amortized zero evaluation-key bytes" >&2
-  exit 1
-fi
-echo "  evaluation-key bytes amortized in the snapshot — ok"
+soak_gate batched-fleet "--batch" "${BATCH_SOAK_REQUESTS:-$BATCH_SOAK_DEFAULT}" \
+  "$BATCH_SOAK_DEFAULT" tests/golden/soak-batched.txt saved-bytes
 
-# Ordered-fleet gate: batch-aware dispatch ordering over the batched-fleet
-# trace. The soak binary's streaming invariants already require >=1
-# reorder and a nonzero lane credit; here we additionally byte-compare the
-# snapshot across thread counts and grep the artifact for committed
-# reorders, so a silently-disabled orderer cannot pass. The JSON gate
-# below then compares the ordered-fleet row against the batched-fleet row.
+# Ordered fleet: batch-aware dispatch ordering over the batched-fleet
+# trace; the soak requires >=1 reorder and a nonzero lane credit. The JSON
+# gate below then compares the ordered-fleet row against the batched-fleet
+# row.
 #   ORDERED_SOAK_REQUESTS=2000 scripts/check.sh
 ORDERED_SOAK_DEFAULT=20000
-ORDERED_SOAK_REQUESTS="${ORDERED_SOAK_REQUESTS:-$ORDERED_SOAK_DEFAULT}"
-echo "==> ordered-fleet streaming soak ($ORDERED_SOAK_REQUESTS requests)"
-for threads in 1 8; do
-  echo "==> ordered-fleet streaming soak (ANAHEIM_THREADS=$threads)"
-  ANAHEIM_THREADS="$threads" ./target/release/soak --stream --ordered \
-    --requests "$ORDERED_SOAK_REQUESTS" \
-    --rss-budget-kb "$STREAM_SOAK_RSS_BUDGET_KB" \
-    --snapshot-out "$snap_dir/ordered-t$threads.txt"
-done
-if cmp -s "$snap_dir/ordered-t1.txt" "$snap_dir/ordered-t8.txt"; then
-  echo "  ordered-fleet snapshots byte-identical across ANAHEIM_THREADS=1/8 — ok"
-else
-  echo "FAIL: ordered-fleet snapshots differ across thread counts" >&2
-  diff "$snap_dir/ordered-t1.txt" "$snap_dir/ordered-t8.txt" | head -20 >&2
-  exit 1
-fi
-golden_cmp "$snap_dir/ordered-t1.txt" tests/golden/soak-ordered.txt \
-  "$ORDERED_SOAK_REQUESTS" "$ORDERED_SOAK_DEFAULT"
-if ! grep -Eq 'reorders=[1-9]' "$snap_dir/ordered-t1.txt"; then
-  echo "FAIL: ordered-fleet soak committed zero reorders" >&2
-  exit 1
-fi
-echo "  committed reorders present in the snapshot — ok"
+soak_gate ordered-fleet "--ordered" "${ORDERED_SOAK_REQUESTS:-$ORDERED_SOAK_DEFAULT}" \
+  "$ORDERED_SOAK_DEFAULT" tests/golden/soak-ordered.txt reorders
 
 # Evaluation-key traffic conservation gate (docs/KEYS.md): on every BENCH
 # row carrying the evk split, cached plus missed bytes must equal the

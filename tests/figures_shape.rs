@@ -238,7 +238,7 @@ fn minks_wins_only_on_asic_like_hardware() {
     // cache (the evk gets reused from SRAM) and high compute throughput;
     // on GPUs hoisting wins. Both halves of the claim, from one model.
     use anaheim::core::build::{Builder, LinTransStyle};
-    use anaheim::core::framework::{Anaheim, AnaheimConfig, ExecMode};
+    use anaheim::core::framework::{Anaheim, AnaheimConfig};
     use anaheim::core::health::RetryPolicy;
     use anaheim::core::params::ParamSet;
     use anaheim::core::passes::FusionConfig;
@@ -268,7 +268,6 @@ fn minks_wins_only_on_asic_like_hardware() {
             pim: None,
             layout: LayoutPolicy::ColumnPartitioned,
             fusion: FusionConfig::gpu_baseline(),
-            mode: ExecMode::GpuOnly,
             fault: None,
             retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
             schedule: ScheduleMode::Serial,

@@ -147,3 +147,108 @@ fn serving_trace_identical_across_thread_counts() {
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
 }
+
+#[test]
+fn folded_metrics_and_health_counters_match_the_reports() {
+    use anaheim::core::build::{Builder, LinTransStyle};
+    use anaheim::core::params::ParamSet;
+    use anaheim::core::report::ExecutionReport;
+    use anaheim::core::telemetry::names;
+    use anaheim::pim::fault::FaultPlan;
+    use std::collections::BTreeMap;
+
+    // One registry and one sink across a series of faulty, health-gated
+    // runs, as a serving shard uses them.
+    let cfg = AnaheimConfig::a100_near_bank();
+    let mut reg = HealthRegistry::for_device(cfg.pim.as_ref().expect("PIM"), Default::default());
+    let rt = Anaheim::new(cfg);
+    let mut seq =
+        Builder::new(ParamSet::paper_default()).lintrans(54, 8, LinTransStyle::Hoisting, true);
+    rt.prepare(&mut seq);
+    let mut tel = Telemetry::new(9);
+    let mut reports: Vec<ExecutionReport> = Vec::new();
+    let mut base_ns = 0.0;
+    for seed in 0..6 {
+        reg.set_base_ns(base_ns);
+        tel.set_base_ns(base_ns);
+        // Transient flips throughout; a stuck lane from the third run on
+        // pins a breaker open, so later kernels skip PIM.
+        let mut plan = FaultPlan::none().with_seed(seed).with_bank_flips(0.5);
+        if seed >= 2 {
+            plan = plan.with_stuck_lane(3);
+        }
+        let opts = RunOptions {
+            health: Some(&mut reg),
+            telemetry: Some(&mut tel),
+            fault: Some(plan),
+            ..RunOptions::default()
+        };
+        let r = rt
+            .run_prepared_with(&seq, opts)
+            .expect("degraded runs complete");
+        base_ns += r.total_ns;
+        reports.push(r);
+    }
+
+    let sum = |f: fn(&ExecutionReport) -> u64| reports.iter().map(f).sum::<u64>();
+    let faults = sum(|r| r.faults_detected.into());
+    let retries = sum(|r| r.pim_retries.into());
+    let fallbacks = sum(|r| r.pim_fallbacks.into());
+    let skips = sum(|r| r.breaker_skips.into());
+    let transitions = sum(|r| r.transitions.into());
+    let breaker_transitions = sum(|r| r.breaker_transitions.len() as u64);
+    for (what, n) in [
+        ("faults", faults),
+        ("retries", retries),
+        ("fallbacks", fallbacks),
+        ("breaker skips", skips),
+        ("breaker transitions", breaker_transitions),
+    ] {
+        assert!(n > 0, "the fault plan must produce {what}");
+    }
+
+    let m = &tel.metrics;
+    assert_eq!(m.counter_value(names::FAULTS, &[]), faults);
+    assert_eq!(m.counter_value(names::RETRIES, &[]), retries);
+    assert_eq!(m.counter_value(names::FALLBACKS, &[]), fallbacks);
+    assert_eq!(m.counter_value(names::BREAKER_SKIPS, &[]), skips);
+    assert_eq!(m.counter_value(names::TRANSITIONS, &[]), transitions);
+    assert_eq!(
+        m.counter_value(names::HBM_BYTES, &[]),
+        sum(|r| r.gpu_dram_bytes)
+    );
+    assert_eq!(
+        m.counter_value(names::PIM_INTERNAL_BYTES, &[]),
+        sum(|r| r.pim_dram_bytes)
+    );
+    let mut to: BTreeMap<String, u64> = BTreeMap::new();
+    for t in reports.iter().flat_map(|r| &r.breaker_transitions) {
+        *to.entry(t.to.to_string()).or_default() += 1;
+    }
+    for (state, n) in &to {
+        assert_eq!(
+            m.counter_value(names::BREAKER_TRANSITIONS, &[("to", state)]),
+            *n
+        );
+    }
+
+    // Kernel counts and durations per (executor, class); each histogram
+    // sum adds the durations in the order the kernels ran.
+    let mut kernels: BTreeMap<(&str, &str), (u64, f64)> = BTreeMap::new();
+    for s in reports.iter().flat_map(|r| &r.segments) {
+        let e = kernels.entry((s.executor.name(), s.class)).or_default();
+        e.0 += 1;
+        e.1 += s.duration_ns();
+    }
+    for (&(executor, class), &(n, ns)) in &kernels {
+        let labels = [("executor", executor), ("class", class)];
+        assert_eq!(m.counter_value(names::KERNELS_TOTAL, &labels), n);
+        let h = m.histogram(names::KERNEL_NS, &labels).expect("series");
+        assert_eq!(h.count(), n);
+        assert_eq!(h.sum().to_bits(), ns.to_bits(), "{executor}/{class} sum");
+    }
+
+    assert_eq!(reg.counters.faults_detected, faults);
+    assert_eq!(reg.counters.pim_retries, retries);
+    assert_eq!(reg.counters.gpu_fallbacks, fallbacks);
+}
