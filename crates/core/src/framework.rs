@@ -204,9 +204,9 @@ impl Anaheim {
     /// this configuration describes, GPU-only or with PIM, with its retry
     /// policy, schedule mode and fault plan, runs under `opts`. A registry
     /// in [`RunOptions::health`] persists across calls — the serving layer
-    /// prepares requests in parallel and then schedules them serially
-    /// through this entry point, so one request's faults inform the routing
-    /// of the next.
+    /// prepares each request template once and then schedules every
+    /// request through this entry point, in arrival order, so one
+    /// request's faults inform the routing of the next.
     ///
     /// ```
     /// use anaheim_core::build::{Builder, LinTransStyle};

@@ -1,30 +1,27 @@
 //! Chaos-soak CLI: replay a seeded fault schedule over a mixed-workload
-//! trace, check the serving invariants, and (optionally) verify that the
-//! run is bit-identical across thread counts.
+//! trace and check the serving invariants.
 //!
 //! ```text
-//! soak [--requests N] [--seed S] [--threads-check] [--quick]
+//! soak [--requests N] [--seed S] [--quick]
 //!      [--stream] [--hedge] [--batch] [--ordered] [--shards N]
 //!      [--snapshot-out FILE] [--trace-out FILE] [--metrics-out FILE]
 //!      [--rss-budget-kb N] [--help]
 //! ```
 //!
-//! Every scenario runs through [`run_soak_stream_with`]: the trace is
-//! generated lazily, served through the sharded fleet, and responses are
+//! Every scenario runs through [`run_soak_stream`]: the trace is generated
+//! lazily, served through the sharded fleet, and responses are
 //! invariant-checked and dropped as they are produced. Without `--stream`
 //! the scenario is the single-engine chaos soak ([`SoakConfig::chaos`]),
 //! served as a one-shard fleet. `--stream` selects the fleet chaos soak
-//! ([`SoakConfig::fleet_chaos`]): completed spans stream through a bounded
-//! sink (incrementally written to `--trace-out` when given), and the
-//! Prometheus exposition is rewritten to `--metrics-out` periodically.
-//! `--snapshot-out` writes the deterministic per-shard snapshot text — the
-//! artifact `scripts/check.sh` byte-compares across `ANAHEIM_THREADS`.
-//! `--rss-budget-kb` reads the process's peak RSS (`VmHWM` in
-//! `/proc/self/status`) after the run and fails if the budget was
-//! exceeded — the memory-boundedness gate. `--threads-check` reruns the
-//! scenario at 1 and 8 threads and compares every response (as a digest),
-//! the per-shard snapshots with their health and breaker transition logs,
-//! the summary, and the snapshot text.
+//! ([`SoakConfig::fleet_chaos`]). Telemetry is recorded only when an
+//! output asks for it: with `--trace-out`, completed spans stream through
+//! a bounded sink into the file; with `--metrics-out`, the Prometheus
+//! exposition is rewritten there periodically. Without either, the soak
+//! records nothing. `--snapshot-out` writes the deterministic per-shard
+//! snapshot text — the artifact `scripts/check.sh` byte-compares across
+//! `ANAHEIM_THREADS`. `--rss-budget-kb` reads the process's peak RSS
+//! (`VmHWM` in `/proc/self/status`) after the run and fails if the budget
+//! was exceeded — the memory-boundedness gate.
 //!
 //! `--hedge` (requires `--stream`) swaps the base scenario to
 //! [`SoakConfig::hedge_chaos`]: a GPU fault domain (stream stalls +
@@ -51,16 +48,15 @@
 //! credit.
 //!
 //! `--help` / `-h` print usage on stdout and exit 0. Unknown or malformed
-//! flags print usage on stderr and exit 2. Any invariant violation,
-//! determinism mismatch, or busted RSS budget exits 1. Success exits 0.
+//! flags print usage on stderr and exit 2. Any invariant violation or
+//! busted RSS budget exits 1. Success exits 0.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use anaheim_core::Telemetry;
 use obs::StreamingTraceSink;
-use serving::soak::{run_soak_stream_with, SoakConfig, StreamOutcome};
+use serving::soak::{run_soak_stream, SoakConfig};
 use serving::StreamObs;
 
 /// Parsed command line. Defaults resolve against the chosen mode's
@@ -69,7 +65,6 @@ use serving::StreamObs;
 struct Opts {
     requests: Option<usize>,
     seed: u64,
-    threads_check: bool,
     stream: bool,
     hedge: bool,
     batch: bool,
@@ -86,7 +81,6 @@ impl Default for Opts {
         Self {
             requests: None,
             seed: 2024,
-            threads_check: false,
             stream: false,
             hedge: false,
             batch: false,
@@ -117,7 +111,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--requests" => o.requests = Some(value("--requests", &mut it)?),
             "--seed" => o.seed = value("--seed", &mut it)?,
-            "--threads-check" => o.threads_check = true,
             // Same seeded soak, sized to finish fast in scripts/check.sh.
             "--quick" => o.requests = Some(200),
             "--stream" => o.stream = true,
@@ -221,36 +214,6 @@ fn scenario(opts: &Opts) -> SoakConfig {
     cfg
 }
 
-/// FNV-1a over text written into it.
-struct Fnv(u64);
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// Runs the soak. With `digest`, every response's `Debug` text is folded
-/// into an FNV-1a digest as it is produced, so the thread-count check can
-/// compare every response without keeping any.
-fn serve_soak(
-    cfg: &SoakConfig,
-    obs: Option<&mut StreamObs<'_>>,
-    digest: bool,
-) -> (StreamOutcome, u64) {
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
-    let out = run_soak_stream_with(cfg, obs, |r| {
-        if digest {
-            let _ = write!(fnv, "{r:?}");
-        }
-    })
-    .unwrap_or_else(|e| fail(&format!("invariant violated: {e}")));
-    (out, fnv.0)
-}
-
 /// The soak: bounded memory at any request count.
 fn run(opts: &Opts) {
     let cfg = scenario(opts);
@@ -304,22 +267,29 @@ fn run(opts: &Opts) {
         cfg.ordering,
     );
 
-    let mut tel = Telemetry::new(cfg.seed);
-    let mut sink = match &opts.trace_out {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", path.display())));
-            StreamingTraceSink::with_writer(4096, Box::new(std::io::BufWriter::new(file)))
+    // Telemetry is recorded only for an output that writes it.
+    let mut recorder = (opts.trace_out.is_some() || opts.metrics_out.is_some()).then(|| {
+        let sink = match &opts.trace_out {
+            Some(path) => {
+                let file = std::fs::File::create(path)
+                    .unwrap_or_else(|e| fail(&format!("cannot create {}: {e}", path.display())));
+                StreamingTraceSink::with_writer(4096, Box::new(std::io::BufWriter::new(file)))
+            }
+            None => StreamingTraceSink::new(4096),
+        };
+        (Telemetry::new(cfg.seed), sink)
+    });
+    let mut stream_obs = recorder.as_mut().map(|(tel, sink)| {
+        let obs = StreamObs::new(tel, sink);
+        match &opts.metrics_out {
+            Some(m) => obs.with_prometheus(m.clone(), 65_536),
+            None => obs,
         }
-        None => StreamingTraceSink::new(4096),
-    };
-    let mut stream_obs = StreamObs::new(&mut tel, &mut sink);
-    if let Some(m) = &opts.metrics_out {
-        stream_obs = stream_obs.with_prometheus(m.clone(), 65_536);
-    }
+    });
 
-    let (out, digest) = serve_soak(&cfg, Some(&mut stream_obs), opts.threads_check);
-    if let Some(e) = stream_obs.prom_io_error() {
+    let out = run_soak_stream(&cfg, stream_obs.as_mut())
+        .unwrap_or_else(|e| fail(&format!("invariant violated: {e}")));
+    if let Some(e) = stream_obs.as_ref().and_then(StreamObs::prom_io_error) {
         fail(&format!("metrics write failed: {e}"));
     }
     drop(stream_obs);
@@ -339,14 +309,16 @@ fn run(opts: &Opts) {
             s.health.banks.iter().filter(|b| b.permanent).count(),
         );
     }
-    println!(
-        "soak: trace spans accepted={} evicted={} written={}",
-        sink.accepted(),
-        sink.evicted(),
-        sink.written()
-    );
-    sink.finish()
-        .unwrap_or_else(|e| fail(&format!("trace write failed: {e}")));
+    if let Some((_, sink)) = recorder.as_mut() {
+        println!(
+            "soak: trace spans accepted={} evicted={} written={}",
+            sink.accepted(),
+            sink.evicted(),
+            sink.written()
+        );
+        sink.finish()
+            .unwrap_or_else(|e| fail(&format!("trace write failed: {e}")));
+    }
 
     if let Some(path) = &opts.snapshot_out {
         let mut f = std::fs::File::create(path)
@@ -356,30 +328,10 @@ fn run(opts: &Opts) {
             .unwrap_or_else(|e| fail(&format!("snapshot write failed: {e}")));
         println!("soak: snapshot text -> {}", path.display());
     }
-    if let Some(path) = &opts.metrics_out {
+    if let (Some(path), Some((tel, _))) = (&opts.metrics_out, &recorder) {
         std::fs::write(path, tel.prometheus())
             .unwrap_or_else(|e| fail(&format!("metrics write failed: {e}")));
         println!("soak: metrics -> {}", path.display());
-    }
-
-    if opts.threads_check {
-        let mut mismatch = false;
-        for threads in [1usize, 8] {
-            parpool::set_threads(threads);
-            let (again, again_digest) = serve_soak(&cfg, None, true);
-            let ok = again_digest == digest
-                && again.summary == out.summary
-                && again.snapshots == out.snapshots
-                && again.snapshot_text == out.snapshot_text;
-            println!(
-                "soak: ANAHEIM_THREADS={threads}: {}",
-                if ok { "bit-identical" } else { "MISMATCH" }
-            );
-            mismatch |= !ok;
-        }
-        if mismatch {
-            fail("soak outcome depends on thread count");
-        }
     }
 }
 
@@ -411,7 +363,7 @@ fn wants_help(args: &[String]) -> bool {
 /// The usage block, shared by `--help` (stdout, exit 0) and parse errors
 /// (stderr, exit 2).
 fn usage_text() -> &'static str {
-    "usage: soak [--requests N] [--seed S] [--threads-check] [--quick]\n\
+    "usage: soak [--requests N] [--seed S] [--quick]\n\
      \x20           [--stream] [--hedge] [--batch] [--ordered] [--shards N]\n\
      \x20           [--snapshot-out FILE] [--trace-out FILE] [--metrics-out FILE]\n\
      \x20           [--rss-budget-kb N] [--help]"
@@ -455,10 +407,9 @@ mod tests {
             "metrics.prom",
             "--rss-budget-kb",
             "524288",
-            "--threads-check",
         ]))
         .unwrap();
-        assert!(o.stream && o.threads_check && o.hedge);
+        assert!(o.stream && o.hedge);
         assert_eq!(o.requests, Some(1_000_000));
         assert_eq!(o.seed, 7);
         assert_eq!(o.shards, Some(8));
@@ -541,7 +492,6 @@ mod tests {
         for flag in [
             "--requests",
             "--seed",
-            "--threads-check",
             "--quick",
             "--stream",
             "--hedge",

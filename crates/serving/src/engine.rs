@@ -6,27 +6,26 @@
 //! registry, and a batch tracker when batching is on); this module
 //! supplies the pieces it runs in three steps:
 //!
-//! 1. **Prepare** (parallel, `prepare_batch`): each request's op sequence
-//!    is fused/offloaded and costed fault-free to get `estimate_ns`. This
-//!    is pure per-request work, fanned out over the vendored `parpool` —
-//!    results are written to disjoint slots, so the outcome is
-//!    bit-identical for every `ANAHEIM_THREADS` value.
-//! 2. **Admit** (serial, virtual time): a request whose projected start
-//!    plus estimate overruns its deadline sheds with
+//! 1. **Prepare** (`PreparedTemplates`): each request's op sequence is
+//!    fused/offloaded and costed fault-free to get `estimate_ns`. Both are
+//!    pure functions of the template and the platform, so the fleet
+//!    prepares each distinct template once, at its first request, and
+//!    every later request of that template reuses the result.
+//! 2. **Admit** (virtual time): a request whose projected start plus
+//!    estimate overruns its deadline sheds with
 //!    `Rejected::DeadlineInfeasible`.
-//! 3. **Dispatch** (serial, virtual time): lanes pick up queued requests in
-//!    pop order, or the batch tracker pulls a same-tenant one forward
+//! 3. **Dispatch** (virtual time): lanes pick up queued requests in pop
+//!    order, or the batch tracker pulls a same-tenant one forward
 //!    ([`ServingConfig::ordering`]); each executes through the
 //!    breaker-gated scheduler ([`Anaheim::run_prepared_with`], the shard's
 //!    registry in `RunOptions::health`) under its own derived fault
 //!    stream. Requests that finish late are reported as
 //!    `Outcome::DeadlineMiss` — never as success.
 //!
-//! The dispatcher being serial in *virtual* time is a determinism decision,
-//! not a throughput one: breaker state is global, so any parallel execution
-//! of requests would make transition order depend on thread scheduling.
-//! All the parallelism lives in step 1, where it is provably
-//! order-independent.
+//! All three steps run on the caller's thread, in arrival order. Breaker
+//! state is global, so executing requests in parallel would make
+//! transition order depend on thread scheduling; serving reads no thread
+//! count, and its outputs are the same at every `ANAHEIM_THREADS` value.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -452,7 +451,7 @@ pub(crate) struct Prepared {
     /// every bypass it suffers. 0 until admission grants it.
     pub(crate) slack_ns: f64,
     /// Prepared sequence, shared: requests built from the same template
-    /// Arc prepare once and share the result.
+    /// Arc prepare once and share the result ([`PreparedTemplates`]).
     pub(crate) seq: Arc<OpSequence>,
     /// Set by the shard router when the home shard was not accepting: the
     /// home shard id, so the executing shard wraps the outcome in
@@ -460,57 +459,53 @@ pub(crate) struct Prepared {
     pub(crate) rerouted_from: Option<u32>,
 }
 
-/// Prepares a batch of requests, deduplicating by sequence identity: the
-/// distinct `Arc<OpSequence>` pointers are collected serially (in
-/// first-occurrence order, so the list is deterministic), fused/offloaded
-/// and costed in parallel over the vendored `parpool` (pure per-template
-/// work written to disjoint slots — bit-identical for every
-/// `ANAHEIM_THREADS`), and the shared results fanned back out. A
-/// million-request soak over six workload templates prepares six
-/// sequences, not a million.
-pub(crate) fn prepare_batch(rt: &Anaheim, reqs: &[Request]) -> Result<Vec<Prepared>, RunError> {
-    let mut uniques: Vec<&Arc<OpSequence>> = Vec::new();
-    let mut slot_of: Vec<usize> = Vec::with_capacity(reqs.len());
-    for req in reqs {
-        let ptr = Arc::as_ptr(&req.seq);
-        let slot = match uniques.iter().position(|u| Arc::as_ptr(u) == ptr) {
+/// Every template a fleet has prepared, in first-sight order: the template
+/// `Arc` a request carried, its fused/offloaded sequence, and its
+/// fault-free `estimate_ns`. A template prepares once per fleet however
+/// many requests carry it — a million-request soak over six workload
+/// templates prepares six sequences — so the memo grows with the number of
+/// distinct templates, not with the trace. Holding the template `Arc`
+/// keeps its address from being reused by another template while the
+/// entry lives.
+#[derive(Debug, Default)]
+pub(crate) struct PreparedTemplates(Vec<(Arc<OpSequence>, Arc<OpSequence>, f64)>);
+
+impl PreparedTemplates {
+    /// Prepares `req` on `rt`: a template seen before (the same `Arc`)
+    /// reuses its prepared sequence and estimate, a new one is prepared,
+    /// costed and remembered.
+    pub(crate) fn prepare(&mut self, rt: &Anaheim, req: Request) -> Result<Prepared, RunError> {
+        let slot = match self.0.iter().position(|(t, _, _)| Arc::ptr_eq(t, &req.seq)) {
             Some(i) => i,
             None => {
-                uniques.push(&req.seq);
-                uniques.len() - 1
+                let mut seq = (*req.seq).clone();
+                rt.prepare(&mut seq);
+                let estimate_ns = rt.run_prepared(&seq)?.total_ns;
+                self.0.push((req.seq, Arc::new(seq), estimate_ns));
+                self.0.len() - 1
             }
         };
-        slot_of.push(slot);
-    }
-    let prepared_uniques: Vec<Result<(Arc<OpSequence>, f64), RunError>> =
-        parpool::par_map(&uniques, |_, u| {
-            let mut seq = (***u).clone();
-            rt.prepare(&mut seq);
-            let estimate_ns = rt.run_prepared(&seq)?.total_ns;
-            Ok((Arc::new(seq), estimate_ns))
-        });
-    let prepared_uniques: Vec<(Arc<OpSequence>, f64)> =
-        prepared_uniques.into_iter().collect::<Result<_, _>>()?;
-    Ok(reqs
-        .iter()
-        .zip(&slot_of)
-        .map(|(req, &slot)| {
-            let (seq, estimate_ns) = &prepared_uniques[slot];
-            Prepared {
-                id: req.id,
-                tenant: req.tenant,
-                priority: req.priority,
-                arrival_ns: req.arrival_ns,
-                deadline_ns: req.deadline_ns,
-                estimate_ns: *estimate_ns,
-                fault: req.fault,
-                label: req.label,
-                slack_ns: 0.0,
-                seq: Arc::clone(seq),
-                rerouted_from: None,
-            }
+        let (_, seq, estimate_ns) = &self.0[slot];
+        Ok(Prepared {
+            id: req.id,
+            tenant: req.tenant,
+            priority: req.priority,
+            arrival_ns: req.arrival_ns,
+            deadline_ns: req.deadline_ns,
+            estimate_ns: *estimate_ns,
+            fault: req.fault,
+            label: req.label,
+            slack_ns: 0.0,
+            seq: Arc::clone(seq),
+            rerouted_from: None,
         })
-        .collect())
+    }
+
+    /// The number of distinct templates prepared so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 impl Queued for Prepared {
@@ -579,42 +574,6 @@ mod tests {
             .unwrap();
         rs.sort_by_key(|r| r.id);
         (fleet, rs)
-    }
-
-    #[test]
-    fn prepare_batch_dedups_shared_templates() {
-        let rt = Anaheim::new(two_lanes().platform);
-        let tpl = small_seq();
-        let reqs: Vec<Request> = (0..4)
-            .map(|i| Request {
-                id: i,
-                tenant: 0,
-                priority: Priority::Standard,
-                arrival_ns: 0.0,
-                deadline_ns: 1e12,
-                seq: Arc::clone(&tpl),
-                fault: None,
-                label: "lintrans",
-            })
-            .collect();
-        let prepped = prepare_batch(&rt, &reqs).unwrap();
-        assert_eq!(prepped.len(), 4);
-        assert!(
-            prepped
-                .windows(2)
-                .all(|w| Arc::ptr_eq(&w[0].seq, &w[1].seq)),
-            "one shared template prepares once"
-        );
-        // The deduped estimate is bit-identical to preparing a private
-        // clone of the same sequence.
-        let mut lone = reqs[0].clone();
-        lone.seq = Arc::new((*tpl).clone());
-        let distinct = prepare_batch(&rt, &[lone]).unwrap();
-        assert_eq!(
-            prepped[0].estimate_ns.to_bits(),
-            distinct[0].estimate_ns.to_bits()
-        );
-        assert!(!Arc::ptr_eq(&prepped[0].seq, &distinct[0].seq));
     }
 
     #[test]

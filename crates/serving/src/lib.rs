@@ -10,8 +10,8 @@
 //! - [`queue`] — a bounded admission queue with deterministic pop order:
 //!   plain data behind `&mut self`, filled and drained serially in virtual
 //!   time by the shard that owns it (no locks, no async runtime).
-//! - [`engine`] — the serving configuration, parallel request preparation
-//!   (vendored `parpool`), and the same-tenant batch tracker.
+//! - [`engine`] — the serving configuration, request preparation (each
+//!   template once per fleet), and the same-tenant batch tracker.
 //! - [`router`] — seeded rendezvous hashing from tenants to replica
 //!   shards: stable homes, minimal movement on failover.
 //! - [`shard`] — the one serving path, [`ShardedEngine::run_stream`]:

@@ -32,15 +32,14 @@
 //!        (probe-fail: back to Cooling, cooldown doubled up to a cap)
 //! ```
 //!
-//! Everything stays on the serial virtual-time path: shards advance in id
-//! order to each arrival, routing reads only (seed, tenant, accepting
-//! set), and telemetry records from the dispatch lane — so responses,
-//! per-shard [`HealthSnapshot`]s, and the rendered snapshot text are
-//! byte-identical for every `ANAHEIM_THREADS` value. Preparation (the
-//! only parallel stage) is deduplicated by template identity, which is
-//! what lets [`ShardedEngine::run_stream`] push a million requests
-//! through in bounded memory when paired with a
-//! [`StreamingTraceSink`].
+//! Everything runs on the caller's thread, in virtual time: shards
+//! advance in id order to each arrival, routing reads only (seed, tenant,
+//! accepting set), and telemetry records from the dispatch lane — so
+//! responses, per-shard [`HealthSnapshot`]s, and the rendered snapshot
+//! text are byte-identical for every `ANAHEIM_THREADS` value. The fleet
+//! prepares each distinct request template once, which is what lets
+//! [`ShardedEngine::run_stream`] push a million requests through in
+//! bounded memory when paired with a [`StreamingTraceSink`].
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -56,8 +55,8 @@ use anaheim_core::RunError;
 use obs::StreamingTraceSink;
 
 use crate::engine::{
-    earliest_lane, next_dispatch, prepare_batch, projected_start_from_keys, BatchStats,
-    BatchTracker, Prepared, ServingConfig,
+    earliest_lane, next_dispatch, projected_start_from_keys, BatchStats, BatchTracker, Prepared,
+    PreparedTemplates, ServingConfig,
 };
 use crate::queue::{AdmissionQueue, QueueKey};
 use crate::request::{Outcome, Rejected, Request, Response};
@@ -834,6 +833,9 @@ pub struct ShardedEngine {
     /// Per-tenant hedge token buckets: `(tokens, last_refill_ns)` in
     /// virtual time. A `BTreeMap` so iteration/debug order is stable.
     hedge_tokens: std::collections::BTreeMap<u32, (f64, f64)>,
+    /// Every request template prepared so far (all shards share one
+    /// platform, so one preparation serves them all).
+    templates: PreparedTemplates,
 }
 
 /// Reborrows the telemetry inside an optional [`StreamObs`].
@@ -854,6 +856,7 @@ impl ShardedEngine {
             cfg: shard_cfg,
             fleet: FleetCounters::default(),
             hedge_tokens: std::collections::BTreeMap::new(),
+            templates: PreparedTemplates::default(),
         }
     }
 
@@ -874,10 +877,12 @@ impl ShardedEngine {
     /// `(arrival_ns, id)` order, which every seeded trace generator
     /// guarantees.
     ///
-    /// Preparation runs chunk-by-chunk, deduplicated by template identity;
-    /// with `obs`, completed spans drain into the bounded sink after every
-    /// request and the final fleet state is exported to the metrics
-    /// registry.
+    /// Each distinct template (`Arc` identity) is prepared once, at its
+    /// first request, so memory grows with the number of distinct
+    /// templates, not with the trace; a template that fails to prepare
+    /// returns the error at that request. With `obs`, completed spans
+    /// drain into the bounded sink after every request and the final
+    /// fleet state is exported to the metrics registry.
     pub fn run_stream<I, F>(
         &mut self,
         requests: I,
@@ -888,41 +893,26 @@ impl ShardedEngine {
         I: IntoIterator<Item = Request>,
         F: FnMut(&Response),
     {
-        const CHUNK: usize = 1024;
-        let mut it = requests.into_iter();
-        let mut buf: Vec<Request> = Vec::with_capacity(CHUNK);
         let mut last_key = (f64::NEG_INFINITY, 0u64);
         let mut out: Vec<Response> = Vec::new();
         let mut hedges: Vec<HedgeCandidate> = Vec::new();
-        loop {
-            buf.clear();
-            while buf.len() < CHUNK {
-                match it.next() {
-                    Some(r) => buf.push(r),
-                    None => break,
-                }
+        for req in requests {
+            let p = self.templates.prepare(&self.shards[0].rt, req)?;
+            assert!(
+                (p.arrival_ns, p.id) >= last_key,
+                "run_stream requires nondecreasing (arrival, id) order \
+                 (request {} at {} after {:?})",
+                p.id,
+                p.arrival_ns,
+                last_key
+            );
+            last_key = (p.arrival_ns, p.id);
+            self.step(p, &mut out, &mut hedges, obs.as_deref_mut())?;
+            for r in out.drain(..) {
+                on_response(&r);
             }
-            if buf.is_empty() {
-                break;
-            }
-            let prepared = prepare_batch(&self.shards[0].rt, &buf)?;
-            for p in prepared {
-                assert!(
-                    (p.arrival_ns, p.id) >= last_key,
-                    "run_stream requires nondecreasing (arrival, id) order \
-                     (request {} at {} after {:?})",
-                    p.id,
-                    p.arrival_ns,
-                    last_key
-                );
-                last_key = (p.arrival_ns, p.id);
-                self.step(p, &mut out, &mut hedges, obs.as_deref_mut())?;
-                for r in out.drain(..) {
-                    on_response(&r);
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.after_request();
-                }
+            if let Some(o) = obs.as_deref_mut() {
+                o.after_request();
             }
         }
         let hedging = self.cfg.hedging;
@@ -1364,10 +1354,10 @@ mod tests {
             deadline_ns: 1.0,
             ..req(0, 0, 0.0, &wide_tpl())
         };
-        let late = prepare_batch(&shard.rt, &[late]).unwrap();
-        let (resp, _) = shard
-            .execute(late.into_iter().next().unwrap(), 0.0, 0.0, Some(&mut tel))
+        let late = PreparedTemplates::default()
+            .prepare(&shard.rt, late)
             .unwrap();
+        let (resp, _) = shard.execute(late, 0.0, 0.0, Some(&mut tel)).unwrap();
         assert!(matches!(resp.outcome, Outcome::DeadlineMiss { .. }));
         let slack = tel
             .metrics
@@ -1386,10 +1376,8 @@ mod tests {
             deadline_ns: 1e12,
             ..req(1, 1, 0.0, &wide_tpl())
         };
-        let ok = prepare_batch(&shard.rt, &[ok]).unwrap();
-        let (resp, _) = shard
-            .execute(ok.into_iter().next().unwrap(), 0.0, 0.0, Some(&mut tel))
-            .unwrap();
+        let ok = PreparedTemplates::default().prepare(&shard.rt, ok).unwrap();
+        let (resp, _) = shard.execute(ok, 0.0, 0.0, Some(&mut tel)).unwrap();
         match resp.outcome {
             Outcome::Completed {
                 deadline_slack_ns, ..
@@ -1410,6 +1398,27 @@ mod tests {
         (0..1024)
             .find(|&t| engine.router().home_shard(t) == shard)
             .expect("rendezvous covers every shard within 1024 tenants")
+    }
+
+    #[test]
+    fn each_template_prepares_once_per_fleet() {
+        let mut e = fleet(1, ShardConfig::new(1));
+        let (a, b) = (small_tpl(), wide_tpl());
+        let reqs: Vec<Request> = (0..1500)
+            .map(|i| req(i, 0, i as f64 * 1e6, if i % 2 == 0 { &a } else { &b }))
+            .collect();
+        assert_eq!(collect(&mut e, reqs).len(), 1500);
+        assert_eq!(e.templates.len(), 2, "two template Arcs, two preparations");
+        // A memo hit shares the remembered sequence; its estimate is
+        // bit-identical to preparing a private clone of the template.
+        let rt = &e.shards[0].rt;
+        let hit = e.templates.prepare(rt, req(1500, 0, 0.0, &a)).unwrap();
+        let lone = PreparedTemplates::default()
+            .prepare(rt, req(1500, 0, 0.0, &Arc::new((*a).clone())))
+            .unwrap();
+        assert_eq!(e.templates.len(), 2);
+        assert_eq!(hit.estimate_ns.to_bits(), lone.estimate_ns.to_bits());
+        assert!(!Arc::ptr_eq(&hit.seq, &lone.seq));
     }
 
     #[test]

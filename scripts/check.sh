@@ -115,6 +115,7 @@ for r in data:
         base[(r["op"], r["n"], r["limbs"])] = ns(r)
 
 checked = 0
+regressed = []
 for r in data:
     if r["op"].startswith("sched_") or r["n"] > 4096 or r["threads"] == 1:
         continue
@@ -123,12 +124,14 @@ for r in data:
         sys.exit(f"BENCH_ckks.json: no 1-thread baseline for {key}")
     limit = max(base[key] * ratio, base[key] + slack)
     if ns(r) > limit:
-        sys.exit(
+        regressed.append(
             f"BENCH_ckks.json: {r['op']} n={r['n']} at {r['threads']} threads "
             f"regressed: {ns(r):.0f} ns vs 1-thread {base[key]:.0f} ns "
             f"(limit {limit:.0f} ns)"
         )
     checked += 1
+if regressed:
+    sys.exit("\n".join(regressed))
 if checked == 0:
     sys.exit("BENCH_ckks.json: small-ring gate matched no rows")
 print(f"  {checked} multi-thread small-ring rows within {ratio}x (+{slack:.0f} ns) — ok")

@@ -140,8 +140,9 @@ fn serving_exports(threads: usize) -> (String, String) {
 
 #[test]
 fn serving_trace_identical_across_thread_counts() {
-    // The serving engine prepares requests in parallel (the only
-    // multi-threaded stage) and records only on the serial dispatch lane.
+    // The serving engine runs on the caller's thread and records only on
+    // the dispatch lane; the thread count reaches only the kernels' limb
+    // fan-out, which records nothing.
     let a = serving_exports(1);
     let b = serving_exports(8);
     assert_eq!(a.0, b.0);
