@@ -160,19 +160,6 @@ impl Limb {
         Self { ctx, data }
     }
 
-    /// Creates a limb by copying residues into a pooled buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != ctx.n()`.
-    pub fn from_slice(ctx: Arc<NttContext>, data: &[u64]) -> Self {
-        assert_eq!(data.len(), ctx.n(), "limb length mismatch");
-        debug_assert!(data.iter().all(|&x| x < ctx.modulus().value()));
-        let mut buf = pool::take(data.len());
-        buf.copy_from_slice(data);
-        Self { ctx, data: buf }
-    }
-
     /// The prime context of this limb.
     #[inline]
     pub fn ctx(&self) -> &Arc<NttContext> {

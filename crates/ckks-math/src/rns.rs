@@ -306,11 +306,6 @@ impl BasisConverter {
         &self.from
     }
 
-    /// The target basis.
-    pub fn to_basis(&self) -> &[Arc<NttContext>] {
-        &self.to
-    }
-
     fn convert_impl(&self, limbs: &[&[u64]], exact: bool) -> Vec<Limb> {
         assert_eq!(limbs.len(), self.from.len(), "source limb count mismatch");
         let n = self.from[0].n();

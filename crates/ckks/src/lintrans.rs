@@ -50,19 +50,6 @@ impl LinearTransform {
         }
     }
 
-    /// Builds from an explicit diagonal map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any diagonal has the wrong length or index.
-    pub fn from_diagonals(slots: usize, diags: BTreeMap<usize, Vec<Complex>>) -> Self {
-        let mut t = Self::new(slots);
-        for (r, d) in diags {
-            t.set_diagonal(r, d);
-        }
-        t
-    }
-
     /// Builds from a dense matrix (rows × cols = slots × slots), extracting
     /// nonzero diagonals. Intended for tests and for bootstrapping matrices
     /// at small `N`.

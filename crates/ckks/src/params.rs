@@ -83,18 +83,6 @@ impl CkksParams {
             .build()
     }
 
-    /// A medium functional set for linear transforms and bootstrapping
-    /// tests: `N = 2^11`, 14 levels, α = 3.
-    pub fn test_bootstrap() -> Self {
-        Self::builder()
-            .log_n(11)
-            .levels(14)
-            .alpha(3)
-            .scale_bits(42)
-            .q0_bits(58)
-            .build()
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

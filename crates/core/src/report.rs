@@ -41,6 +41,11 @@ pub struct ExecutionReport {
     pub gpu_dram_bytes: u64,
     /// PIM-side internal traffic in bytes.
     pub pim_dram_bytes: u64,
+    /// Modular ops executed by the PIM MMAC lanes (wasted attempts
+    /// included).
+    pub pim_mmac_ops: u64,
+    /// ACT/PRE pairs issued by PIM kernels (wasted attempts included).
+    pub pim_acts: u64,
     /// Time per breakdown category (ns), e.g. "(I)NTT", "element-wise".
     pub breakdown_ns: BTreeMap<&'static str, f64>,
     /// The timeline.

@@ -85,7 +85,7 @@ pub struct RunOptions<'r> {
     /// land in the report. `None` gates PIM with a per-run kill switch
     /// that the first hard fault trips.
     pub health: Option<&'r mut HealthRegistry>,
-    /// Telemetry sink: every kernel, handoff, backoff, and limb batch is
+    /// Telemetry sink: every kernel attempt, handoff, and backoff is
     /// recorded as a virtual-time span, and breaker transitions land on the
     /// trace's `health` track. The counters the report holds are folded
     /// into the metrics once, when the run completes
@@ -716,25 +716,25 @@ impl<'s> Run<'s, '_> {
         self.report.energy_j += cost.energy_j;
         let stall = self.gpu_faults();
         let end = self.tl.gpu_end(start, cost.time_ns, stall);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.gpu_kernel(
-                label,
-                class,
-                start,
-                end,
-                desc.dram_bytes(),
-                cost.bandwidth_bound,
-                degraded,
-            );
-        }
-        self.report.push_segment(GanttSegment {
+        let seg = GanttSegment {
             start_ns: start,
             end_ns: end,
             executor: Executor::Gpu,
             class,
             label,
             degraded,
-        });
+        };
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.kernel(
+                &seg,
+                vec![
+                    ("bytes", desc.dram_bytes().into()),
+                    ("bandwidth_bound", cost.bandwidth_bound.into()),
+                    ("degraded", degraded.into()),
+                ],
+            );
+        }
+        self.report.push_segment(seg);
         self.tl.advance(Executor::Gpu, end);
         end
     }
@@ -873,17 +873,28 @@ impl<'s> Run<'s, '_> {
         *now += r.latency_ns;
         self.report.energy_j += r.energy_joules(self.exec().device());
         self.report.pim_dram_bytes += r.bytes_internal;
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.pim_kernel(label, start, *now, r, degraded);
-        }
-        self.report.push_segment(GanttSegment {
+        self.report.pim_mmac_ops += r.mmac_ops;
+        self.report.pim_acts += r.acts_total;
+        let seg = GanttSegment {
             start_ns: start,
             end_ns: *now,
             executor: Executor::Pim,
             class: "element-wise",
             label,
             degraded,
-        });
+        };
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.kernel(
+                &seg,
+                vec![
+                    ("bytes_internal", r.bytes_internal.into()),
+                    ("mmac_ops", r.mmac_ops.into()),
+                    ("degraded", degraded.into()),
+                    ("limb_batches", r.limb_batches.into()),
+                ],
+            );
+        }
+        self.report.push_segment(seg);
     }
 
     /// Computes (and charges, if affordable) the backoff before the next
@@ -928,6 +939,7 @@ mod tests {
     use crate::build::{Builder, LinTransStyle};
     use crate::params::ParamSet;
     use crate::passes::{fuse, offload, FusionConfig};
+    use crate::telemetry::names;
     use gpu::config::{GpuConfig, LibraryProfile};
 
     fn gpu_model() -> GpuModel {
@@ -1000,6 +1012,50 @@ mod tests {
         );
         assert!(pim_r.transitions >= 2);
         assert!(pim_r.energy_j < gpu_r.energy_j, "energy must also improve");
+    }
+
+    #[test]
+    fn each_pim_attempt_is_one_leaf_span_and_its_ops_fold_from_the_report() {
+        let m = gpu_model();
+        let dev = PimDeviceConfig::a100_near_bank();
+        let seq = offloaded(lt(true), &m, &dev);
+        let mut tel = Telemetry::new(5);
+        let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
+            .run_with(
+                &seq,
+                RunOptions {
+                    telemetry: Some(&mut tel),
+                    ..RunOptions::default()
+                },
+            )
+            .unwrap();
+        let pim_segs: Vec<_> = r
+            .segments
+            .iter()
+            .filter(|s| s.executor == Executor::Pim)
+            .collect();
+        let pim_spans: Vec<_> = tel
+            .trace
+            .spans()
+            .iter()
+            .filter(|s| s.track == "PIM")
+            .collect();
+        assert!(!pim_segs.is_empty());
+        assert_eq!(pim_spans.len(), pim_segs.len(), "one span per PIM attempt");
+        for (span, seg) in pim_spans.iter().zip(&pim_segs) {
+            assert_eq!((span.name.as_str(), span.cat), (seg.label, seg.class));
+            assert_eq!((span.start_ns, span.end_ns), (seg.start_ns, seg.end_ns));
+            let keys: Vec<_> = span.args.iter().map(|(k, _)| *k).collect();
+            assert_eq!(
+                keys,
+                ["bytes_internal", "mmac_ops", "degraded", "limb_batches"]
+            );
+            assert!(tel.trace.spans().iter().all(|c| c.parent != Some(span.id)));
+        }
+        assert!(r.pim_mmac_ops > 0 && r.pim_acts > 0);
+        let m = &tel.metrics;
+        assert_eq!(m.counter_value(names::PIM_MMAC_OPS, &[]), r.pim_mmac_ops);
+        assert_eq!(m.counter_value(names::PIM_ACTS, &[]), r.pim_acts);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! serving layer, and workload runner record into.
 //!
 //! A `Telemetry` bundles an `obs` [`TraceRecorder`] (hierarchical spans in
-//! the scheduler's virtual-time domain: segment → kernel → limb batch) with
-//! a [`MetricsRegistry`] (the counters/gauges/histograms catalogued in
+//! the scheduler's virtual-time domain: segment → kernel) with a
+//! [`MetricsRegistry`] (the counters/gauges/histograms catalogued in
 //! `docs/METRICS.md`). Every recording site is reached only from serial,
 //! virtual-time-ordered code — the scheduler loop and the serving dispatch
 //! lane — so two runs of the same workload produce byte-identical exports
@@ -15,8 +15,7 @@
 //! `Option<&mut Telemetry>` that is `None` by default, so the disabled path
 //! costs one branch per recording site and allocates nothing.
 
-use obs::{MetricsRegistry, SpanId, TraceRecorder};
-use pim::exec::PimKernelResult;
+use obs::{ArgValue, MetricsRegistry, SpanId, TraceRecorder};
 
 use crate::health::{BreakerTransition, HealthSnapshot};
 use crate::ir::Executor;
@@ -352,71 +351,23 @@ impl Telemetry {
         self.trace.open(name, "segment", track, start_ns)
     }
 
-    /// Closes a segment span opened with [`Self::open_segment`].
-    pub fn close_segment(&mut self, id: SpanId, end_ns: f64) {
-        self.trace.close(id, end_ns);
+    /// Closes a segment span opened with [`Self::open_segment`], appending
+    /// `args` in order.
+    pub fn close_segment(&mut self, id: SpanId, end_ns: f64, args: Vec<(&'static str, ArgValue)>) {
+        self.trace.close(id, end_ns, args);
     }
 
-    /// Records a GPU kernel: one leaf span on the `GPU` track. Its count,
-    /// duration and HBM bytes are folded from the report in
+    /// Records one kernel attempt as a leaf span named by the segment's
+    /// label, in its class, on its executor's track (`GPU` or `PIM`). Its
+    /// count, duration and bytes are folded from the report in
     /// [`Self::run_complete`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn gpu_kernel(
-        &mut self,
-        label: &'static str,
-        class: &'static str,
-        start_ns: f64,
-        end_ns: f64,
-        dram_bytes: u64,
-        bandwidth_bound: bool,
-        degraded: bool,
-    ) {
-        self.trace.leaf(
-            label,
-            class,
-            "GPU",
-            start_ns,
-            end_ns,
-            vec![
-                ("bytes", dram_bytes.into()),
-                ("bandwidth_bound", bandwidth_bound.into()),
-                ("degraded", degraded.into()),
-            ],
-        );
-    }
-
-    /// Records a PIM kernel: a kernel span on the `PIM` track with one
-    /// child span per sequential limb batch (the kernel's latency divides
-    /// evenly across `r.limb_batches` die-group-parallel rounds). Its count,
-    /// duration and internal bytes are folded in [`Self::run_complete`].
-    pub fn pim_kernel(
-        &mut self,
-        label: &'static str,
-        start_ns: f64,
-        end_ns: f64,
-        r: &PimKernelResult,
-        degraded: bool,
-    ) {
-        let id = self.trace.open(label, "element-wise", "PIM", start_ns);
-        let batches = r.limb_batches.max(1);
-        let dt = (end_ns - start_ns) / batches as f64;
-        for b in 0..batches {
-            self.trace.leaf(
-                format!("limb-batch {b}"),
-                "limb-batch",
-                "PIM",
-                start_ns + b as f64 * dt,
-                start_ns + (b + 1) as f64 * dt,
-                vec![("batch", b.into())],
-            );
-        }
-        self.trace.annotate(id, "bytes_internal", r.bytes_internal);
-        self.trace.annotate(id, "mmac_ops", r.mmac_ops);
-        self.trace.annotate(id, "degraded", degraded);
-        self.trace.close(id, end_ns);
-        // Per event: the report has no field for MMAC ops or ACTs.
-        self.metrics.inc(names::PIM_MMAC_OPS, &[], r.mmac_ops);
-        self.metrics.inc(names::PIM_ACTS, &[], r.acts_total);
+    pub fn kernel(&mut self, seg: &GanttSegment, args: Vec<(&'static str, ArgValue)>) {
+        let track = match seg.executor {
+            Executor::Gpu => "GPU",
+            Executor::Pim => "PIM",
+        };
+        self.trace
+            .leaf(seg.label, seg.class, track, seg.start_ns, seg.end_ns, args);
     }
 
     /// Records one GPU↔PIM stream handoff span.
@@ -495,11 +446,11 @@ impl Telemetry {
     /// exact value the report holds is folded here, once per run: kernel
     /// counts and durations from `report.segments` (observed in segment
     /// order, so each histogram sum adds in the order the kernels ran),
-    /// HBM and PIM-internal bytes, handoffs, faults, retries, fallbacks,
-    /// breaker skips and breaker transitions. A series appears exactly
-    /// when recording each event would have created it. A run that
-    /// returns `Err` never gets here, so it records none of these for the
-    /// work it did before failing.
+    /// HBM and PIM-internal bytes, PIM MMAC ops and ACTs, handoffs,
+    /// faults, retries, fallbacks, breaker skips and breaker transitions. A
+    /// series appears exactly when recording each event would have created
+    /// it. A run that returns `Err` never gets here, so it records none of
+    /// these for the work it did before failing.
     pub fn run_complete(&mut self, report: &ExecutionReport) {
         let mut kinds: Vec<(Executor, &'static str)> = Vec::new();
         for s in &report.segments {
@@ -523,8 +474,13 @@ impl Telemetry {
             self.metrics.inc(names::HBM_BYTES, &[], bytes);
         }
         if ran_on(Executor::Pim) {
-            let bytes = report.pim_dram_bytes;
-            self.metrics.inc(names::PIM_INTERNAL_BYTES, &[], bytes);
+            for (name, n) in [
+                (names::PIM_INTERNAL_BYTES, report.pim_dram_bytes),
+                (names::PIM_MMAC_OPS, report.pim_mmac_ops),
+                (names::PIM_ACTS, report.pim_acts),
+            ] {
+                self.metrics.inc(name, &[], n);
+            }
         }
         for (name, n) in [
             (names::TRANSITIONS, report.transitions),
@@ -613,35 +569,45 @@ mod tests {
     }
 
     #[test]
-    fn pim_kernel_emits_limb_batch_children() {
+    fn pim_attempt_records_one_span_and_counts_at_run_complete() {
         let mut t = Telemetry::new(3);
-        let r = PimKernelResult {
-            latency_ns: 400.0,
-            limb_batches: 4,
-            bytes_internal: 1024,
-            mmac_ops: 99,
-            ..Default::default()
+        let seg = GanttSegment {
+            start_ns: 100.0,
+            end_ns: 500.0,
+            executor: Executor::Pim,
+            class: "element-wise",
+            label: "PAccum",
+            degraded: false,
         };
-        t.pim_kernel("PAccum", 100.0, 500.0, &r, false);
-        // 1 kernel span + 4 limb-batch children.
-        assert_eq!(t.trace.len(), 5);
-        let kernel = &t.trace.spans()[0];
-        assert_eq!(kernel.cat, "element-wise");
-        for (i, s) in t.trace.spans()[1..].iter().enumerate() {
-            assert_eq!(s.parent, Some(kernel.id));
-            assert_eq!(s.cat, "limb-batch");
-            assert!((s.start_ns - (100.0 + i as f64 * 100.0)).abs() < 1e-9);
-        }
-        // MMAC ops are counted per kernel; counts, durations and bytes
-        // wait for the run's report.
-        assert_eq!(t.metrics.counter_value(names::PIM_MMAC_OPS, &[]), 99);
+        let args = vec![
+            ("bytes_internal", 1024u64.into()),
+            ("mmac_ops", 99u64.into()),
+            ("degraded", false.into()),
+            ("limb_batches", 4u64.into()),
+        ];
+        t.kernel(&seg, args.clone());
+        assert_eq!(t.trace.len(), 1, "one span per attempt, no children");
+        let span = &t.trace.spans()[0];
         assert_eq!(
-            t.metrics.counter_value(
-                names::KERNELS_TOTAL,
-                &[("executor", "pim"), ("class", "element-wise")]
-            ),
-            0
+            (span.name.as_str(), span.cat, span.track),
+            ("PAccum", "element-wise", "PIM")
         );
+        assert_eq!((span.start_ns, span.end_ns), (100.0, 500.0));
+        assert_eq!(span.args, args);
+        // Counts, bytes, MMAC ops and ACTs wait for the run's report.
+        let pim = [("executor", "pim"), ("class", "element-wise")];
+        assert_eq!(t.metrics.counter_value(names::KERNELS_TOTAL, &pim), 0);
+        assert!(!t.prometheus().contains(names::PIM_MMAC_OPS));
+        let mut report = ExecutionReport {
+            pim_mmac_ops: 99,
+            pim_acts: 12,
+            ..ExecutionReport::default()
+        };
+        report.push_segment(seg);
+        t.run_complete(&report);
+        assert_eq!(t.metrics.counter_value(names::KERNELS_TOTAL, &pim), 1);
+        assert_eq!(t.metrics.counter_value(names::PIM_MMAC_OPS, &[]), 99);
+        assert_eq!(t.metrics.counter_value(names::PIM_ACTS, &[]), 12);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 /// let mut t = TraceRecorder::new(42);
 /// let seg = t.open("boot", "segment", "GPU", 0.0);
 /// t.leaf("ntt", "(I)NTT", "GPU", 0.0, 2000.0, vec![("limbs", 24u64.into())]);
-/// t.close(seg, 2500.0);
+/// t.close(seg, 2500.0, vec![]);
 ///
 /// let json = chrome_trace_json(&t);
 /// assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
@@ -164,7 +164,7 @@ mod tests {
             1500.0,
             vec![("bytes", 4096u64.into()), ("degraded", false.into())],
         );
-        t.close(seg, 2000.0);
+        t.close(seg, 2000.0, vec![]);
         t.leaf("bconv", "BConv", "PIM", 2000.0, 3000.0, vec![]);
         t
     }

@@ -8,9 +8,9 @@
 //! above records into:
 //!
 //! - [`span`] — hierarchical spans stamped in the **virtual-time domain**
-//!   of the scheduler (segment → kernel → limb batch). Span ids come from
-//!   a seeded SplitMix64 stream, never a wall clock or thread id, so two
-//!   runs of the same workload produce byte-identical traces regardless of
+//!   of the scheduler (segment → kernel). Span ids come from a seeded
+//!   SplitMix64 stream, never a wall clock or thread id, so two runs of
+//!   the same workload produce byte-identical traces regardless of
 //!   `ANAHEIM_THREADS`.
 //! - [`metrics`] — a [`MetricsRegistry`] of typed counters, gauges, and
 //!   fixed-bucket histograms keyed by (name, sorted labels). All storage is

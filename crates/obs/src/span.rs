@@ -166,23 +166,19 @@ impl TraceRecorder {
     }
 
     /// Closes the innermost open span, which must be `id`, at virtual time
-    /// `end_ns` (base applied).
+    /// `end_ns` (base applied), giving it `args` in order (an open span
+    /// has none before it closes).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not the innermost open span — mis-nested spans are
     /// a recording bug, not a runtime condition.
-    pub fn close(&mut self, id: SpanId, end_ns: f64) {
+    pub fn close(&mut self, id: SpanId, end_ns: f64, args: Vec<(&'static str, ArgValue)>) {
         let idx = self.stack.pop().expect("close without an open span");
-        assert_eq!(self.spans[idx].id, id, "spans must close innermost-first");
-        self.spans[idx].end_ns = self.base_ns + end_ns;
-    }
-
-    /// Adds a typed argument to an open or closed span.
-    pub fn annotate(&mut self, id: SpanId, key: &'static str, value: impl Into<ArgValue>) {
-        if let Some(s) = self.spans.iter_mut().rev().find(|s| s.id == id) {
-            s.args.push((key, value.into()));
-        }
+        let span = &mut self.spans[idx];
+        assert_eq!(span.id, id, "spans must close innermost-first");
+        span.end_ns = self.base_ns + end_ns;
+        span.args = args;
     }
 
     /// Records a complete (leaf) span under the currently open span.
@@ -254,7 +250,7 @@ mod tests {
         let mut t = TraceRecorder::new(1);
         let a = t.open("segment", "segment", "GPU", 0.0);
         let b = t.leaf("kernel", "(I)NTT", "GPU", 0.0, 5.0, vec![]);
-        t.close(a, 10.0);
+        t.close(a, 10.0, vec![]);
         let c = t.leaf("after", "element-wise", "GPU", 10.0, 12.0, vec![]);
         let spans = t.spans();
         assert_eq!(spans.len(), 3);
@@ -272,7 +268,7 @@ mod tests {
         let run = |seed| {
             let mut t = TraceRecorder::new(seed);
             let a = t.open("x", "c", "GPU", 0.0);
-            t.close(a, 1.0);
+            t.close(a, 1.0, vec![]);
             let b = t.leaf("y", "c", "GPU", 1.0, 2.0, vec![]);
             (a, b)
         };
@@ -298,7 +294,7 @@ mod tests {
         let mut t = TraceRecorder::new(0);
         let a = t.open("a", "c", "GPU", 0.0);
         let _b = t.open("b", "c", "GPU", 0.0);
-        t.close(a, 1.0);
+        t.close(a, 1.0, vec![]);
     }
 
     #[test]
@@ -325,7 +321,7 @@ mod tests {
         let drained = t.drain_completed();
         assert!(drained.is_empty(), "nothing before the open span");
         assert_eq!(t.len(), 2);
-        t.close(seg, 2.0);
+        t.close(seg, 2.0, vec![]);
         let after = t.leaf("k", "c", "GPU", 2.0, 2.0, vec![]);
         assert_eq!(after, ids[3]);
         assert_eq!(t.drain_completed().len(), 3);
@@ -333,12 +329,25 @@ mod tests {
     }
 
     #[test]
-    fn annotate_appends_args() {
+    fn close_attaches_args_in_order() {
         let mut t = TraceRecorder::new(0);
-        let id = t.leaf("k", "c", "GPU", 0.0, 1.0, vec![("bytes", 7u64.into())]);
-        t.annotate(id, "degraded", true);
+        let id = t.open("seg", "segment", "serving", 0.0);
+        t.close(
+            id,
+            1.0,
+            vec![
+                ("deadline_ns", 7u64.into()),
+                ("outcome", "completed".into()),
+            ],
+        );
         let s = &t.spans()[0];
-        assert_eq!(s.args.len(), 2);
-        assert_eq!(s.args[1], ("degraded", ArgValue::Bool(true)));
+        assert_eq!(s.end_ns, 1.0);
+        assert_eq!(
+            s.args,
+            vec![
+                ("deadline_ns", ArgValue::U64(7)),
+                ("outcome", ArgValue::Str("completed")),
+            ]
+        );
     }
 }

@@ -293,7 +293,7 @@ mod tests {
         let seg = rec.open("seg", "segment", "serving", 0.0);
         rec.leaf("k", "c", "GPU", 0.0, 1.0, vec![]);
         assert_eq!(sink.drain_from(&mut rec), 0, "open segment pins its tail");
-        rec.close(seg, 2.0);
+        rec.close(seg, 2.0, vec![]);
         assert_eq!(sink.drain_from(&mut rec), 2);
         assert!(rec.is_empty());
         assert_eq!(sink.accepted(), 2);

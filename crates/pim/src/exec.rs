@@ -60,8 +60,8 @@ pub struct PimKernelResult {
     pub bytes_internal: u64,
     /// Sequential limb batches (`⌈limbs/die_groups⌉`): each batch runs one
     /// limb on every die group in parallel, so the kernel's latency divides
-    /// evenly across them. Trace exporters use this to draw the
-    /// segment → kernel → limb-batch hierarchy.
+    /// evenly across them. The kernel's trace span carries it as its
+    /// `limb_batches` argument.
     pub limb_batches: u64,
 }
 

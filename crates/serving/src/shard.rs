@@ -761,18 +761,20 @@ impl Shard {
         };
         if let (Some(t), Some(id)) = (tel, span) {
             let completed = matches!(outcome, Outcome::Completed { .. });
-            t.trace.annotate(id, "deadline_ns", p.deadline_ns);
-            t.trace.annotate(
+            let label = match outcome {
+                Outcome::Completed { .. } => "completed",
+                Outcome::Cancelled { .. } => "cancelled",
+                Outcome::IntegrityFailure { .. } => "integrity-failure",
+                _ => "deadline-miss",
+            };
+            t.close_segment(
                 id,
-                "outcome",
-                match outcome {
-                    Outcome::Completed { .. } => "completed",
-                    Outcome::Cancelled { .. } => "cancelled",
-                    Outcome::IntegrityFailure { .. } => "integrity-failure",
-                    _ => "deadline-miss",
-                },
+                total_ns,
+                vec![
+                    ("deadline_ns", p.deadline_ns.into()),
+                    ("outcome", label.into()),
+                ],
             );
-            t.close_segment(id, total_ns);
             t.metrics.observe(names::REQUEST_LATENCY_NS, &[], total_ns);
             if completed {
                 // Clamped like the outcome field: a completion's slack is

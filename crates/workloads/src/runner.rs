@@ -99,8 +99,8 @@ pub fn run_workload(rt: &Anaheim, w: &Workload) -> Result<WorkloadReport, RunErr
 /// `workload`-track span (kernel spans nest inside), with the trace base
 /// advanced by the segment's *total* repeated duration so consecutive
 /// segments tile the virtual timeline. Each segment instance is simulated
-/// once and its span annotated with `repeat` — repeats are collapsed in the
-/// trace exactly as they are in the cost model. Only the *trace* base
+/// once and its span closed with a `repeat` argument — repeats are
+/// collapsed in the trace exactly as they are in the cost model. Only the *trace* base
 /// advances: the registry clock is left alone, so breaker behaviour (and
 /// therefore the numbers) cannot differ between traced and untraced runs.
 /// A traced, health-gated run ends with an export of the registry's
@@ -132,8 +132,7 @@ pub fn run_workload_with(
         rt.prepare(&mut seq);
         let r = rt.run_prepared_with(&seq, opts.reborrow())?;
         if let (Some(tel), Some(span)) = (opts.telemetry.as_deref_mut(), span) {
-            tel.trace.annotate(span, "repeat", seg.repeat);
-            tel.close_segment(span, r.total_ns);
+            tel.close_segment(span, r.total_ns, vec![("repeat", seg.repeat.into())]);
         }
         clock_ns += r.total_ns * seg.repeat as f64;
         accumulate(&mut nums, &r, seg.repeat);

@@ -318,6 +318,56 @@ HEDGE_SOAK_DEFAULT=20000
 soak_gate hedge-chaos "--hedge" "${HEDGE_SOAK_REQUESTS:-$HEDGE_SOAK_DEFAULT}" \
   "$HEDGE_SOAK_DEFAULT" tests/golden/soak-hedge-chaos.txt hedges-won cancelled
 
+# Streaming Chrome-trace gate: one traced batched hedge-chaos soak writes
+# its trace through the bounded streaming sink. The trace must parse, name
+# only parents written before their children, repeat no span id, and hold
+# no per-limb-batch spans (a PIM kernel span carries `limb_batches` as an
+# argument instead); the sink must have written every span it accepted.
+# 1000 requests is the smallest round count at which the scenario's own
+# invariants hold (its stuck-lane window opens at request 600).
+echo "==> streaming Chrome trace gate (soak --stream --batch --hedge --trace-out)"
+./target/release/soak --stream --batch --hedge --requests 1000 \
+  --trace-out "$snap_dir/trace.json" --metrics-out "$snap_dir/metrics.prom" \
+  | tee "$snap_dir/trace-soak.log"
+python3 - "$snap_dir" <<'EOF'
+import json, re, sys
+
+d = sys.argv[1]
+with open(f"{d}/trace.json") as f:
+    events = json.load(f)["traceEvents"]
+tracks = {e["tid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+seen = set()
+pim_kernels = 0
+for e in events:
+    if e["ph"] != "X":
+        continue
+    parent = e["args"].get("parent")
+    if parent is not None and parent not in seen:
+        sys.exit(f"span {e['id']} ({e['name']}) names parent {parent} not written before it")
+    if e["id"] in seen:
+        sys.exit(f"span id {e['id']} written twice")
+    seen.add(e["id"])
+    if e["cat"] == "limb-batch":
+        sys.exit(f"span {e['id']} is a limb-batch span")
+    if tracks[e["tid"]] == "PIM" and e["cat"] == "element-wise":
+        if "limb_batches" not in e["args"]:
+            sys.exit(f"PIM kernel span {e['id']} has no limb_batches argument")
+        pim_kernels += 1
+if pim_kernels == 0:
+    sys.exit("the traced soak recorded no PIM kernel span")
+log = open(f"{d}/trace-soak.log").read()
+m = re.search(r"trace spans accepted=(\d+) evicted=\d+ written=(\d+)", log)
+if not m:
+    sys.exit("the soak printed no trace spans line")
+if m.group(1) != m.group(2):
+    sys.exit(f"sink accepted {m.group(1)} spans but wrote {m.group(2)}")
+if int(m.group(2)) != len(seen):
+    sys.exit(f"sink wrote {m.group(2)} spans, the file holds {len(seen)}")
+if "anaheim_pim_mmac_ops_total" not in open(f"{d}/metrics.prom").read():
+    sys.exit("metrics export has no anaheim_pim_mmac_ops_total")
+print(f"  {len(seen)} spans ({pim_kernels} PIM kernels) written, parents first, ids unique — ok")
+EOF
+
 echo "==> pipelined schedule gate (BENCH_ckks.json / BENCH_pim.json)"
 python3 - <<'EOF'
 import json, sys

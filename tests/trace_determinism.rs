@@ -222,6 +222,13 @@ fn folded_metrics_and_health_counters_match_the_reports() {
         m.counter_value(names::PIM_INTERNAL_BYTES, &[]),
         sum(|r| r.pim_dram_bytes)
     );
+    let (mmac_ops, acts) = (sum(|r| r.pim_mmac_ops), sum(|r| r.pim_acts));
+    assert!(
+        mmac_ops > 0 && acts > 0,
+        "the runs must execute PIM kernels"
+    );
+    assert_eq!(m.counter_value(names::PIM_MMAC_OPS, &[]), mmac_ops);
+    assert_eq!(m.counter_value(names::PIM_ACTS, &[]), acts);
     let mut to: BTreeMap<String, u64> = BTreeMap::new();
     for t in reports.iter().flat_map(|r| &r.breaker_transitions) {
         *to.entry(t.to.to_string()).or_default() += 1;
